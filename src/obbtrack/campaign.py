@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .config import RunConfig
 from .doe import Block, DEFAULT_BLOCKS, TrialSpec, campaign as design_campaign
-from .metrics import ClassMetrics, evaluate_streams
+from .metrics import evaluate_streams
 from .simulate import simulate_trial
 from .streams import FrameRecord, detections_to_map
 from .tracker import Tracker
@@ -74,26 +74,14 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def _aggregate(rows: list[ClassMetrics]) -> dict:
+def _aggregate(rows: Sequence[dict]) -> dict:
+    """Pool metric rows: mean of each defined metric, sum of each count."""
     out: dict = {}
     for key in _METRIC_KEYS:
-        out[key] = _mean([getattr(m, key) for m in rows if getattr(m, key) is not None])
+        out[key] = _mean([row[key] for row in rows if row[key] is not None])
     for key in _COUNT_KEYS:
-        out[key] = sum(getattr(m, key) for m in rows)
-    switches = [m.id_switches for m in rows if m.id_switches is not None]
-    out["id_switches"] = sum(switches) if switches else None
-    return out
-
-
-def _aggregate_classes(per_class_rows: dict[str, dict]) -> dict:
-    """Average the per-class aggregate rows into one row (macro average)."""
-    out: dict = {}
-    for key in _METRIC_KEYS:
-        vals = [row[key] for row in per_class_rows.values() if row[key] is not None]
-        out[key] = _mean(vals)
-    for key in _COUNT_KEYS:
-        out[key] = sum(row[key] for row in per_class_rows.values())
-    switches = [row["id_switches"] for row in per_class_rows.values() if row["id_switches"] is not None]
+        out[key] = sum(row[key] for row in rows)
+    switches = [row["id_switches"] for row in rows if row["id_switches"] is not None]
     out["id_switches"] = sum(switches) if switches else None
     return out
 
@@ -105,7 +93,7 @@ def run_campaign(
     config = config or RunConfig()
     trials = design_campaign(blocks, known_classes=config.classes)
     trial_entries = []
-    class_rows: dict[str, dict[str, list[ClassMetrics]]] = {}
+    class_rows: dict[str, dict[str, list[dict]]] = {}
     for trial in trials:
         results = run_trial(trial, seed, config)
         entry = {
@@ -119,15 +107,15 @@ def run_campaign(
         trial_entries.append(entry)
         for mode in ("detection", "tracklet"):
             for cls, metrics in results[mode].per_class.items():
-                class_rows.setdefault(cls, {"detection": [], "tracklet": []})[mode].append(metrics)
+                class_rows.setdefault(cls, {"detection": [], "tracklet": []})[mode].append(metrics.to_dict())
 
     per_class = {
         cls: {mode: _aggregate(rows[mode]) for mode in ("detection", "tracklet")}
         for cls, rows in sorted(class_rows.items())
     }
+    # macro average over the pooled per-class rows
     average = {
-        mode: _aggregate_classes({cls: per_class[cls][mode] for cls in per_class})
-        for mode in ("detection", "tracklet")
+        mode: _aggregate([row[mode] for row in per_class.values()]) for mode in ("detection", "tracklet")
     }
     return {
         "schema": REPORT_SCHEMA,

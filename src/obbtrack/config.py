@@ -36,6 +36,10 @@ class RunConfig:
     alpha_sweep: bool = False
     output_dir: str | None = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.alpha < 1.0:
+            raise ConfigurationError(f"metrics.alpha must lie in [0, 1), got {self.alpha!r}")
+
 
 _SIM_FLOATS = {
     "duration",

@@ -204,6 +204,11 @@ def iou_3d(a: OrientedBox, b: OrientedBox) -> float:
     dz = z_hi - z_lo
     if dz <= 0.0:
         return 0.0
+    # footprints lie inside their circumscribed circles: disjoint circles,
+    # disjoint footprints, so skip the clip
+    reach = math.hypot(a.extent[0], a.extent[1]) / 2.0 + math.hypot(b.extent[0], b.extent[1]) / 2.0
+    if math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]) > reach:
+        return 0.0
     inter = footprint_intersection_area(a, b) * dz
     if inter <= 0.0:
         return 0.0

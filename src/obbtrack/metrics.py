@@ -5,12 +5,17 @@ truth box with IoU above the threshold (0.5 by default). Per-frame matching
 maximizes the TP count first and total IoU second. Average IoU is computed
 threshold-free and normalized by the ground-truth box count, so both misses
 and bad localization pull it down.
+
+`evaluate_streams` computes one IoU matrix per frame: every report row
+matches on it (or its per-class block), and HOTA and the id-switch count
+reuse the row's pairings at `alpha`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections import Counter, namedtuple
+from dataclasses import asdict, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -47,33 +52,44 @@ class FramePairing:
         return len(self.fn_indices)
 
 
+def _check_alpha(alpha: float) -> None:
+    # alpha >= 0 keeps zero-overlap and cross-class pairs (IoU 0) infeasible
+    if not 0.0 <= alpha < 1.0:
+        raise InvalidInputError(f"IoU threshold alpha must lie in [0, 1), got {alpha!r}")
+
+
+def iou_matrix(gt: Sequence[OrientedBox], pred: Sequence[OrientedBox]) -> np.ndarray:
+    """gt x pred IoU matrix; cross-class entries are 0 without computing them."""
+    iou = np.zeros((len(gt), len(pred)))
+    for i, g in enumerate(gt):
+        for j, p in enumerate(pred):
+            if g.class_id == p.class_id:
+                iou[i, j] = iou_3d(g, p)
+    return iou
+
+
 def match_frame(
     gt: Sequence[OrientedBox],
     pred: Sequence[OrientedBox],
     alpha: float = 0.5,
     timestamp: float = 0.0,
+    iou: np.ndarray | None = None,
 ) -> FramePairing:
     """Maximum-cardinality, then maximum-total-IoU one-to-one matching of
-    same-class pairs with IoU strictly above `alpha`."""
+    same-class pairs with IoU strictly above `alpha`.
+
+    `iou` is `iou_matrix(gt, pred)` when the caller already has it.
+    """
+    _check_alpha(alpha)
     n_gt, n_pred = len(gt), len(pred)
     pairs: list[tuple[int, int, float]] = []
     if n_gt and n_pred:
-        score = np.zeros((n_gt, n_pred))
-        iou = np.zeros((n_gt, n_pred))
-        feasible = np.zeros((n_gt, n_pred), dtype=bool)
-        for i, g in enumerate(gt):
-            for j, p in enumerate(pred):
-                if g.class_id != p.class_id:
-                    continue
-                v = iou_3d(g, p)
-                if v > alpha:
-                    iou[i, j] = v
-                    feasible[i, j] = True
-                    score[i, j] = v + _CARDINALITY_BONUS
+        if iou is None:
+            iou = iou_matrix(gt, pred)
+        feasible = iou > alpha
+        score = np.where(feasible, iou + _CARDINALITY_BONUS, 0.0)
         rows, cols = linear_sum_assignment(score, maximize=True)
-        for i, j in zip(rows, cols):
-            if feasible[i, j]:
-                pairs.append((int(i), int(j), float(iou[i, j])))
+        pairs = [(int(i), int(j), float(iou[i, j])) for i, j in zip(rows, cols) if feasible[i, j]]
     pairs.sort()
     matched_gt = {i for i, _, _ in pairs}
     matched_pred = {j for _, j, _ in pairs}
@@ -133,52 +149,72 @@ def _require_ids(frames: Sequence[FrameRecord], label: str) -> None:
             raise InvalidInputError(f"duplicate {label} ids within frame t={f.t}")
 
 
-def _hota_single(
-    gt_frames: Sequence[FrameRecord], pred_frames: Sequence[FrameRecord], alpha: float
-) -> tuple[float, float, float]:
-    """(HOTA, DetA, AssA) at one IoU threshold."""
-    tp = fp = fn = 0
-    co: dict[tuple[int, int], int] = {}
-    gt_tp: dict[int, int] = {}
-    pred_tp: dict[int, int] = {}
-    gt_fn: dict[int, int] = {}
-    pred_fp: dict[int, int] = {}
+# A frame as a report row sees it: boxes, ids, IoU block (None if a side is
+# empty) and pairings by threshold, shared by all rows that see the same boxes.
+_FrameView = namedtuple("_FrameView", "t gt pred gt_ids pred_ids iou pairings")
+
+
+def _whole_frame(gt_rec: FrameRecord, pred_rec: FrameRecord) -> _FrameView:
+    iou = iou_matrix(gt_rec.boxes, pred_rec.boxes)
+    return _FrameView(gt_rec.t, gt_rec.boxes, pred_rec.boxes, gt_rec.ids, pred_rec.ids, iou, {})
+
+
+def _class_block(frame: _FrameView, class_id: str) -> _FrameView:
+    gi = [i for i, b in enumerate(frame.gt) if b.class_id == class_id]
+    pj = [j for j, b in enumerate(frame.pred) if b.class_id == class_id]
+    if len(gi) == len(frame.gt) and len(pj) == len(frame.pred):
+        return frame
+    return _FrameView(
+        frame.t,
+        tuple(frame.gt[i] for i in gi),
+        tuple(frame.pred[j] for j in pj),
+        tuple(frame.gt_ids[i] for i in gi),
+        None if frame.pred_ids is None else tuple(frame.pred_ids[j] for j in pj),
+        frame.iou[np.ix_(gi, pj)] if gi and pj else None,
+        {},
+    )
+
+
+def _match_all(views: Sequence[_FrameView], alpha: float) -> list[FramePairing]:
+    for v in views:
+        if alpha not in v.pairings:
+            v.pairings[alpha] = match_frame(v.gt, v.pred, alpha, v.t, v.iou)
+    return [v.pairings[alpha] for v in views]
+
+
+def _hota_single(views: Sequence[_FrameView], pairings: Sequence[FramePairing]) -> float:
+    """HOTA at one IoU threshold, from each frame's pairing at that threshold."""
     tp_instances: list[tuple[int, int]] = []
+    gt_fn: Counter = Counter()
+    pred_fp: Counter = Counter()
+    for view, pairing in zip(views, pairings):
+        tp_instances.extend((view.gt_ids[gi], view.pred_ids[pi]) for gi, pi, _ in pairing.tp_pairs)
+        gt_fn.update(view.gt_ids[gi] for gi in pairing.fn_indices)
+        pred_fp.update(view.pred_ids[pi] for pi in pairing.fp_indices)
 
-    for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-        pairing = match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
-        tp += pairing.tp
-        fp += pairing.fp
-        fn += pairing.fn
-        for gi, pi, _ in pairing.tp_pairs:
-            gid, pid = gt_rec.ids[gi], pred_rec.ids[pi]
-            co[(gid, pid)] = co.get((gid, pid), 0) + 1
-            gt_tp[gid] = gt_tp.get(gid, 0) + 1
-            pred_tp[pid] = pred_tp.get(pid, 0) + 1
-            tp_instances.append((gid, pid))
-        for gi in pairing.fn_indices:
-            gid = gt_rec.ids[gi]
-            gt_fn[gid] = gt_fn.get(gid, 0) + 1
-        for pi in pairing.fp_indices:
-            pid = pred_rec.ids[pi]
-            pred_fp[pid] = pred_fp.get(pid, 0) + 1
-
-    denom = tp + fp + fn
+    tp = len(tp_instances)
+    denom = tp + sum(pred_fp.values()) + sum(gt_fn.values())
     if denom == 0:
         raise UndefinedMetricError("no ground truth and no predictions anywhere")
     deta = tp / denom
 
-    if tp_instances:
-        acc = 0.0
-        for gid, pid in tp_instances:
-            tpa = co[(gid, pid)]
-            fna = gt_tp[gid] - tpa + gt_fn.get(gid, 0)
-            fpa = pred_tp[pid] - tpa + pred_fp.get(pid, 0)
-            acc += tpa / (tpa + fna + fpa)
-        assa = acc / len(tp_instances)
-    else:
-        assa = 0.0
-    return math.sqrt(deta * assa), deta, assa
+    co = Counter(tp_instances)
+    gt_tp = Counter(gid for gid, _ in tp_instances)
+    pred_tp = Counter(pid for _, pid in tp_instances)
+    acc = 0.0
+    for gid, pid in tp_instances:
+        tpa = co[(gid, pid)]
+        fna = gt_tp[gid] - tpa + gt_fn[gid]
+        fpa = pred_tp[pid] - tpa + pred_fp[pid]
+        acc += tpa / (tpa + fna + fpa)
+    assa = acc / tp if tp else 0.0
+    return math.sqrt(deta * assa)
+
+
+def _hota(views: Sequence[_FrameView], alpha: float, alpha_sweep: bool) -> float:
+    alphas = ALPHA_SWEEP if alpha_sweep else (alpha,)
+    scores = [_hota_single(views, _match_all(views, a)) for a in alphas]
+    return sum(scores) / len(scores)
 
 
 def hota(
@@ -192,13 +228,12 @@ def hota(
     With `alpha_sweep` the score is averaged over IoU thresholds
     0.05, 0.10, ..., 0.95 instead of using the single `alpha`.
     """
+    _check_alpha(alpha)
     _check_frame_alignment(gt_frames, pred_frames)
     _require_ids(gt_frames, "ground truth")
     _require_ids(pred_frames, "prediction")
-    if alpha_sweep:
-        scores = [_hota_single(gt_frames, pred_frames, a)[0] for a in ALPHA_SWEEP]
-        return sum(scores) / len(scores)
-    return _hota_single(gt_frames, pred_frames, alpha)[0]
+    views = [_whole_frame(g, p) for g, p in zip(gt_frames, pred_frames)]
+    return _hota(views, alpha, alpha_sweep)
 
 
 @dataclass(frozen=True)
@@ -214,17 +249,7 @@ class ClassMetrics:
     id_switches: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "avg_iou": self.avg_iou,
-            "pos_rmse": self.pos_rmse,
-            "yaw_rmse": self.yaw_rmse,
-            "det_a": self.det_a,
-            "hota": self.hota,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "id_switches": self.id_switches,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -241,49 +266,26 @@ class MetricsReport:
         }
 
 
-def _id_switches(gt_frames: Sequence[FrameRecord], pred_frames: Sequence[FrameRecord], alpha: float) -> int:
+def _id_switches(views: Sequence[_FrameView], pairings: Sequence[FramePairing]) -> int:
     last_pred: dict[int, int] = {}
     switches = 0
-    for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-        pairing = match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
+    for view, pairing in zip(views, pairings):
         for gi, pi, _ in pairing.tp_pairs:
-            gid, pid = gt_rec.ids[gi], pred_rec.ids[pi]
+            gid, pid = view.gt_ids[gi], view.pred_ids[pi]
             if gid in last_pred and last_pred[gid] != pid:
                 switches += 1
             last_pred[gid] = pid
     return switches
 
 
-def _restrict(rec: FrameRecord, class_id: str) -> FrameRecord:
-    keep = [i for i, b in enumerate(rec.boxes) if b.class_id == class_id]
-    return FrameRecord(
-        rec.t,
-        rec.robot,
-        tuple(rec.boxes[i] for i in keep),
-        tuple(rec.ids[i] for i in keep) if rec.ids is not None else None,
-    )
-
-
-def _single_class_metrics(
-    gt_frames: Sequence[FrameRecord],
-    pred_frames: Sequence[FrameRecord],
-    mode: str,
-    alpha: float,
-    alpha_sweep: bool,
-) -> ClassMetrics:
-    pairings = []
-    tp_boxes: list[tuple[OrientedBox, OrientedBox]] = []
+def _row_metrics(views: Sequence[_FrameView], mode: str, alpha: float, alpha_sweep: bool) -> ClassMetrics:
+    pairings = _match_all(views, alpha)
+    tp_boxes = [(v.gt[gi], v.pred[pi]) for v, p in zip(views, pairings) for gi, pi, _ in p.tp_pairs]
+    # threshold-free coverage matching for the average IoU column
     iou_total = 0.0
-    gt_total = 0
-    for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-        pairing = match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
-        pairings.append(pairing)
-        for gi, pi, _ in pairing.tp_pairs:
-            tp_boxes.append((gt_rec.boxes[gi], pred_rec.boxes[pi]))
-        # threshold-free coverage matching for the average IoU column
-        loose = match_frame(gt_rec.boxes, pred_rec.boxes, 0.0, gt_rec.t)
+    for loose in _match_all(views, 0.0):
         iou_total += sum(v for _, _, v in loose.tp_pairs)
-        gt_total += len(gt_rec.boxes)
+    gt_total = sum(len(v.gt) for v in views)
 
     try:
         deta = det_a(pairings)
@@ -299,10 +301,10 @@ def _single_class_metrics(
     switches: int | None = None
     if mode == "tracklet":
         try:
-            hota_score = hota(gt_frames, pred_frames, alpha, alpha_sweep)
+            hota_score = _hota(views, alpha, alpha_sweep)
         except UndefinedMetricError:
             hota_score = None
-        switches = _id_switches(gt_frames, pred_frames, alpha)
+        switches = _id_switches(views, pairings)
 
     return ClassMetrics(
         avg_iou=(iou_total / gt_total) if gt_total else None,
@@ -331,24 +333,20 @@ def evaluate_streams(
     """
     if mode not in ("detection", "tracklet"):
         raise InvalidInputError(f"unknown evaluation mode {mode!r}")
+    _check_alpha(alpha)
     _check_frame_alignment(gt_frames, pred_frames)
     _require_ids(gt_frames, "ground truth")
     if mode == "tracklet":
         _require_ids(pred_frames, "prediction")
 
-    classes = sorted(
-        {b.class_id for f in gt_frames for b in f.boxes}
-        | {b.class_id for f in pred_frames for b in f.boxes}
+    overall = [_whole_frame(g, p) for g, p in zip(gt_frames, pred_frames)]
+    per_class: dict[str, list[_FrameView]] = {}
+    for frame in overall:
+        # a class absent from both sides of a frame adds nothing to its row
+        for c in {b.class_id for b in frame.gt + frame.pred}:
+            per_class.setdefault(c, []).append(_class_block(frame, c))
+    return MetricsReport(
+        mode=mode,
+        overall=_row_metrics(overall, mode, alpha, alpha_sweep),
+        per_class={c: _row_metrics(per_class[c], mode, alpha, alpha_sweep) for c in sorted(per_class)},
     )
-    per_class = {
-        c: _single_class_metrics(
-            [_restrict(f, c) for f in gt_frames],
-            [_restrict(f, c) for f in pred_frames],
-            mode,
-            alpha,
-            alpha_sweep,
-        )
-        for c in classes
-    }
-    overall = _single_class_metrics(gt_frames, pred_frames, mode, alpha, alpha_sweep)
-    return MetricsReport(mode=mode, overall=overall, per_class=per_class)

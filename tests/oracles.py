@@ -1,13 +1,25 @@
 """Brute-force oracles, written independently of the package's code paths:
 Monte-Carlo volume sampling instead of polygon clipping, exhaustive matching
 enumeration instead of the Hungarian solver, and a from-scratch
-association-accuracy recount."""
+association-accuracy recount. `reference_evaluate_streams` is the direct
+report path that the shared-matrix `evaluate_streams` must reproduce."""
 import itertools
 import math
 
 import numpy as np
 
+from obbtrack.errors import UndefinedMetricError
 from obbtrack.geometry import OrientedBox, iou_3d
+from obbtrack.metrics import (
+    ALPHA_SWEEP,
+    ClassMetrics,
+    MetricsReport,
+    det_a,
+    match_frame,
+    pos_rmse,
+    yaw_rmse,
+)
+from obbtrack.streams import FrameRecord
 
 
 def mc_iou(a: OrientedBox, b: OrientedBox, n=200_000, seed=0) -> float:
@@ -144,3 +156,117 @@ def hota_oracle(frames, alpha=0.5):
         acc += tpa / (tpa + fna + fpa)
     assa = acc / len(tp_list)
     return math.sqrt(deta * assa), deta, assa
+
+
+def _restrict(rec: FrameRecord, class_id: str) -> FrameRecord:
+    keep = [i for i, b in enumerate(rec.boxes) if b.class_id == class_id]
+    return FrameRecord(
+        rec.t,
+        rec.robot,
+        tuple(rec.boxes[i] for i in keep),
+        tuple(rec.ids[i] for i in keep) if rec.ids is not None else None,
+    )
+
+
+def _reference_hota_single(gt_frames, pred_frames, alpha):
+    tp = fp = fn = 0
+    co, gt_tp, pred_tp, gt_fn, pred_fp = {}, {}, {}, {}, {}
+    tp_instances = []
+    for gt_rec, pred_rec in zip(gt_frames, pred_frames):
+        pairing = match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
+        tp += pairing.tp
+        fp += pairing.fp
+        fn += pairing.fn
+        for gi, pi, _ in pairing.tp_pairs:
+            gid, pid = gt_rec.ids[gi], pred_rec.ids[pi]
+            co[(gid, pid)] = co.get((gid, pid), 0) + 1
+            gt_tp[gid] = gt_tp.get(gid, 0) + 1
+            pred_tp[pid] = pred_tp.get(pid, 0) + 1
+            tp_instances.append((gid, pid))
+        for gi in pairing.fn_indices:
+            gt_fn[gt_rec.ids[gi]] = gt_fn.get(gt_rec.ids[gi], 0) + 1
+        for pi in pairing.fp_indices:
+            pred_fp[pred_rec.ids[pi]] = pred_fp.get(pred_rec.ids[pi], 0) + 1
+    denom = tp + fp + fn
+    if denom == 0:
+        raise UndefinedMetricError("no ground truth and no predictions anywhere")
+    deta = tp / denom
+    if not tp_instances:
+        return 0.0
+    acc = 0.0
+    for gid, pid in tp_instances:
+        tpa = co[(gid, pid)]
+        fna = gt_tp[gid] - tpa + gt_fn.get(gid, 0)
+        fpa = pred_tp[pid] - tpa + pred_fp.get(pid, 0)
+        acc += tpa / (tpa + fna + fpa)
+    return math.sqrt(deta * (acc / len(tp_instances)))
+
+
+def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMetrics:
+    pairings = []
+    tp_boxes = []
+    iou_total = 0.0
+    gt_total = 0
+    for gt_rec, pred_rec in zip(gt_frames, pred_frames):
+        pairing = match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
+        pairings.append(pairing)
+        for gi, pi, _ in pairing.tp_pairs:
+            tp_boxes.append((gt_rec.boxes[gi], pred_rec.boxes[pi]))
+        loose = match_frame(gt_rec.boxes, pred_rec.boxes, 0.0, gt_rec.t)
+        iou_total += sum(v for _, _, v in loose.tp_pairs)
+        gt_total += len(gt_rec.boxes)
+    try:
+        deta = det_a(pairings)
+    except UndefinedMetricError:
+        deta = None
+    try:
+        prmse, yrmse = pos_rmse(tp_boxes), yaw_rmse(tp_boxes)
+    except UndefinedMetricError:
+        prmse = yrmse = None
+
+    hota_score = switches = None
+    if mode == "tracklet":
+        try:
+            if alpha_sweep:
+                scores = [_reference_hota_single(gt_frames, pred_frames, a) for a in ALPHA_SWEEP]
+                hota_score = sum(scores) / len(scores)
+            else:
+                hota_score = _reference_hota_single(gt_frames, pred_frames, alpha)
+        except UndefinedMetricError:
+            hota_score = None
+        last_pred, switches = {}, 0
+        for gt_rec, pred_rec in zip(gt_frames, pred_frames):
+            for gi, pi, _ in match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t).tp_pairs:
+                gid, pid = gt_rec.ids[gi], pred_rec.ids[pi]
+                if gid in last_pred and last_pred[gid] != pid:
+                    switches += 1
+                last_pred[gid] = pid
+
+    return ClassMetrics(
+        avg_iou=(iou_total / gt_total) if gt_total else None,
+        pos_rmse=prmse,
+        yaw_rmse=yrmse,
+        det_a=deta,
+        hota=hota_score,
+        tp=sum(p.tp for p in pairings),
+        fp=sum(p.fp for p in pairings),
+        fn=sum(p.fn for p in pairings),
+        id_switches=switches,
+    )
+
+
+def reference_evaluate_streams(gt_frames, pred_frames, mode="tracklet", alpha=0.5, alpha_sweep=False):
+    """Reference report for valid inputs: every row, every threshold, every
+    HOTA pass and the id-switch count run `match_frame` on the row's own
+    boxes, so each computes its IoUs from scratch."""
+    classes = sorted(
+        {b.class_id for f in gt_frames for b in f.boxes} | {b.class_id for f in pred_frames for b in f.boxes}
+    )
+    per_class = {
+        c: _reference_row(
+            [_restrict(f, c) for f in gt_frames], [_restrict(f, c) for f in pred_frames], mode, alpha, alpha_sweep
+        )
+        for c in classes
+    }
+    overall = _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep)
+    return MetricsReport(mode=mode, overall=overall, per_class=per_class)

@@ -5,7 +5,7 @@ import pytest
 
 from obbtrack.cli import main
 from obbtrack.geometry import center_distance, transform_to_map, yaw_difference
-from obbtrack.streams import dumps_stream, loads_stream, read_stream, KIND_DETECTIONS
+from obbtrack.streams import dumps_stream, loads_stream, read_stream, KIND_DETECTIONS, KIND_GROUND_TRUTH
 
 
 @pytest.fixture
@@ -144,6 +144,13 @@ class TestTrackAndEvaluate:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("tracker.not_a_knob = 3\n")
         assert main(["--config", str(cfg), "doe", "gen", "--out", str(tmp_path / "t.json")]) == 1
+
+    def test_config_alpha_out_of_range_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("metrics.alpha = -0.1\n")
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(dumps_stream([], KIND_GROUND_TRUTH))
+        assert main(["--config", str(cfg), "evaluate", "--gt", str(gt), "--pred", str(gt)]) == 1
 
 
 class TestCampaign:

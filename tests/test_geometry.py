@@ -12,6 +12,7 @@ from obbtrack.geometry import (
     PlanarPose,
     center_distance,
     circular_mean,
+    footprint_intersection_area,
     iou_3d,
     resolve_symmetric_yaw,
     symmetry_hypotheses,
@@ -27,6 +28,16 @@ def box(cx=0.0, cy=0.0, cz=0.0, l=1.0, w=1.0, h=1.0, yaw=0.0, cls="MSU"):
 
 
 from oracles import mc_iou
+
+
+def clip_only_iou(a, b):
+    """iou_3d computed by clipping alone, with no early-out."""
+    z_lo = max(a.center[2] - a.extent[2] / 2.0, b.center[2] - b.extent[2] / 2.0)
+    z_hi = min(a.center[2] + a.extent[2] / 2.0, b.center[2] + b.extent[2] / 2.0)
+    inter = footprint_intersection_area(a, b) * (z_hi - z_lo) if z_hi > z_lo else 0.0
+    if inter <= 0.0:
+        return 0.0
+    return min(1.0, max(0.0, inter / (a.volume + b.volume - inter)))
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 coords = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -135,6 +146,29 @@ class TestIou:
         before = iou_3d(a, b)
         after = iou_3d(transform_to_map(a, pose), transform_to_map(b, pose))
         assert abs(before - after) <= 1e-9
+
+    @given(
+        st.one_of(st.floats(0.0, 2.0), st.floats(0.999, 1.001)),
+        angles,
+        angles,
+        angles,
+        extents,
+        extents,
+        extents,
+        extents,
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_circle_early_out_matches_clip(self, scale, heading, ya, yb, la, wa, lb, wb, corners_facing):
+        # b sits at `scale` times the sum of the circumscribed radii; with
+        # corners facing, the rectangles nearly touch at scale 1
+        if corners_facing:
+            ya = heading - math.atan2(wa, la)
+            yb = heading + math.pi - math.atan2(wb, lb)
+        d = scale * (math.hypot(la, wa) + math.hypot(lb, wb)) / 2.0
+        a = box(l=la, w=wa, yaw=ya)
+        b = box(cx=d * math.cos(heading), cy=d * math.sin(heading), l=lb, w=wb, h=0.7, yaw=yb)
+        assert iou_3d(a, b) == clip_only_iou(a, b)
 
     def test_matches_axis_aligned_closed_form(self):
         rng = np.random.default_rng(7)

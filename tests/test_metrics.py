@@ -1,9 +1,14 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from obbtrack import metrics
 from obbtrack.errors import AlignmentError, InvalidInputError, UndefinedMetricError
 from obbtrack.geometry import OrientedBox, PlanarPose
 from obbtrack.metrics import (
@@ -244,3 +249,90 @@ class TestEvaluateStreams:
         gt, pred = frames_to_records(frames)
         report = evaluate_streams(gt, pred, mode="tracklet")
         assert report.overall.id_switches == 1
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # with alpha < 0 every zero-overlap same-class pair would score as a TP
+        gt, pred = frames_to_records([([box()], [1], [box(cx=50.0)], [9])])
+        with pytest.raises(InvalidInputError, match="alpha"):
+            evaluate_streams(gt, pred, alpha=alpha)
+        with pytest.raises(InvalidInputError, match="alpha"):
+            hota(gt, pred, alpha=alpha)
+        with pytest.raises(InvalidInputError, match="alpha"):
+            match_frame(gt[0].boxes, pred[0].boxes, alpha=alpha)
+
+    def test_each_same_class_iou_computed_once(self, monkeypatch):
+        calls = Counter()
+        iou_3d = metrics.iou_3d
+
+        def counting_iou(a, b):
+            calls[(id(a), id(b))] += 1
+            return iou_3d(a, b)
+
+        monkeypatch.setattr(metrics, "iou_3d", counting_iou)
+        for seed in range(10):
+            frames = random_micro_sequence(seed, n_objects=4, n_frames=6)
+            gt, pred = frames_to_records(frames)
+            same_class = {
+                (id(g), id(p))
+                for g_rec, p_rec in zip(gt, pred)
+                for g in g_rec.boxes
+                for p in p_rec.boxes
+                if g.class_id == p.class_id
+            }
+            for mode in ("detection", "tracklet"):
+                for sweep in (False, True):
+                    calls.clear()
+                    evaluate_streams(gt, pred, mode, alpha_sweep=sweep)
+                    assert set(calls) <= same_class
+                    assert max(calls.values(), default=1) == 1
+
+
+CLASSES = ("MW", "MSU", "SW")
+_grid = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
+_boxes = st.builds(
+    lambda cx, cy, yaw, extent, cls: OrientedBox((cx, cy, 0.0), extent, yaw, cls),
+    _grid,
+    _grid,
+    st.sampled_from([0.0, math.pi / 4, math.pi / 2]),
+    st.sampled_from([(1.0, 1.0, 1.0), (1.4, 1.1, 1.0), (0.8, 0.6, 1.8)]),
+    st.sampled_from(CLASSES),
+)
+
+
+@st.composite
+def _labeled_frame(draw):
+    """Mixed-class gt and pred boxes, possibly empty; some predictions copy a
+    gt box exactly (ties) or under another class (class confusion)."""
+    gt = draw(st.lists(_boxes, max_size=4))
+    pred = draw(st.lists(_boxes, max_size=3))
+    for g in gt:
+        if draw(st.booleans()):
+            pred.append(replace(g, class_id=draw(st.sampled_from(CLASSES))))
+    pred = draw(st.permutations(pred))
+    gt_ids = draw(st.permutations(range(6)))[: len(gt)]
+    pred_ids = draw(st.permutations(range(100, 108)))[: len(pred)]
+    return gt, gt_ids, pred, pred_ids
+
+
+class TestSharedIouMatrix:
+    @given(
+        st.lists(_labeled_frame(), max_size=5),
+        st.sampled_from(["detection", "tracklet"]),
+        st.sampled_from([0.0, 0.3, 0.5, 0.62]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_report_equals_reference_exactly(self, frames, mode, alpha, sweep):
+        gt, pred = frames_to_records(frames)
+        if mode == "detection":
+            pred = [FrameRecord(r.t, r.robot, r.boxes, None) for r in pred]
+        report = evaluate_streams(gt, pred, mode, alpha, sweep)
+        expected = oracles.reference_evaluate_streams(gt, pred, mode, alpha, sweep)
+        assert report.to_dict() == expected.to_dict()
+        if mode == "tracklet":
+            if report.overall.hota is None:
+                with pytest.raises(UndefinedMetricError):
+                    hota(gt, pred, alpha, sweep)
+            else:
+                assert hota(gt, pred, alpha, sweep) == report.overall.hota

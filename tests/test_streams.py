@@ -149,6 +149,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config("noise.flip_prob = 1.7")
 
+    @pytest.mark.parametrize("alpha", ["-0.1", "1.0", "nan"])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ConfigurationError, match="metrics.alpha"):
+            parse_config(f"metrics.alpha = {alpha}")
+        with pytest.raises(ConfigurationError, match="metrics.alpha"):
+            RunConfig(alpha=float(alpha))
+
     def test_env_var_lookup(self, tmp_path, monkeypatch):
         path = tmp_path / "run.cfg"
         path.write_text("tracker.gate_scale = 2.0\n")
