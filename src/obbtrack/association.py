@@ -4,15 +4,28 @@ Candidate pairs are class-gated, sorted by (distance, tracklet id, detection
 index) and accepted greedily while both endpoints are free and the distance
 stays inside a size-based gate. Deliberately feature-free: centers and
 extents are all it looks at.
+
+Candidates come from `gated_pairs`, which the tracker's duplicate suppression
+shares. It is a sort-and-sweep prune: boxes of each class are sorted by
+center x, and only those whose x lies within the widest gate possible for
+the class are given the exact gate test. A pair further apart than that in x
+alone cannot pass the test, so the pairs found are exactly the pairs a test
+of every same-class pair finds, at a cost that grows with the number of
+nearby pairs rather than with the product of the two sides.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidInputError
 from .geometry import OrientedBox, center_distance
+
+# Relative slack on the sweep window, so that rounding in `x ± reach` can
+# only widen it, never drop a pair that the exact test keeps.
+SWEEP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,6 +46,53 @@ def gate_threshold(det: OrientedBox, track_box: OrientedBox, scale: float = 1.0)
     return 0.5 * max(da, db) * scale
 
 
+def _half_diagonal(box: OrientedBox) -> float:
+    return 0.5 * math.hypot(box.extent[0], box.extent[1])
+
+
+def gated_pairs(
+    left: Sequence[OrientedBox],
+    right: Sequence[OrientedBox] | None = None,
+    scale: float = 1.0,
+) -> list[tuple[float, int, int]]:
+    """Every same-class pair inside the gate, as (distance, i, j) in (i, j) order.
+
+    `i` indexes `left` and `j` indexes `right`; with `right` omitted the
+    pairs are drawn from `left` itself, with i < j. A pair is kept iff
+    ``center_distance(left[i], right[j]) <= gate_threshold(left[i], right[j], scale)``.
+    """
+    upper = right is None
+    if upper:
+        right = left
+    lanes: dict[str, list[tuple[float, int]]] = {}
+    for j, b in enumerate(right):
+        lanes.setdefault(b.class_id, []).append((b.center[0], j))
+    sweeps = {}
+    for cls, lane in lanes.items():
+        lane.sort()
+        js = [j for _, j in lane]
+        sweeps[cls] = ([x for x, _ in lane], js, max(_half_diagonal(right[j]) for j in js))
+
+    pairs = []
+    for i, a in enumerate(left):
+        if a.class_id not in sweeps:
+            continue
+        xs, js, widest = sweeps[a.class_id]
+        x = a.center[0]
+        # |dx| <= distance <= gate <= reach for any pair that can pass
+        reach = max(_half_diagonal(a), widest) * scale
+        reach += SWEEP_SLACK * (reach + abs(x))
+        lo = bisect_left(xs, x - reach)
+        for j in sorted(js[lo : bisect_right(xs, x + reach, lo)]):
+            if upper and j <= i:
+                continue
+            b = right[j]
+            dist = center_distance(a, b)
+            if dist <= gate_threshold(a, b, scale):
+                pairs.append((dist, i, j))
+    return pairs
+
+
 def associate(
     detections: Sequence[OrientedBox],
     tracklets: Sequence[tuple[int, OrientedBox]],
@@ -45,14 +105,11 @@ def associate(
             raise InvalidInputError(f"duplicate tracklet id {tid}")
         seen_ids.add(tid)
 
-    candidates = []
-    for tid, tbox in tracklets:
-        for di, det in enumerate(detections):
-            if det.class_id != tbox.class_id:
-                continue
-            dist = center_distance(det, tbox)
-            if dist <= gate_threshold(det, tbox, gate_scale):
-                candidates.append((dist, tid, di))
+    tids = [tid for tid, _ in tracklets]
+    candidates = [
+        (dist, tids[j], di)
+        for dist, di, j in gated_pairs(detections, [tbox for _, tbox in tracklets], gate_scale)
+    ]
     candidates.sort()
 
     matched_t: set[int] = set()
@@ -68,5 +125,5 @@ def associate(
     return AssociationResult(
         matches=matches,
         unmatched_detections=[i for i in range(len(detections)) if i not in matched_d],
-        unmatched_tracklets=[tid for tid, _ in tracklets if tid not in matched_t],
+        unmatched_tracklets=[tid for tid in tids if tid not in matched_t],
     )

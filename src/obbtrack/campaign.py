@@ -7,7 +7,6 @@ given seed and config.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .config import RunConfig

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import campaign as campaign_mod
-from .config import ENV_CONFIG, RunConfig, load_config
+from .config import ENV_CONFIG, load_config
 from .doe import DEFAULT_BLOCKS, TrialSpec, balance_check, campaign as design_campaign, oa_matrix
 from .errors import (
     AlignmentError,
@@ -22,7 +22,6 @@ from .errors import (
     InvalidInputError,
     ParseError,
     StreamOrderError,
-    TrackingError,
     UndefinedMeanError,
     UndefinedMetricError,
 )

@@ -34,7 +34,6 @@ class RunConfig:
     object_spin: float = OBJECT_SPIN
     alpha: float = 0.5
     alpha_sweep: bool = False
-    output_dir: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -93,7 +92,6 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         "sensor_offset_heading": cfg.sensor_offset.heading,
     }
     metrics_kv = {"alpha": cfg.alpha, "alpha_sweep": cfg.alpha_sweep}
-    output_kv = {"dir": cfg.output_dir}
 
     for n, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -113,8 +111,6 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         elif section == "metrics" and len(parts) == 2 and parts[1] in metrics_kv:
             typ = bool if parts[1] == "alpha_sweep" else float
             metrics_kv[parts[1]] = _coerce(raw_val, typ, key)
-        elif section == "output" and len(parts) == 2 and parts[1] == "dir":
-            output_kv["dir"] = raw_val.strip()
         elif section == "classes" and len(parts) == 3:
             entry = classes.setdefault(parts[1], {"extent": None, "symmetry_planes": 0})
             if parts[2] == "extent":
@@ -151,7 +147,6 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         object_spin=sim_kv["object_spin"],
         alpha=metrics_kv["alpha"],
         alpha_sweep=bool(metrics_kv["alpha_sweep"]),
-        output_dir=output_kv["dir"],
     )
 
 

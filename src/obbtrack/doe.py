@@ -7,7 +7,7 @@ asset-layout block; the default four blocks give 72 trials.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .classes import DEFAULT_CLASS_SPECS

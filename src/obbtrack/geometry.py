@@ -278,6 +278,16 @@ def circular_mean(angles: Sequence[float], weights: Sequence[float] | None = Non
         raise InvalidInputError("weights must have a positive sum")
     s = sum(w * math.sin(a) for a, w in zip(angles, weights))
     c = sum(w * math.cos(a) for a, w in zip(angles, weights))
+    return resultant_direction(s, c, total)
+
+
+def resultant_direction(s: float, c: float, total: float) -> float:
+    """Direction of the resultant vector (c, s) of unit vectors whose weights
+    sum to `total`, wrapped to (-pi, pi].
+
+    Raises UndefinedMeanError when the resultant magnitude collapses
+    (antipodal cancellation leaves no meaningful direction).
+    """
     if math.hypot(s, c) / total < 1e-9:
         raise UndefinedMeanError("angles cancel antipodally; mean direction undefined")
     return wrap_angle(math.atan2(s, c))

@@ -11,16 +11,28 @@ hypothesis votes feed a sequential count. A tracklet only publishes once one
 hypothesis leads the runner-up by `orientation_commit_margin` votes, which is
 what keeps occasional detector flips (and even a flipped *first* detection)
 out of the published stream.
+
+Per-frame cost follows the number of nearby pairs, not the square of the
+scene: association and duplicate suppression share the sort-and-sweep gate
+of `association.gated_pairs`. Each yaw window keeps the sine and cosine of
+every yaw it holds, computed once when the yaw arrives (and again only when
+the window is rotated by a hypothesis re-commit), so a window's circular
+mean is two sums over cached values.
+
+Memory is bounded by the live tracklets: a dropped tracklet is only counted
+(`Tracker.dropped`), and a tracklet keeps just the match times the
+confirmation rule can still use.
 """
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
-from .association import associate, gate_threshold
+from .association import associate, gated_pairs
 from .classes import DEFAULT_CLASS_SPECS
 from .errors import ConfigurationError, InternalStateError, StreamOrderError, UndefinedMeanError
 from .geometry import (
@@ -30,8 +42,8 @@ from .geometry import (
     OrientedBox,
     PlanarPose,
     center_distance,
-    circular_mean,
     resolve_symmetric_yaw,
+    resultant_direction,
     transform_to_map,
     wrap_angle,
     yaw_difference,
@@ -43,7 +55,6 @@ DEG = 0.017453292519943295
 class Lifecycle(enum.Enum):
     TENTATIVE = "Tentative"
     CONFIRMED = "Confirmed"
-    LOST = "Lost"
 
 
 class MotionState(enum.Enum):
@@ -102,22 +113,64 @@ def detect_motion(prev: OrientedBox, curr: OrientedBox, config: TrackerConfig) -
     return MotionState.STATIONARY
 
 
+class YawWindow:
+    """Bounded window of yaws with the sine and cosine of each kept beside it."""
+
+    __slots__ = ("yaws", "sin", "cos")
+
+    def __init__(self, maxlen: int):
+        self.yaws: deque[float] = deque(maxlen=maxlen)
+        self.sin: deque[float] = deque(maxlen=maxlen)
+        self.cos: deque[float] = deque(maxlen=maxlen)
+
+    def append(self, yaw: float, sin: float, cos: float) -> None:
+        self.yaws.append(yaw)
+        self.sin.append(sin)
+        self.cos.append(cos)
+
+    def mean(self) -> float:
+        """`circular_mean(yaws)` bit for bit (the same unit-weight sums in the
+        same order); the newest yaw when the yaws cancel antipodally."""
+        try:
+            return resultant_direction(sum(self.sin), sum(self.cos), float(len(self.yaws)))
+        except UndefinedMeanError:
+            return self.yaws[-1]
+
+    def keep_last(self, k: int) -> None:
+        for window in (self.yaws, self.sin, self.cos):
+            while len(window) > k:
+                window.popleft()
+
+    def rotate(self, delta: float) -> None:
+        """Shift every yaw by delta; the only place a cached value is recomputed."""
+        yaws = [wrap_angle(y + delta) for y in self.yaws]
+        for window in (self.yaws, self.sin, self.cos):
+            window.clear()
+        for y in yaws:
+            self.append(y, math.sin(y), math.cos(y))
+
+
 class Tracklet:
     """One tracked object: identity, bounded observation history, lifecycle."""
 
     def __init__(self, tid: int, obs: OrientedBox, t: float, spec: ClassSpec, config: TrackerConfig):
         self.id = tid
         self.class_id = obs.class_id
+        sin, cos = math.sin(obs.yaw), math.cos(obs.yaw)
         self.history: deque[tuple[float, OrientedBox]] = deque(maxlen=config.history_capacity)
         self.history.append((t, obs))
+        self.history_yaws = YawWindow(config.history_capacity)
+        self.history_yaws.append(obs.yaw, sin, cos)
         # orientation keeps its own, shorter window: rotation must track faster
         # than position averaging smooths
-        self.resolved_yaws: deque[float] = deque(maxlen=config.orientation_window)
-        self.resolved_yaws.append(obs.yaw)
+        self.resolved_yaws = YawWindow(config.orientation_window)
+        self.resolved_yaws.append(obs.yaw, sin, cos)
         self.lifecycle = Lifecycle.TENTATIVE
         self.motion_state = MotionState.STATIONARY
         self.output_pose = obs
-        self.match_timestamps = [t]
+        # only the newest confirm_count match times can still confirm
+        self.match_times: deque[float] = deque([t], maxlen=config.confirm_count)
+        self.match_count = 1
         self.miss_count = 0
         self.hyp_counts = [0] * spec.hypothesis_count
         self.hyp_counts[0] = 1
@@ -129,15 +182,7 @@ class Tracklet:
 
     @property
     def last_match_time(self) -> float:
-        return self.match_timestamps[-1]
-
-    @staticmethod
-    def _yaw_estimate(yaws) -> float:
-        yaws = list(yaws)
-        try:
-            return circular_mean(yaws)
-        except UndefinedMeanError:
-            return yaws[-1]
+        return self.match_times[-1]
 
     def _mean_center(self) -> tuple[float, float, float]:
         if not self.history:
@@ -151,11 +196,10 @@ class Tracklet:
         return sx / n, sy / n, sz / n
 
     def _mean_pose(self) -> OrientedBox:
-        """Published stationary pose: averaged center, short-window yaw."""
+        """Published stationary pose: averaged center (the refreshed prediction
+        already holds it), short-window yaw."""
         latest = self.history[-1][1]
-        return replace(
-            latest, center=self._mean_center(), yaw=self._yaw_estimate(self.resolved_yaws)
-        )
+        return replace(latest, center=self._predicted.center, yaw=self.resolved_yaws.mean())
 
     def predicted_pose(self) -> OrientedBox:
         """Smoothed full-window pose: the association anchor and the pose fed
@@ -165,17 +209,12 @@ class Tracklet:
 
     def _compute_predicted(self) -> OrientedBox:
         latest = self.history[-1][1]
-        return replace(
-            latest,
-            center=self._mean_center(),
-            yaw=self._yaw_estimate(b.yaw for _, b in self.history),
-        )
+        return replace(latest, center=self._mean_center(), yaw=self.history_yaws.mean())
 
     def _rotate_orientation(self, delta: float) -> None:
         """Shift every stored yaw by delta (hypothesis re-commit)."""
-        self.resolved_yaws = deque(
-            (wrap_angle(y + delta) for y in self.resolved_yaws), maxlen=self.resolved_yaws.maxlen
-        )
+        self.resolved_yaws.rotate(delta)
+        self.history_yaws.rotate(delta)
         self.history = deque(
             ((t, replace(b, yaw=wrap_angle(b.yaw + delta))) for t, b in self.history),
             maxlen=self.history.maxlen,
@@ -199,30 +238,29 @@ class Tracklet:
     def update(self, obs: OrientedBox, t: float, spec: ClassSpec, config: TrackerConfig) -> None:
         """Fold a matched observation into the tracklet and refresh its output."""
         self.miss_count = 0
-        self.match_timestamps.append(t)
+        self.match_times.append(t)
+        self.match_count += 1
 
         if not self.oriented:
             self._vote_orientation(obs, spec, config)
         resolved_yaw, _ = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, spec)
         resolved = replace(obs, yaw=resolved_yaw)
 
-        if self.resolved_yaws and yaw_difference(
-            resolved_yaw, self._yaw_estimate(self.resolved_yaws)
-        ) > config.orientation_outlier_threshold:
+        if yaw_difference(resolved_yaw, self.resolved_yaws.mean()) > config.orientation_outlier_threshold:
             self.outlier_streak += 1
         else:
             self.outlier_streak = 0
 
         old_motion = self._predicted
+        sin, cos = math.sin(resolved_yaw), math.cos(resolved_yaw)
         self.history.append((t, resolved))
-        self.resolved_yaws.append(resolved_yaw)
+        self.history_yaws.append(resolved_yaw, sin, cos)
+        self.resolved_yaws.append(resolved_yaw, sin, cos)
 
         if self.outlier_streak >= config.orientation_outlier_frames:
             # sustained disagreement means the object genuinely reoriented:
             # keep only the observations that describe the new orientation
-            recent = list(self.resolved_yaws)[-config.orientation_outlier_frames :]
-            self.resolved_yaws.clear()
-            self.resolved_yaws.extend(recent)
+            self.resolved_yaws.keep_last(config.orientation_outlier_frames)
             self.outlier_streak = 0
 
         self._predicted = self._compute_predicted()
@@ -250,9 +288,14 @@ class Tracklet:
         self.miss_count += 1
 
     def confirmation_due(self, config: TrackerConfig) -> bool:
-        ts = self.match_timestamps
+        """The newest `confirm_count` matches span at most `confirm_window`.
+
+        The tracker asks after every frame, so every run of `confirm_count`
+        consecutive matches is tested while it is the newest one.
+        """
+        ts = self.match_times
         c = config.confirm_count
-        return any(ts[i + c - 1] - ts[i] <= config.confirm_window for i in range(len(ts) - c + 1))
+        return len(ts) >= c and ts[-1] - ts[-c] <= config.confirm_window
 
 
 @dataclass(frozen=True)
@@ -290,7 +333,7 @@ class Tracker:
         self.class_specs = dict(class_specs) if class_specs is not None else dict(DEFAULT_CLASS_SPECS)
         self.sensor_offset = sensor_offset
         self.registry: dict[int, Tracklet] = {}
-        self.archive: list[Tracklet] = []
+        self.dropped = 0
         self._ids = itertools.count(1)
         self._last_t: float | None = None
 
@@ -330,9 +373,8 @@ class Tracker:
         return self.snapshot(t)
 
     def _drop(self, tid: int) -> None:
-        trk = self.registry.pop(tid)
-        trk.lifecycle = Lifecycle.LOST
-        self.archive.append(trk)
+        del self.registry[tid]
+        self.dropped += 1
 
     def _suppress_duplicates(self) -> None:
         """A gate miss on a noisy frame can seed a second tracklet on top of an
@@ -341,15 +383,15 @@ class Tracker:
         one."""
         alive = sorted(self.registry.values(), key=lambda trk: trk.id)
         doomed: set[int] = set()
-        for i, a in enumerate(alive):
-            for b in alive[i + 1 :]:
-                if a.id in doomed or b.id in doomed or a.class_id != b.class_id:
-                    continue
-                pa, pb = a.predicted_pose(), b.predicted_pose()
-                gate = gate_threshold(pa, pb, self.config.duplicate_merge_scale)
-                if center_distance(pa, pb) <= gate:
-                    victim = a if len(a.match_timestamps) < len(b.match_timestamps) else b
-                    doomed.add(victim.id)
+        # pairs come in (id_a, id_b) order; pairs outside the gate never doom
+        for _, i, j in gated_pairs(
+            [trk.predicted_pose() for trk in alive], scale=self.config.duplicate_merge_scale
+        ):
+            a, b = alive[i], alive[j]
+            if a.id in doomed or b.id in doomed:
+                continue
+            victim = a if a.match_count < b.match_count else b
+            doomed.add(victim.id)
         for tid in doomed:
             self._drop(tid)
 

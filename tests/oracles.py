@@ -2,14 +2,18 @@
 Monte-Carlo volume sampling instead of polygon clipping, exhaustive matching
 enumeration instead of the Hungarian solver, and a from-scratch
 association-accuracy recount. `reference_evaluate_streams` is the direct
-report path that the shared-matrix `evaluate_streams` must reproduce."""
+report path that the shared-matrix `evaluate_streams` must reproduce;
+`reference_associate` and `reference_surviving_ids` are the nested loops over
+every pair that the swept gate must reproduce, and `reference_yaw_estimate`
+is the window yaw recomputed from the angles themselves."""
 import itertools
 import math
 
 import numpy as np
 
-from obbtrack.errors import UndefinedMetricError
-from obbtrack.geometry import OrientedBox, iou_3d
+from obbtrack.association import AssociationResult, gate_threshold
+from obbtrack.errors import UndefinedMeanError, UndefinedMetricError
+from obbtrack.geometry import OrientedBox, center_distance, circular_mean, iou_3d
 from obbtrack.metrics import (
     ALPHA_SWEEP,
     ClassMetrics,
@@ -270,3 +274,54 @@ def reference_evaluate_streams(gt_frames, pred_frames, mode="tracklet", alpha=0.
     }
     overall = _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep)
     return MetricsReport(mode=mode, overall=overall, per_class=per_class)
+
+
+def reference_associate(detections, tracklets, gate_scale=1.0) -> AssociationResult:
+    """Greedy association with every detection x tracklet pair given the gate
+    test; assumes unique tracklet ids."""
+    candidates = []
+    for tid, tbox in tracklets:
+        for di, det in enumerate(detections):
+            if det.class_id != tbox.class_id:
+                continue
+            dist = center_distance(det, tbox)
+            if dist <= gate_threshold(det, tbox, gate_scale):
+                candidates.append((dist, tid, di))
+    candidates.sort()
+    matched_t, matched_d, matches = set(), set(), []
+    for dist, tid, di in candidates:
+        if tid in matched_t or di in matched_d:
+            continue
+        matched_t.add(tid)
+        matched_d.add(di)
+        matches.append((tid, di, dist))
+    return AssociationResult(
+        matches=matches,
+        unmatched_detections=[i for i in range(len(detections)) if i not in matched_d],
+        unmatched_tracklets=[tid for tid, _ in tracklets if tid not in matched_t],
+    )
+
+
+def reference_surviving_ids(tracklets, scale=1.0) -> list[int]:
+    """Duplicate suppression over (id, predicted pose, match count) triples,
+    every pair of live tracklets tested in id order: of two same-class
+    tracklets inside the gate, the one with fewer matches (the later one on
+    a tie) is dropped."""
+    alive = sorted(tracklets, key=lambda trk: trk[0])
+    doomed = set()
+    for i, (ia, pa, na) in enumerate(alive):
+        for ib, pb, nb in alive[i + 1 :]:
+            if ia in doomed or ib in doomed or pa.class_id != pb.class_id:
+                continue
+            if center_distance(pa, pb) <= gate_threshold(pa, pb, scale):
+                doomed.add(ia if na < nb else ib)
+    return [tid for tid, _, _ in alive if tid not in doomed]
+
+
+def reference_yaw_estimate(yaws) -> float:
+    """Circular mean of a yaw window, the newest yaw when it is undefined."""
+    yaws = list(yaws)
+    try:
+        return circular_mean(yaws)
+    except UndefinedMeanError:
+        return yaws[-1]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obbtrack.errors import ConfigurationError, StreamOrderError
-from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose, yaw_difference
+from obbtrack.errors import ConfigurationError, StreamOrderError, UndefinedMeanError
+from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose, circular_mean, yaw_difference
 from obbtrack.tracker import (
     DEG,
     Lifecycle,
@@ -18,10 +18,13 @@ from obbtrack.tracker import (
     detect_motion,
 )
 
+from oracles import reference_surviving_ids, reference_yaw_estimate
+
 ORIGIN = PlanarPose(0.0, 0.0, 0.0)
 PLAIN = ClassSpec("OBJ", (1.2, 0.8, 0.7), symmetry_planes=0)
 SYM = ClassSpec("SYM", (1.2, 0.8, 0.7), symmetry_planes=1)
-REGISTRY = {"OBJ": PLAIN, "SYM": SYM}
+QUAD = ClassSpec("QUAD", (1.0, 1.0, 0.7), symmetry_planes=2)
+REGISTRY = {"OBJ": PLAIN, "SYM": SYM, "QUAD": QUAD}
 
 
 def box(cx=0.0, cy=0.0, cz=0.0, yaw=0.0, cls="OBJ"):
@@ -64,7 +67,8 @@ class TestIngest:
         trk.ingest_frame(0.0, ORIGIN, [box()])
         snap = trk.ingest_frame(3.5, ORIGIN, [])
         assert snap.entries == ()
-        assert trk.archive[0].lifecycle is Lifecycle.LOST
+        assert 1 not in trk.registry
+        assert trk.dropped == 1
 
     def test_confirmed_survives_longer(self):
         trk = make_tracker()
@@ -247,20 +251,175 @@ class TestStabilize:
             assert math.sqrt(np.mean(out_err)) <= math.sqrt(np.mean(raw_err))
 
 
+def confirm_index(times, cfg):
+    """Index of the match after which the tracker confirms: the tracklet is
+    asked after every match, as `Tracker.manage` does after every frame."""
+    trk = Tracklet(1, box(), times[0], PLAIN, cfg)
+    if trk.confirmation_due(cfg):
+        return 0
+    for k, t in enumerate(times[1:], start=1):
+        trk.update(box(), t, PLAIN, cfg)
+        if trk.confirmation_due(cfg):
+            return k
+    return None
+
+
+def all_windows_confirm_index(times, cfg):
+    """The unbounded rule: the first prefix in which any run of confirm_count
+    consecutive match times spans at most confirm_window."""
+    c = cfg.confirm_count
+    for k in range(len(times)):
+        ts = times[: k + 1]
+        if any(ts[i + c - 1] - ts[i] <= cfg.confirm_window for i in range(len(ts) - c + 1)):
+            return k
+    return None
+
+
 class TestConfirmationOracle:
     @given(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=10, unique=True))
     @settings(max_examples=150)
     def test_window_rule_matches_subset_enumeration(self, times):
         times = sorted(times)
         cfg = TrackerConfig()
-        trk = Tracklet(1, box(), times[0], PLAIN, cfg)
-        for t in times[1:]:
-            trk.match_timestamps.append(t)
         expected = any(
             max(s) - min(s) <= cfg.confirm_window
             for s in itertools.combinations(times, cfg.confirm_count)
         )
-        assert trk.confirmation_due(cfg) == expected
+        assert (confirm_index(times, cfg) is not None) == expected
+
+    @given(
+        st.lists(st.floats(0.0, 30.0), min_size=1, max_size=25, unique=True),
+        st.integers(1, 5),
+        st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    )
+    @settings(max_examples=200)
+    def test_bounded_times_confirm_on_the_same_match(self, times, count, window):
+        times = sorted(times)
+        cfg = TrackerConfig(confirm_count=count, confirm_window=window)
+        assert confirm_index(times, cfg) == all_windows_confirm_index(times, cfg)
+
+    def test_match_state_is_bounded(self):
+        cfg = TrackerConfig()
+        trk = Tracklet(1, box(), 0.0, PLAIN, cfg)
+        for k in range(1, 50):
+            trk.update(box(), k * 10.0, PLAIN, cfg)
+        assert list(trk.match_times) == [470.0, 480.0, 490.0]
+        assert trk.match_count == 50
+        assert trk.last_match_time == 490.0
+
+
+class TestDuplicateSuppression:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-6, 6),
+                st.integers(-6, 6),
+                st.sampled_from(["OBJ", "SYM"]),
+                st.integers(1, 4),
+            ),
+            max_size=16,
+        ),
+        st.sampled_from([1.0, 0.5, 1.7, 3.0]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150)
+    def test_survivors_match_nested_loop_reference(self, specs, scale, rnd):
+        # a 0.18 m grid against a 0.72 m gate: exact ties in x, pairs on and
+        # near the gate, chains of overlapping tracklets
+        cfg = TrackerConfig(duplicate_merge_scale=scale)
+        tracker = Tracker(cfg, class_specs=REGISTRY)
+        ids = rnd.sample(range(1, 100), len(specs))
+        for tid, (ix, iy, cls, matches) in sorted(zip(ids, specs)):
+            trk = Tracklet(tid, box(0.18 * ix, 0.18 * iy, cls=cls), 0.0, REGISTRY[cls], cfg)
+            trk.match_count = matches
+            tracker.registry[tid] = trk
+        expected = reference_surviving_ids(
+            [(t.id, t.predicted_pose(), t.match_count) for t in tracker.registry.values()], scale
+        )
+        tracker._suppress_duplicates()
+        assert list(tracker.registry) == expected
+        assert tracker.dropped == len(specs) - len(expected)
+
+
+def assert_yaw_windows_exact(trk):
+    """Cached sines and cosines are those of the stored yaws, and each
+    window's estimate is the circular mean of its yaws, bit for bit. (A new
+    tracklet predicts its first observation as it is, so call this after an
+    update.)"""
+    history = [b.yaw for _, b in trk.history]
+    assert list(trk.history_yaws.yaws) == history
+    for window in (trk.history_yaws, trk.resolved_yaws):
+        yaws = list(window.yaws)
+        assert list(window.sin) == [math.sin(y) for y in yaws]
+        assert list(window.cos) == [math.cos(y) for y in yaws]
+        assert window.mean() == reference_yaw_estimate(yaws)
+    assert trk.predicted_pose().yaw == reference_yaw_estimate(history)
+
+
+class TestCachedYawWindows:
+    @given(
+        st.sampled_from(["OBJ", "SYM", "QUAD"]),
+        st.lists(
+            st.one_of(
+                st.floats(-0.2, 0.2),  # noise about the object yaw
+                st.floats(-0.2, 0.2).map(lambda e: math.pi + e),  # symmetric flip
+                st.floats(-math.pi, math.pi),  # arbitrary jump
+                st.sampled_from([0.0, math.pi, math.pi / 2, -math.pi / 2]),  # exact antipodes
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 4),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=150)
+    def test_estimates_equal_circular_mean(self, cls, yaws, outlier_frames, window):
+        cfg = TrackerConfig(
+            orientation_outlier_frames=outlier_frames,
+            orientation_window=window,
+            history_capacity=6,
+            orientation_commit_margin=3,
+        )
+        spec = REGISTRY[cls]
+        trk = Tracklet(1, box(yaw=yaws[0], cls=cls), 0.0, spec, cfg)
+        for k, yaw in enumerate(yaws[1:], start=1):
+            trk.update(box(yaw=yaw, cls=cls), 0.1 * k, spec, cfg)
+            assert_yaw_windows_exact(trk)
+
+    def test_after_rotation(self):
+        cfg = TrackerConfig()
+        trk = Tracklet(1, box(yaw=math.pi - 0.05, cls="SYM"), 0.0, SYM, cfg)
+        rotations = []
+        rotate = trk._rotate_orientation
+        trk._rotate_orientation = lambda delta: (rotations.append(delta), rotate(delta))
+        for k in range(1, 12):
+            trk.update(box(yaw=0.01 * k, cls="SYM"), 0.1 * k, SYM, cfg)
+            assert_yaw_windows_exact(trk)
+        assert rotations == [-math.pi]
+        assert trk.oriented
+
+    def test_after_outlier_reset(self):
+        cfg = TrackerConfig()
+        trk = Tracklet(1, box(), 0.0, PLAIN, cfg)
+        for k in range(1, 10):
+            trk.update(box(yaw=0.01 * (k % 3)), 0.1 * k, PLAIN, cfg)
+        sizes = []
+        for k in range(10, 14):
+            trk.update(box(yaw=1.0472 + 0.01 * k), 0.1 * k, PLAIN, cfg)
+            sizes.append(len(trk.resolved_yaws.yaws))
+            assert_yaw_windows_exact(trk)
+        # the third sustained outlier keeps only the three newest yaws
+        assert sizes == [8, 8, 3, 4]
+
+    def test_antipodal_fallback(self):
+        cfg = TrackerConfig()
+        trk = Tracklet(1, box(yaw=0.0), 0.0, PLAIN, cfg)
+        trk.update(box(yaw=math.pi), 0.1, PLAIN, cfg)
+        with pytest.raises(UndefinedMeanError):
+            circular_mean(list(trk.resolved_yaws.yaws))
+        assert trk.resolved_yaws.mean() == math.pi
+        assert trk.predicted_pose().yaw == math.pi
+        assert_yaw_windows_exact(trk)
 
 
 class TestDeterminism:
