@@ -56,9 +56,21 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("pos_sigma", "yaw_sigma", "fp_rate", "fp_extent_jitter", "latency"):
+        for name in (
+            "pos_sigma",
+            "yaw_sigma",
+            "sigma_mult_none",
+            "sigma_mult_low",
+            "sigma_mult_high",
+            "fp_rate",
+            "fp_extent_jitter",
+            "latency",
+        ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
+        # a relative jitter of 1 or more can draw a zero or negative extent
+        if self.fp_extent_jitter >= 1.0:
+            raise ConfigurationError("fp_extent_jitter must be below 1")
         for name in ("flip_prob", "dropout_none", "dropout_low", "dropout_high"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -119,6 +131,11 @@ def generate_ground_truth(
     for cls in trial.classes:
         if cls not in specs:
             raise ConfigurationError(f"unknown object class {cls!r}")
+    frame_span = duration * rate
+    # two negatives would give a positive count; NaN fails every comparison
+    if not (rate > 0 and math.isfinite(frame_span) and round(frame_span) >= 1):
+        raise ConfigurationError(f"duration {duration} s at rate {rate} Hz gives no frames")
+    n_frames = int(round(frame_span))
     rng = np.random.default_rng([seed, trial.trial_id])
     n = trial.num_objects
     lateral = [(i - (n - 1) / 2.0) * 1.6 for i in range(n)]
@@ -130,7 +147,6 @@ def generate_ground_truth(
 
     v, omega = trial.robot_linear_mps, trial.robot_angular_rps
     frames: list[FrameRecord] = []
-    n_frames = int(round(duration * rate))
     for k in range(n_frames):
         t = k / rate
         robot = robot_pose_at(v, omega, t)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ParseError, StreamOrderError
-from .geometry import OrientedBox, PlanarPose, transform_to_map, IDENTITY_POSE
+from .geometry import IDENTITY_POSE, OrientedBox, PlanarPose, compose, transform_box
 
 SCHEMA = "obbtrack/v1"
 
@@ -191,6 +191,7 @@ def detections_to_map(
     each record's robot pose."""
     out = []
     for r in records:
-        boxes = tuple(transform_to_map(b, r.robot, sensor_offset) for b in r.boxes)
+        sensor = compose(r.robot, sensor_offset)
+        boxes = tuple(transform_box(sensor, b) for b in r.boxes)
         out.append(FrameRecord(r.t, r.robot, boxes, r.ids))
     return out

@@ -12,16 +12,19 @@ hypothesis leads the runner-up by `orientation_commit_margin` votes, which is
 what keeps occasional detector flips (and even a flipped *first* detection)
 out of the published stream.
 
+Tracklet state holds each fact once: the newest `history_capacity` matched
+centers and yaws (the smoothed prediction), a shorter `orientation_window`
+of resolved yaws (the published stationary yaw), the match times the
+confirmation rule can still use, and the class spec and tracker config the
+tracklet was created under. A dropped tracklet is only counted
+(`Tracker.dropped`), so memory is bounded by the live tracklets.
+
 Per-frame cost follows the number of nearby pairs, not the square of the
 scene: association and duplicate suppression share the sort-and-sweep gate
-of `association.gated_pairs`. Each yaw window keeps the sine and cosine of
-every yaw it holds, computed once when the yaw arrives (and again only when
-the window is rotated by a hypothesis re-commit), so a window's circular
-mean is two sums over cached values.
-
-Memory is bounded by the live tracklets: a dropped tracklet is only counted
-(`Tracker.dropped`), and a tracklet keeps just the match times the
-confirmation rule can still use.
+of `association.gated_pairs`, and the sensor pose is composed once per
+frame. Each yaw window caches the sine and cosine of every yaw it holds,
+computed when the yaw arrives (and again only when a hypothesis re-commit
+rotates the window), so its circular mean is two sums over cached values.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from typing import Mapping, Sequence
 
 from .association import associate, gated_pairs
 from .classes import DEFAULT_CLASS_SPECS
-from .errors import ConfigurationError, InternalStateError, StreamOrderError, UndefinedMeanError
+from .errors import ConfigurationError, StreamOrderError, UndefinedMeanError
 from .geometry import (
     TWO_PI,
     ClassSpec,
@@ -42,9 +45,10 @@ from .geometry import (
     OrientedBox,
     PlanarPose,
     center_distance,
+    compose,
     resolve_symmetric_yaw,
     resultant_direction,
-    transform_to_map,
+    transform_box,
     wrap_angle,
     yaw_difference,
 )
@@ -151,14 +155,16 @@ class YawWindow:
 
 
 class Tracklet:
-    """One tracked object: identity, bounded observation history, lifecycle."""
+    """One tracked object: identity, bounded windows of centers and yaws,
+    lifecycle, and the class spec and tracker config it was created under."""
 
     def __init__(self, tid: int, obs: OrientedBox, t: float, spec: ClassSpec, config: TrackerConfig):
         self.id = tid
         self.class_id = obs.class_id
+        self.spec = spec
+        self.config = config
         sin, cos = math.sin(obs.yaw), math.cos(obs.yaw)
-        self.history: deque[tuple[float, OrientedBox]] = deque(maxlen=config.history_capacity)
-        self.history.append((t, obs))
+        self.centers: deque[tuple[float, float, float]] = deque([obs.center], maxlen=config.history_capacity)
         self.history_yaws = YawWindow(config.history_capacity)
         self.history_yaws.append(obs.yaw, sin, cos)
         # orientation keeps its own, shorter window: rotation must track faster
@@ -184,50 +190,26 @@ class Tracklet:
     def last_match_time(self) -> float:
         return self.match_times[-1]
 
-    def _mean_center(self) -> tuple[float, float, float]:
-        if not self.history:
-            raise InternalStateError(f"tracklet {self.id} has an empty history")
-        n = len(self.history)
-        sx = sy = sz = 0.0
-        for _, b in self.history:
-            sx += b.center[0]
-            sy += b.center[1]
-            sz += b.center[2]
-        return sx / n, sy / n, sz / n
-
-    def _mean_pose(self) -> OrientedBox:
-        """Published stationary pose: averaged center (the refreshed prediction
-        already holds it), short-window yaw."""
-        latest = self.history[-1][1]
-        return replace(latest, center=self._predicted.center, yaw=self.resolved_yaws.mean())
-
     def predicted_pose(self) -> OrientedBox:
         """Smoothed full-window pose: the association anchor and the pose fed
         to the motion predicate. Robust to single-frame outliers, unlike the
         published output in the Moving state. Cached; refreshed on update."""
         return self._predicted
 
-    def _compute_predicted(self) -> OrientedBox:
-        latest = self.history[-1][1]
-        return replace(latest, center=self._mean_center(), yaw=self.history_yaws.mean())
-
     def _rotate_orientation(self, delta: float) -> None:
         """Shift every stored yaw by delta (hypothesis re-commit)."""
         self.resolved_yaws.rotate(delta)
         self.history_yaws.rotate(delta)
-        self.history = deque(
-            ((t, replace(b, yaw=wrap_angle(b.yaw + delta))) for t, b in self.history),
-            maxlen=self.history.maxlen,
-        )
         self.output_pose = replace(self.output_pose, yaw=wrap_angle(self.output_pose.yaw + delta))
         self._predicted = replace(self._predicted, yaw=wrap_angle(self._predicted.yaw + delta))
 
-    def _vote_orientation(self, obs: OrientedBox, spec: ClassSpec, config: TrackerConfig) -> None:
+    def _vote_orientation(self, obs: OrientedBox) -> None:
+        spec = self.spec
         _, j = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, spec)
         self.hyp_counts[j] += 1
         ranked = sorted(self.hyp_counts, reverse=True)
         runner_up = ranked[1] if len(ranked) > 1 else 0
-        if ranked[0] - runner_up >= config.orientation_commit_margin:
+        if ranked[0] - runner_up >= self.config.orientation_commit_margin:
             winner = self.hyp_counts.index(ranked[0])
             if winner != 0:
                 # stored yaws live on the first observation's hypothesis;
@@ -235,16 +217,16 @@ class Tracklet:
                 self._rotate_orientation(-winner * TWO_PI / spec.hypothesis_count)
             self.oriented = True
 
-    def update(self, obs: OrientedBox, t: float, spec: ClassSpec, config: TrackerConfig) -> None:
+    def update(self, obs: OrientedBox, t: float) -> None:
         """Fold a matched observation into the tracklet and refresh its output."""
+        config = self.config
         self.miss_count = 0
         self.match_times.append(t)
         self.match_count += 1
 
         if not self.oriented:
-            self._vote_orientation(obs, spec, config)
-        resolved_yaw, _ = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, spec)
-        resolved = replace(obs, yaw=resolved_yaw)
+            self._vote_orientation(obs)
+        resolved_yaw, _ = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, self.spec)
 
         if yaw_difference(resolved_yaw, self.resolved_yaws.mean()) > config.orientation_outlier_threshold:
             self.outlier_streak += 1
@@ -253,7 +235,7 @@ class Tracklet:
 
         old_motion = self._predicted
         sin, cos = math.sin(resolved_yaw), math.cos(resolved_yaw)
-        self.history.append((t, resolved))
+        self.centers.append(obs.center)
         self.history_yaws.append(resolved_yaw, sin, cos)
         self.resolved_yaws.append(resolved_yaw, sin, cos)
 
@@ -263,12 +245,20 @@ class Tracklet:
             self.resolved_yaws.keep_last(config.orientation_outlier_frames)
             self.outlier_streak = 0
 
-        self._predicted = self._compute_predicted()
+        # left-to-right sums: sum() of floats is compensated from Python 3.12
+        n = len(self.centers)
+        sx = sy = sz = 0.0
+        for x, y, z in self.centers:
+            sx += x
+            sy += y
+            sz += z
+        self._predicted = OrientedBox(
+            (sx / n, sy / n, sz / n), obs.extent, self.history_yaws.mean(), obs.class_id, obs.confidence
+        )
 
         # consecutive smoothed poses feed the threshold test; below
         # motion_min_history samples the mean estimate is too noisy to trust
-        warmup = min(config.motion_min_history, config.history_capacity - 1)
-        if len(self.history) > warmup:
+        if n > min(config.motion_min_history, config.history_capacity - 1):
             verdict = detect_motion(old_motion, self._predicted, config)
             if verdict is MotionState.MOVING:
                 self.motion_state = MotionState.MOVING
@@ -280,22 +270,23 @@ class Tracklet:
                     self.quiet_streak = 0
 
         if self.motion_state is MotionState.MOVING:
-            self.output_pose = resolved
+            self.output_pose = replace(obs, yaw=resolved_yaw)
         else:
-            self.output_pose = self._mean_pose()
+            # published stationary pose: averaged center, short-window yaw
+            self.output_pose = replace(self._predicted, yaw=self.resolved_yaws.mean())
 
     def mark_missed(self) -> None:
         self.miss_count += 1
 
-    def confirmation_due(self, config: TrackerConfig) -> bool:
+    def confirmation_due(self) -> bool:
         """The newest `confirm_count` matches span at most `confirm_window`.
 
         The tracker asks after every frame, so every run of `confirm_count`
         consecutive matches is tested while it is the newest one.
         """
         ts = self.match_times
-        c = config.confirm_count
-        return len(ts) >= c and ts[-1] - ts[-c] <= config.confirm_window
+        c = self.config.confirm_count
+        return len(ts) >= c and ts[-1] - ts[-c] <= self.config.confirm_window
 
 
 @dataclass(frozen=True)
@@ -337,12 +328,6 @@ class Tracker:
         self._ids = itertools.count(1)
         self._last_t: float | None = None
 
-    def _spec_for(self, class_id: str) -> ClassSpec:
-        try:
-            return self.class_specs[class_id]
-        except KeyError:
-            raise ConfigurationError(f"unknown object class {class_id!r}") from None
-
     def ingest_frame(self, t: float, robot: PlanarPose, boxes: Sequence[OrientedBox]) -> TrackerSnapshot:
         """Process one detection frame (boxes in the sensor frame) and return
         the post-update snapshot."""
@@ -350,9 +335,11 @@ class Tracker:
             raise StreamOrderError(f"frame at t={t} after t={self._last_t}")
         self._last_t = t
 
-        det_map = [transform_to_map(b, robot, self.sensor_offset) for b in boxes]
+        sensor = compose(robot, self.sensor_offset)
+        det_map = [transform_box(sensor, b) for b in boxes]
         for det in det_map:
-            self._spec_for(det.class_id)
+            if det.class_id not in self.class_specs:
+                raise ConfigurationError(f"unknown object class {det.class_id!r}")
 
         result = associate(
             det_map,
@@ -360,14 +347,13 @@ class Tracker:
             self.config.gate_scale,
         )
         for tid, di, _ in result.matches:
-            trk = self.registry[tid]
-            trk.update(det_map[di], t, self._spec_for(trk.class_id), self.config)
+            self.registry[tid].update(det_map[di], t)
         for tid in result.unmatched_tracklets:
             self.registry[tid].mark_missed()
         for di in result.unmatched_detections:
             obs = det_map[di]
             tid = next(self._ids)
-            self.registry[tid] = Tracklet(tid, obs, t, self._spec_for(obs.class_id), self.config)
+            self.registry[tid] = Tracklet(tid, obs, t, self.class_specs[obs.class_id], self.config)
 
         self.manage(t)
         return self.snapshot(t)
@@ -402,21 +388,20 @@ class Tracker:
         self._suppress_duplicates()
         for tid in list(self.registry):
             trk = self.registry[tid]
-            if trk.lifecycle is Lifecycle.TENTATIVE and trk.confirmation_due(cfg):
+            if trk.lifecycle is Lifecycle.TENTATIVE and trk.confirmation_due():
                 trk.lifecycle = Lifecycle.CONFIRMED
             if now - trk.last_match_time > (
                 cfg.prune_confirmed if trk.lifecycle is Lifecycle.CONFIRMED else cfg.prune_tentative
             ):
                 self._drop(tid)
 
-    def snapshot(self, now: float, confirmed_only: bool = False) -> TrackerSnapshot:
+    def snapshot(self, now: float) -> TrackerSnapshot:
+        """Every live tracklet in id order; `TrackerSnapshot.published()`
+        filters the ones ready for consumers."""
         entries = tuple(
             SnapshotEntry(
                 trk.id, trk.class_id, trk.lifecycle, trk.motion_state, trk.output_pose, trk.oriented
             )
             for trk in sorted(self.registry.values(), key=lambda trk: trk.id)
         )
-        snap = TrackerSnapshot(now, entries)
-        if confirmed_only:
-            return TrackerSnapshot(now, snap.published())
-        return snap
+        return TrackerSnapshot(now, entries)

@@ -4,8 +4,10 @@ enumeration instead of the Hungarian solver, and a from-scratch
 association-accuracy recount. `reference_evaluate_streams` is the direct
 report path that the shared-matrix `evaluate_streams` must reproduce;
 `reference_associate` and `reference_surviving_ids` are the nested loops over
-every pair that the swept gate must reproduce, and `reference_yaw_estimate`
-is the window yaw recomputed from the angles themselves."""
+every pair that the swept gate must reproduce, `reference_yaw_estimate`
+is the window yaw recomputed from the angles themselves, and
+`reference_window_center` is the predicted center recomputed from every
+matched center."""
 import itertools
 import math
 
@@ -325,3 +327,17 @@ def reference_yaw_estimate(yaws) -> float:
         return circular_mean(yaws)
     except UndefinedMeanError:
         return yaws[-1]
+
+
+def reference_window_center(centers, capacity) -> tuple[float, float, float]:
+    """Mean of the newest `capacity` centers, each axis summed left to right:
+    not `math.fsum`, nor `sum`, which compensates from Python 3.12, as either
+    may differ from the tracker in the last bit."""
+    window = list(centers)[-capacity:]
+    sx = sy = sz = 0.0
+    for x, y, z in window:
+        sx += x
+        sy += y
+        sz += z
+    n = len(window)
+    return sx / n, sy / n, sz / n

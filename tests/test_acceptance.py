@@ -1,6 +1,5 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
-import itertools
 import json
 import math
 import time
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from obbtrack.campaign import run_campaign, track_stream
+from obbtrack.campaign import track_stream
 from obbtrack.cli import main
 from obbtrack.config import RunConfig
 from obbtrack.doe import TrialSpec, balance_check, oa_matrix

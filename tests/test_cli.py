@@ -1,11 +1,10 @@
 import json
-import math
 
 import pytest
 
 from obbtrack.cli import main
 from obbtrack.geometry import center_distance, transform_to_map, yaw_difference
-from obbtrack.streams import dumps_stream, loads_stream, read_stream, KIND_DETECTIONS, KIND_GROUND_TRUTH
+from obbtrack.streams import dumps_stream, read_stream, KIND_DETECTIONS, KIND_GROUND_TRUTH
 
 
 @pytest.fixture
@@ -71,6 +70,56 @@ class TestSimulate:
                 mapped = transform_to_map(db, d.robot)
                 assert center_distance(mapped, gb) < 1e-9
                 assert yaw_difference(mapped.yaw, gb.yaw) < 1e-9
+
+
+class TestSimulationSettings:
+    """Settings that describe no simulation are configuration errors (exit 1)
+    with a message, not tracebacks or data errors."""
+
+    def simulate(self, tmp_path, trial_sheet, *extra, setting=None):
+        # trial 3 has the highest occlusion level, so every noise setting is used
+        argv = ["simulate", "--trials", str(trial_sheet), "--trial", "3",
+                "--out-gt", str(tmp_path / "gt.jsonl"), "--out-det", str(tmp_path / "det.jsonl"), *extra]
+        if setting is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(setting + "\n")
+            argv = ["--config", str(cfg), *argv]
+        return main(argv)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "sim.duration = 0",
+            "sim.duration = -3",
+            "sim.duration = 0.04",
+            "sim.rate = 0",
+            "sim.rate = -10",
+            "sim.rate = -10\nsim.duration = -3",  # a positive frame count from two negatives
+            "sim.duration = nan",
+            "sim.duration = inf",
+            "sim.rate = inf",
+            "noise.sigma_mult_none = -0.5",
+            "noise.sigma_mult_low = -1",
+            "noise.sigma_mult_high = -1",
+            "noise.fp_extent_jitter = 1.0",
+            "noise.fp_extent_jitter = 1.5",
+        ],
+    )
+    def test_bad_setting_is_configuration_error(self, tmp_path, trial_sheet, capsys, setting):
+        assert self.simulate(tmp_path, trial_sheet, setting=setting) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["0.04", "0", "-1"])
+    def test_duration_override_without_frames(self, tmp_path, trial_sheet, capsys, duration):
+        assert self.simulate(tmp_path, trial_sheet, "--duration", duration) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "gt.jsonl").exists()
+
+    def test_campaign_without_frames(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sim.rate = 0\n")
+        assert main(["--config", str(cfg), "campaign", "run", "--block", "single-sw"]) == 1
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestTrackAndEvaluate:

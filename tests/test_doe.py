@@ -2,7 +2,6 @@ import pytest
 
 from obbtrack.doe import (
     Block,
-    DEFAULT_BLOCKS,
     OARow,
     balance_check,
     campaign,

@@ -6,7 +6,6 @@ import pytest
 from obbtrack.doe import campaign
 from obbtrack.errors import ConfigurationError
 from obbtrack.geometry import (
-    PlanarPose,
     center_distance,
     transform_to_map,
     yaw_difference,

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obbtrack.config import RunConfig, load_config, parse_config
 from obbtrack.errors import ConfigurationError, ParseError, StreamOrderError
@@ -10,6 +12,7 @@ from obbtrack.streams import (
     KIND_DETECTIONS,
     KIND_GROUND_TRUTH,
     KIND_TRACKLETS,
+    KINDS,
     dumps_stream,
     loads_stream,
     read_stream,
@@ -55,6 +58,66 @@ class TestRoundTrip:
         kind, records = read_stream(path)
         assert kind == KIND_GROUND_TRUTH
         assert len(records) == 2
+
+
+# finite floats of every magnitude: hypothesis draws -0.0, subnormals and
+# values near the largest float among them; the named ones always come up
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ANGLES = st.one_of(
+    st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0), -0.0]),
+    FINITE,
+)
+POSITIVE = st.floats(min_value=0.0, max_value=1.7976931348623157e308, exclude_min=True)
+IDS = st.one_of(st.sampled_from([0, -1, 2**63, -(2**63)]), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def frame_records(draw):
+    times = sorted(draw(st.lists(FINITE, max_size=3, unique=True)))
+    records = []
+    for t in times:
+        boxes = draw(
+            st.lists(
+                st.builds(
+                    OrientedBox,
+                    st.tuples(FINITE, FINITE, FINITE),
+                    st.tuples(POSITIVE, POSITIVE, POSITIVE),
+                    ANGLES,
+                    st.text("MSUW é\"\\\n\u2028", max_size=4),  # class names JSON must escape
+                    st.floats(0.0, 1.0),
+                ),
+                max_size=2,
+            )
+        )
+        ids = draw(st.lists(IDS, min_size=len(boxes), max_size=len(boxes)))
+        robot = PlanarPose(draw(FINITE), draw(FINITE), draw(ANGLES), timestamp=t)
+        records.append(FrameRecord(t, robot, tuple(boxes), tuple(ids)))
+    return records
+
+
+class TestRoundTripProperty:
+    @given(st.sampled_from(KINDS), frame_records())
+    @settings(max_examples=300)
+    def test_dumps_loads_dumps_same_bytes(self, kind, records):
+        """Detection streams carry scores and drop ids; labeled streams carry
+        ids and drop scores. Either way the second write repeats the first."""
+        text = dumps_stream(records, kind)
+        parsed_kind, parsed = loads_stream(text)
+        assert parsed_kind == kind
+        assert dumps_stream(parsed, parsed_kind) == text
+        # and nothing written was rounded on the way: every value comes back
+        # bit for bit (repr keeps the sign of -0.0)
+        def written(r):
+            boxes = [
+                (b.center, b.extent, b.yaw, b.class_id, b.confidence if kind == KIND_DETECTIONS else 1.0)
+                for b in r.boxes
+            ]
+            return repr((r.t, r.robot.x, r.robot.y, r.robot.heading, boxes, r.ids if kind != KIND_DETECTIONS else None))
+
+        assert [written(r) for r in parsed] == [written(r) for r in records]
 
 
 class TestParseErrors:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from obbtrack.tracker import (
     detect_motion,
 )
 
-from oracles import reference_surviving_ids, reference_yaw_estimate
+from oracles import reference_surviving_ids, reference_window_center, reference_yaw_estimate
 
 ORIGIN = PlanarPose(0.0, 0.0, 0.0)
 PLAIN = ClassSpec("OBJ", (1.2, 0.8, 0.7), symmetry_planes=0)
@@ -120,9 +121,9 @@ class TestIngest:
         snap = trk.ingest_frame(0.2, ORIGIN, [box(), box(cx=4.0)])
         ids = [e.id for e in snap.entries]
         assert ids == sorted(ids)
-        confirmed = trk.snapshot(0.2, confirmed_only=True)
-        assert len(confirmed.entries) == 2
-        assert all(e.lifecycle is Lifecycle.CONFIRMED for e in confirmed.entries)
+        confirmed = snap.published()
+        assert len(confirmed) == 2
+        assert all(e.lifecycle is Lifecycle.CONFIRMED for e in confirmed)
 
 
 class TestMotion:
@@ -255,11 +256,11 @@ def confirm_index(times, cfg):
     """Index of the match after which the tracker confirms: the tracklet is
     asked after every match, as `Tracker.manage` does after every frame."""
     trk = Tracklet(1, box(), times[0], PLAIN, cfg)
-    if trk.confirmation_due(cfg):
+    if trk.confirmation_due():
         return 0
     for k, t in enumerate(times[1:], start=1):
-        trk.update(box(), t, PLAIN, cfg)
-        if trk.confirmation_due(cfg):
+        trk.update(box(), t)
+        if trk.confirmation_due():
             return k
     return None
 
@@ -302,7 +303,7 @@ class TestConfirmationOracle:
         cfg = TrackerConfig()
         trk = Tracklet(1, box(), 0.0, PLAIN, cfg)
         for k in range(1, 50):
-            trk.update(box(), k * 10.0, PLAIN, cfg)
+            trk.update(box(), k * 10.0)
         assert list(trk.match_times) == [470.0, 480.0, 490.0]
         assert trk.match_count == 50
         assert trk.last_match_time == 490.0
@@ -341,19 +342,23 @@ class TestDuplicateSuppression:
         assert tracker.dropped == len(specs) - len(expected)
 
 
-def assert_yaw_windows_exact(trk):
-    """Cached sines and cosines are those of the stored yaws, and each
-    window's estimate is the circular mean of its yaws, bit for bit. (A new
-    tracklet predicts its first observation as it is, so call this after an
-    update.)"""
-    history = [b.yaw for _, b in trk.history]
-    assert list(trk.history_yaws.yaws) == history
+def assert_yaw_windows_exact(trk, centers):
+    """Cached sines and cosines are those of the stored yaws, each window's
+    estimate is the circular mean of its yaws, and the predicted center is
+    the mean of the newest `history_capacity` of the matched `centers`, all
+    bit for bit. (A new tracklet predicts its first observation as it is,
+    so call this after an update.)"""
+    assert trk.predicted_pose().center == reference_window_center(centers, trk.config.history_capacity)
     for window in (trk.history_yaws, trk.resolved_yaws):
         yaws = list(window.yaws)
         assert list(window.sin) == [math.sin(y) for y in yaws]
         assert list(window.cos) == [math.cos(y) for y in yaws]
         assert window.mean() == reference_yaw_estimate(yaws)
-    assert trk.predicted_pose().yaw == reference_yaw_estimate(history)
+    assert trk.predicted_pose().yaw == reference_yaw_estimate(trk.history_yaws.yaws)
+
+
+def at_origin(n):
+    return [(0.0, 0.0, 0.0)] * n
 
 
 class TestCachedYawWindows:
@@ -383,8 +388,8 @@ class TestCachedYawWindows:
         spec = REGISTRY[cls]
         trk = Tracklet(1, box(yaw=yaws[0], cls=cls), 0.0, spec, cfg)
         for k, yaw in enumerate(yaws[1:], start=1):
-            trk.update(box(yaw=yaw, cls=cls), 0.1 * k, spec, cfg)
-            assert_yaw_windows_exact(trk)
+            trk.update(box(yaw=yaw, cls=cls), 0.1 * k)
+            assert_yaw_windows_exact(trk, at_origin(k + 1))
 
     def test_after_rotation(self):
         cfg = TrackerConfig()
@@ -393,8 +398,8 @@ class TestCachedYawWindows:
         rotate = trk._rotate_orientation
         trk._rotate_orientation = lambda delta: (rotations.append(delta), rotate(delta))
         for k in range(1, 12):
-            trk.update(box(yaw=0.01 * k, cls="SYM"), 0.1 * k, SYM, cfg)
-            assert_yaw_windows_exact(trk)
+            trk.update(box(yaw=0.01 * k, cls="SYM"), 0.1 * k)
+            assert_yaw_windows_exact(trk, at_origin(k + 1))
         assert rotations == [-math.pi]
         assert trk.oriented
 
@@ -402,24 +407,120 @@ class TestCachedYawWindows:
         cfg = TrackerConfig()
         trk = Tracklet(1, box(), 0.0, PLAIN, cfg)
         for k in range(1, 10):
-            trk.update(box(yaw=0.01 * (k % 3)), 0.1 * k, PLAIN, cfg)
+            trk.update(box(yaw=0.01 * (k % 3)), 0.1 * k)
         sizes = []
         for k in range(10, 14):
-            trk.update(box(yaw=1.0472 + 0.01 * k), 0.1 * k, PLAIN, cfg)
+            trk.update(box(yaw=1.0472 + 0.01 * k), 0.1 * k)
             sizes.append(len(trk.resolved_yaws.yaws))
-            assert_yaw_windows_exact(trk)
+            assert_yaw_windows_exact(trk, at_origin(k + 1))
         # the third sustained outlier keeps only the three newest yaws
         assert sizes == [8, 8, 3, 4]
 
     def test_antipodal_fallback(self):
         cfg = TrackerConfig()
         trk = Tracklet(1, box(yaw=0.0), 0.0, PLAIN, cfg)
-        trk.update(box(yaw=math.pi), 0.1, PLAIN, cfg)
+        trk.update(box(yaw=math.pi), 0.1)
         with pytest.raises(UndefinedMeanError):
             circular_mean(list(trk.resolved_yaws.yaws))
         assert trk.resolved_yaws.mean() == math.pi
         assert trk.predicted_pose().yaw == math.pi
-        assert_yaw_windows_exact(trk)
+        assert_yaw_windows_exact(trk, at_origin(2))
+
+    @given(
+        st.sampled_from(["OBJ", "SYM"]),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(-5.0, 5.0),
+                    st.floats(-1e6, 1e6),
+                    st.sampled_from([1e15, -1e15, 0.1, 0.2, 0.3, 1e-300, -0.0]),
+                ),
+                st.floats(-5.0, 5.0),
+                st.floats(-1.0, 1.0),
+                st.floats(-math.pi, math.pi),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(1, 6),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=150)
+    def test_center_window_mean(self, cls, observations, capacity, min_history):
+        """Centers far apart, mixed magnitudes (where the order of the sums
+        shows in the last bit) and a low motion warm-up, so tracklets switch
+        between Moving (the observation is published) and Stationary (the
+        window mean is published)."""
+        cfg = TrackerConfig(history_capacity=capacity, motion_min_history=min_history)
+        spec = REGISTRY[cls]
+        boxes = [box(x, y, z, yaw, cls) for x, y, z, yaw in observations]
+        trk = Tracklet(1, boxes[0], 0.0, spec, cfg)
+        for k, obs in enumerate(boxes[1:], start=1):
+            trk.update(obs, 0.1 * k)
+            centers = [b.center for b in boxes[: k + 1]]
+            assert_yaw_windows_exact(trk, centers)
+            expected = obs if trk.motion_state is MotionState.MOVING else trk.predicted_pose()
+            assert trk.output_pose.center == expected.center
+
+
+OBJECTS = st.lists(
+    st.tuples(st.sampled_from(["OBJ", "SYM", "QUAD"]), st.integers(-2, 2), st.integers(-2, 2)),
+    min_size=1,
+    max_size=4,
+)
+FRAMES = st.lists(
+    st.tuples(
+        st.sampled_from([0.05, 0.1, 0.3, 1.0, 2.5]),  # time step (s)
+        # per object: seen, dropped, seen twice (a duplicate detection), or flipped
+        st.lists(st.sampled_from(["seen", "dropped", "doubled", "flipped"]), min_size=4, max_size=4),
+        st.floats(-0.1, 0.1),  # pose noise shared by the frame
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestTrackerProperties:
+    @given(OBJECTS, FRAMES, st.sampled_from([0.4, 1.0, 5.0]), st.sampled_from([0.5, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_ids_publication_and_bounded_registry(self, objects, frames, prune_confirmed, tentative_share):
+        # objects on a 1 m grid: some share a cell, so same-class detections
+        # overlap and duplicate suppression has work to do
+        cfg = TrackerConfig(
+            prune_confirmed=prune_confirmed,
+            prune_tentative=prune_confirmed * tentative_share,
+            orientation_commit_margin=2,
+        )
+        tracker = Tracker(cfg, class_specs=REGISTRY)
+        t, seen_ids, gone, counts = 0.0, set(), set(), []
+        for step, fates, noise in frames:
+            t += step
+            dets = []
+            for (cls, ix, iy), fate in zip(objects, fates):
+                obs = box(ix + noise, iy - noise, yaw=0.3 + noise, cls=cls)
+                if fate == "flipped":
+                    obs = replace(obs, yaw=obs.yaw + math.pi)
+                if fate != "dropped":
+                    dets.append(obs)
+                if fate == "doubled":
+                    dets.append(replace(obs, center=(obs.center[0] + 0.1, obs.center[1], 0.0)))
+            snap = tracker.ingest_frame(t, ORIGIN, dets)
+            counts.append((t, len(dets)))
+
+            ids = [e.id for e in snap.entries]
+            assert len(set(ids)) == len(ids)
+            assert not gone & set(ids)  # a dropped id never comes back
+            assert all(i > max(seen_ids, default=0) for i in set(ids) - seen_ids)
+            gone |= seen_ids - set(ids)
+            seen_ids |= set(ids)
+
+            assert all(e.lifecycle is Lifecycle.CONFIRMED and e.oriented for e in snap.published())
+            assert set(snap.published()) <= set(snap.entries)
+
+            # every live tracklet was matched (or spawned) by its own detection
+            # within the confirmed pruning age, the longer of the two
+            recent = sum(n for tf, n in counts if t - tf <= cfg.prune_confirmed)
+            assert len(snap.entries) == len(tracker.registry) <= recent
 
 
 class TestDeterminism:
