@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from obbtrack.campaign import track_stream
 from obbtrack.config import load_config
 from obbtrack.doe import TrialSpec
+from obbtrack.errors import UndefinedMetricError
 from obbtrack.metrics import yaw_rmse
 from obbtrack.simulate import NoiseModel, simulate_trial
 from obbtrack.streams import detections_to_map
@@ -48,7 +49,16 @@ def run(flip_prob, seeds, config, frames):
         for g, t in zip(gt, trk):
             if t.boxes:
                 trk_pairs.append((g.boxes[0], t.boxes[0]))
-    return math.degrees(yaw_rmse(det_pairs)), math.degrees(yaw_rmse(trk_pairs))
+    return rmse_text(det_pairs), rmse_text(trk_pairs)
+
+
+def rmse_text(pairs):
+    """Yaw RMSE in degrees, or "-" when no pair was matched (on a short run
+    the tracker may commit no orientation)."""
+    try:
+        return f"{math.degrees(yaw_rmse(pairs)):.2f}°"
+    except UndefinedMetricError:
+        return "-"
 
 
 def main():
@@ -62,7 +72,7 @@ def main():
     print(f"{'flip_prob':>9s} {'detection yaw RMSE':>20s} {'tracklet yaw RMSE':>19s}")
     for flip in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
         d, t = run(flip, args.seeds, config, args.frames)
-        print(f"{flip:9.2f} {d:19.2f}° {t:18.2f}°")
+        print(f"{flip:9.2f} {d:>20s} {t:>19s}")
 
 
 if __name__ == "__main__":

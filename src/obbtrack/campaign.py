@@ -7,7 +7,7 @@ given seed and config.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import RunConfig
 from .doe import Block, DEFAULT_BLOCKS, TrialSpec, campaign as design_campaign
@@ -22,23 +22,24 @@ _METRIC_KEYS = ("avg_iou", "pos_rmse", "yaw_rmse", "det_a", "hota")
 _COUNT_KEYS = ("tp", "fp", "fn")
 
 
-def track_stream(detections: Sequence[FrameRecord], config: RunConfig) -> list[FrameRecord]:
-    """Run the tracker over a sensor-frame detection stream and emit the
-    published (confirmed, orientation-committed) tracklets per frame."""
+def iter_tracklets(detections: Iterable[FrameRecord], config: RunConfig) -> Iterator[FrameRecord]:
+    """Run the tracker over a sensor-frame detection stream and yield the
+    published (confirmed, orientation-committed) tracklets of each frame as
+    soon as that frame is ingested."""
     tracker = Tracker(config.tracker, config.classes, config.sensor_offset)
-    out: list[FrameRecord] = []
     for rec in detections:
-        snap = tracker.ingest_frame(rec.t, rec.robot, rec.boxes)
-        published = snap.published()
-        out.append(
-            FrameRecord(
-                rec.t,
-                rec.robot,
-                tuple(e.output_pose for e in published),
-                tuple(e.id for e in published),
-            )
+        published = tracker.ingest_frame(rec.t, rec.robot, rec.boxes).published()
+        yield FrameRecord(
+            rec.t,
+            rec.robot,
+            tuple(e.output_pose for e in published),
+            tuple(e.id for e in published),
         )
-    return out
+
+
+def track_stream(detections: Iterable[FrameRecord], config: RunConfig) -> list[FrameRecord]:
+    """`iter_tracklets` collected into a list."""
+    return list(iter_tracklets(detections, config))
 
 
 def evaluate_trial(

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import campaign as campaign_mod
@@ -32,6 +33,7 @@ from .streams import (
     KIND_GROUND_TRUTH,
     KIND_TRACKLETS,
     detections_to_map,
+    iter_stream,
     read_stream,
     write_stream,
 )
@@ -147,12 +149,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     config = load_config(args.config)
-    kind, records = read_stream(args.input)
-    if kind != KIND_DETECTIONS:
-        raise InvalidInputError(f"track expects a detections stream, got kind {kind!r}")
-    tracklets = campaign_mod.track_stream(records, config)
-    write_stream(args.output, tracklets, KIND_TRACKLETS)
-    print(f"wrote {args.output} ({len(tracklets)} frames)")
+    kind, detections = iter_stream(args.input)
+    with closing(detections):
+        if kind != KIND_DETECTIONS:
+            raise InvalidInputError(f"track expects a detections stream, got kind {kind!r}")
+        # one input frame and the tracker's state are in memory at a time
+        frames = write_stream(args.output, campaign_mod.iter_tracklets(detections, config), KIND_TRACKLETS)
+    print(f"wrote {args.output} ({frames} frames)")
     return 0
 
 

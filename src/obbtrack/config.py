@@ -8,6 +8,7 @@ misspelled threshold cannot silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,14 +60,15 @@ def _coerce(raw: str, typ, key: str):
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigurationError(f"{key}: expected a boolean, got {raw!r}")
+    if typ not in (int, float):
+        return raw
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigurationError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
-    return raw
+    if typ is float and not math.isfinite(value):
+        raise ConfigurationError(f"{key}: expected a finite float, got {raw!r}")
+    return value
 
 
 _TRACKER_TYPES = {f.name: type(getattr(TrackerConfig(), f.name)) for f in dataclasses.fields(TrackerConfig)}

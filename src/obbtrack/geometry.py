@@ -226,8 +226,8 @@ class ClassSpec:
 
     def __post_init__(self):
         extent = tuple(float(v) for v in self.nominal_extent)
-        if len(extent) != 3 or min(extent) <= 0.0:
-            raise ConfigurationError(f"nominal_extent must be 3 positive values, got {extent}")
+        if len(extent) != 3 or not all(0.0 < v < math.inf for v in extent):
+            raise ConfigurationError(f"nominal_extent must be 3 positive finite values, got {extent}")
         if self.symmetry_planes not in (0, 1, 2):
             raise ConfigurationError(
                 f"symmetry_planes must be 0, 1 or 2, got {self.symmetry_planes}"

@@ -66,7 +66,7 @@ class NoiseModel:
             "fp_extent_jitter",
             "latency",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise ConfigurationError(f"{name} must be non-negative")
         # a relative jitter of 1 or more can draw a zero or negative extent
         if self.fp_extent_jitter >= 1.0:

@@ -4,15 +4,19 @@ One header line announcing the schema and stream kind, then one frame per
 line. Ground-truth and tracklet streams carry persistent object ids and
 map-frame boxes; detection streams carry sensor-frame boxes with scores.
 The writer is canonical: parsing a file we wrote and re-serializing it
-reproduces the bytes.
+reproduces the bytes. Both directions move one line at a time: `write_stream`
+serializes each record as its iterable yields it, and `iter_stream` parses
+each line as its iterator is consumed, so a stream never has to fit in memory.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Generator, Iterable, Iterator, Sequence
 
 from .errors import ParseError, StreamOrderError
 from .geometry import IDENTITY_POSE, OrientedBox, PlanarPose, compose, transform_box
@@ -46,51 +50,64 @@ class FrameRecord:
             object.__setattr__(self, "ids", ids)
 
 
-def _box_to_obj(box: OrientedBox, box_id: int | None, with_score: bool) -> dict:
-    obj: dict = {}
-    if box_id is not None:
-        obj["id"] = box_id
-    obj.update(
-        {
-            "class": box.class_id,
-            "cx": box.center[0],
-            "cy": box.center[1],
-            "cz": box.center[2],
-            "l": box.extent[0],
-            "w": box.extent[1],
-            "h": box.extent[2],
-            "yaw": box.yaw,
-        }
-    )
-    if with_score:
-        obj["score"] = box.confidence
-    return obj
-
-
 def serialize_record(record: FrameRecord, kind: str) -> str:
-    labeled = kind in LABELED_KINDS
+    """One record as compact JSON, the bytes `json.dumps(obj, separators=(",", ":"))`
+    gives: floats and ints by their own repr (boxes and poses hold plain
+    finite floats), class names through `encode_basestring_ascii`."""
+    labeled = kind in LABELED_KINDS and record.ids is not None
+    with_score = kind == KIND_DETECTIONS
     boxes = []
     for i, box in enumerate(record.boxes):
-        box_id = record.ids[i] if labeled and record.ids is not None else None
-        boxes.append(_box_to_obj(box, box_id, with_score=kind == KIND_DETECTIONS))
-    obj = {
-        "t": record.t,
-        "robot": {"x": record.robot.x, "y": record.robot.y, "heading": record.robot.heading},
-        "boxes": boxes,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+        (cx, cy, cz), (l, w, h) = box.center, box.extent
+        text = (
+            f'"class":{encode_basestring_ascii(box.class_id)},"cx":{cx!r},"cy":{cy!r},"cz":{cz!r},'
+            f'"l":{l!r},"w":{w!r},"h":{h!r},"yaw":{box.yaw!r}'
+        )
+        if labeled:
+            text = f'"id":{record.ids[i]!r},{text}'
+        if with_score:
+            text = f'{text},"score":{box.confidence!r}'
+        boxes.append(f"{{{text}}}")
+    robot = record.robot
+    # `t` is whatever the caller passed (int, float, numpy.float64): json spells it
+    return (
+        f'{{"t":{json.dumps(record.t)},"robot":{{"x":{robot.x!r},"y":{robot.y!r},'
+        f'"heading":{robot.heading!r}}},"boxes":[{",".join(boxes)}]}}'
+    )
+
+
+def _header(kind: str) -> str:
+    if kind not in KINDS:
+        raise ParseError(f"unknown stream kind {kind!r}")
+    return json.dumps({"schema": SCHEMA, "kind": kind}, separators=(",", ":"))
 
 
 def dumps_stream(records: Iterable[FrameRecord], kind: str) -> str:
-    if kind not in KINDS:
-        raise ParseError(f"unknown stream kind {kind!r}")
-    lines = [json.dumps({"schema": SCHEMA, "kind": kind}, separators=(",", ":"))]
+    lines = [_header(kind)]
     lines.extend(serialize_record(r, kind) for r in records)
     return "\n".join(lines) + "\n"
 
 
-def write_stream(path: str | Path, records: Iterable[FrameRecord], kind: str) -> None:
-    Path(path).write_text(dumps_stream(records, kind), encoding="utf-8")
+def write_stream(path: str | Path, records: Iterable[FrameRecord], kind: str) -> int:
+    """Write the header, then one line per record as `records` yields it, and
+    return the number of records. The lines go to a sibling temporary file
+    that replaces `path` only once every record is written, so an error part
+    way through (a bad input line, a full disk) leaves `path` as it was."""
+    path = Path(path)
+    header = _header(kind)
+    tmp = path.with_name(f".{path.name}.tmp")
+    count = 0
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(header + "\n")
+            for record in records:
+                f.write(serialize_record(record, kind) + "\n")
+                count += 1
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return count
 
 
 def _pick(obj: dict, key: str, line: int, kinds=(int, float)):
@@ -99,7 +116,7 @@ def _pick(obj: dict, key: str, line: int, kinds=(int, float)):
     val = obj[key]
     if not isinstance(val, kinds) or isinstance(val, bool):
         raise ParseError(f"field {key!r} has wrong type {type(val).__name__}", line)
-    if isinstance(val, (int, float)) and not math.isfinite(val):
+    if isinstance(val, float) and not math.isfinite(val):
         raise ParseError(f"field {key!r} is not finite", line)
     return val
 
@@ -142,23 +159,27 @@ def _parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
     return FrameRecord(t, robot, tuple(boxes), tuple(ids) if labeled else None)
 
 
-def loads_stream(text: str) -> tuple[str, list[FrameRecord]]:
-    lines = text.splitlines()
-    if not lines:
+def _parse(lines: Iterable[str]) -> Iterator:
+    """Parse stream lines: yield the kind from the header line at once, then
+    each record as its line is reached. Blank lines are skipped; errors name
+    the offending line, counted from 1 at the header."""
+    lines = iter(lines)
+    head = next(lines, None)
+    if head is None:
         raise ParseError("empty stream: missing header", 1)
     try:
-        header = json.loads(lines[0])
+        header = json.loads(head)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in header: {exc.msg}", 1) from exc
     if not isinstance(header, dict) or header.get("schema") != SCHEMA:
-        raise ParseError(f"unsupported schema header {lines[0]!r}", 1)
+        raise ParseError(f"unsupported schema header {head!r}", 1)
     kind = header.get("kind")
     if kind not in KINDS:
         raise ParseError(f"unknown stream kind {kind!r}", 1)
+    yield kind
 
-    records: list[FrameRecord] = []
     last_t = None
-    for n, raw in enumerate(lines[1:], start=2):
+    for n, raw in enumerate(lines, start=2):
         if not raw.strip():
             continue
         try:
@@ -176,12 +197,49 @@ def loads_stream(text: str) -> tuple[str, list[FrameRecord]]:
         if last_t is not None and record.t <= last_t:
             raise StreamOrderError(f"line {n}: timestamp {record.t} not after {last_t}")
         last_t = record.t
-        records.append(record)
+        yield record
+
+
+def loads_stream(text: str) -> tuple[str, list[FrameRecord]]:
+    records = _parse(text.splitlines())
+    kind = next(records)
+    return kind, list(records)
+
+
+def _file_lines(f: BinaryIO) -> Iterator[str]:
+    """The lines of `Path.read_text(encoding="utf-8").splitlines()`, read one
+    newline-terminated chunk at a time. A chunk can hold further breaks that
+    `str.splitlines` honours (carriage return, form feed, U+2028, ...)."""
+    n = 1
+    for chunk in f:
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line the bad byte sits on, within a chunk of several lines
+            before = chunk[: exc.start].decode("utf-8") + "."
+            raise ParseError(f"invalid UTF-8: {exc.reason}", n + len(before.splitlines()) - 1) from exc
+        lines = text.splitlines()
+        n += len(lines)
+        yield from lines
+
+
+def _read(path: str | Path) -> Generator:
+    with open(path, "rb") as f:
+        yield from _parse(_file_lines(f))
+
+
+def iter_stream(path: str | Path) -> tuple[str, Generator[FrameRecord, None, None]]:
+    """Read the header of the stream at `path` now and return its kind with
+    an iterator that parses one record per line as it is consumed. The file
+    stays open until the iterator ends, raises or is closed."""
+    records = _read(path)
+    kind = next(records)
     return kind, records
 
 
 def read_stream(path: str | Path) -> tuple[str, list[FrameRecord]]:
-    return loads_stream(Path(path).read_text(encoding="utf-8"))
+    kind, records = iter_stream(path)
+    return kind, list(records)
 
 
 def detections_to_map(

@@ -101,9 +101,9 @@ class TrackerConfig:
             "gate_scale",
             "duplicate_merge_scale",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigurationError(f"{name} must be strictly positive")
-        if self.confirm_count < 1:
+        if not self.confirm_count >= 1:
             raise ConfigurationError("confirm_count must be >= 1")
 
 

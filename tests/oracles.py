@@ -5,16 +5,20 @@ association-accuracy recount. `reference_evaluate_streams` is the direct
 report path that the shared-matrix `evaluate_streams` must reproduce;
 `reference_associate` and `reference_surviving_ids` are the nested loops over
 every pair that the swept gate must reproduce, `reference_yaw_estimate`
-is the window yaw recomputed from the angles themselves, and
+is the window yaw recomputed from the angles themselves,
 `reference_window_center` is the predicted center recomputed from every
-matched center."""
+matched center, and `reference_dumps_stream` / `reference_loads_stream` are
+the whole-text stream writer (a dict per box, `json.dumps` per record) and
+reader (`splitlines` over the whole text) that the line-at-a-time ones must
+reproduce."""
 import itertools
+import json
 import math
 
 import numpy as np
 
 from obbtrack.association import AssociationResult, gate_threshold
-from obbtrack.errors import UndefinedMeanError, UndefinedMetricError
+from obbtrack.errors import ParseError, StreamOrderError, UndefinedMeanError, UndefinedMetricError
 from obbtrack.geometry import OrientedBox, center_distance, circular_mean, iou_3d
 from obbtrack.metrics import (
     ALPHA_SWEEP,
@@ -25,7 +29,7 @@ from obbtrack.metrics import (
     pos_rmse,
     yaw_rmse,
 )
-from obbtrack.streams import FrameRecord
+from obbtrack.streams import KINDS, KIND_DETECTIONS, LABELED_KINDS, SCHEMA, FrameRecord, _parse_record
 
 
 def mc_iou(a: OrientedBox, b: OrientedBox, n=200_000, seed=0) -> float:
@@ -341,3 +345,86 @@ def reference_window_center(centers, capacity) -> tuple[float, float, float]:
         sz += z
     n = len(window)
     return sx / n, sy / n, sz / n
+
+
+def _reference_box_obj(box: OrientedBox, box_id, with_score: bool) -> dict:
+    obj: dict = {}
+    if box_id is not None:
+        obj["id"] = box_id
+    obj.update(
+        {
+            "class": box.class_id,
+            "cx": box.center[0],
+            "cy": box.center[1],
+            "cz": box.center[2],
+            "l": box.extent[0],
+            "w": box.extent[1],
+            "h": box.extent[2],
+            "yaw": box.yaw,
+        }
+    )
+    if with_score:
+        obj["score"] = box.confidence
+    return obj
+
+
+def reference_serialize_record(record: FrameRecord, kind: str) -> str:
+    labeled = kind in LABELED_KINDS
+    boxes = []
+    for i, box in enumerate(record.boxes):
+        box_id = record.ids[i] if labeled and record.ids is not None else None
+        boxes.append(_reference_box_obj(box, box_id, with_score=kind == KIND_DETECTIONS))
+    obj = {
+        "t": record.t,
+        "robot": {"x": record.robot.x, "y": record.robot.y, "heading": record.robot.heading},
+        "boxes": boxes,
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def reference_dumps_stream(records, kind: str) -> str:
+    if kind not in KINDS:
+        raise ParseError(f"unknown stream kind {kind!r}")
+    lines = [json.dumps({"schema": SCHEMA, "kind": kind}, separators=(",", ":"))]
+    lines.extend(reference_serialize_record(r, kind) for r in records)
+    return "\n".join(lines) + "\n"
+
+
+def reference_loads_stream(text: str):
+    """Whole-text reader; the per-record parse is the package's `_parse_record`,
+    which the line-at-a-time reader shares."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty stream: missing header", 1)
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in header: {exc.msg}", 1) from exc
+    if not isinstance(header, dict) or header.get("schema") != SCHEMA:
+        raise ParseError(f"unsupported schema header {lines[0]!r}", 1)
+    kind = header.get("kind")
+    if kind not in KINDS:
+        raise ParseError(f"unknown stream kind {kind!r}", 1)
+
+    records = []
+    last_t = None
+    for n, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", n) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("record lines must be JSON objects", n)
+        try:
+            record = _parse_record(obj, kind, n)
+        except ParseError:
+            raise
+        except Exception as exc:
+            raise ParseError(str(exc), n) from exc
+        if last_t is not None and record.t <= last_t:
+            raise StreamOrderError(f"line {n}: timestamp {record.t} not after {last_t}")
+        last_t = record.t
+        records.append(record)
+    return kind, records

@@ -1,10 +1,19 @@
 import json
+import tracemalloc
 
 import pytest
 
 from obbtrack.cli import main
-from obbtrack.geometry import center_distance, transform_to_map, yaw_difference
-from obbtrack.streams import dumps_stream, read_stream, KIND_DETECTIONS, KIND_GROUND_TRUTH
+from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, transform_to_map, yaw_difference
+from obbtrack.streams import (
+    FrameRecord,
+    dumps_stream,
+    read_stream,
+    serialize_record,
+    write_stream,
+    KIND_DETECTIONS,
+    KIND_GROUND_TRUTH,
+)
 
 
 @pytest.fixture
@@ -103,6 +112,8 @@ class TestSimulationSettings:
             "noise.sigma_mult_high = -1",
             "noise.fp_extent_jitter = 1.0",
             "noise.fp_extent_jitter = 1.5",
+            "noise.pos_sigma = nan",  # was taken as no noise
+            "sim.object_speed = inf",
         ],
     )
     def test_bad_setting_is_configuration_error(self, tmp_path, trial_sheet, capsys, setting):
@@ -200,6 +211,77 @@ class TestTrackAndEvaluate:
         gt = tmp_path / "gt.jsonl"
         gt.write_text(dumps_stream([], KIND_GROUND_TRUTH))
         assert main(["--config", str(cfg), "evaluate", "--gt", str(gt), "--pred", str(gt)]) == 1
+
+
+def one_object_detections(frames: int) -> list[FrameRecord]:
+    """A parked MSU 3 m ahead of a parked robot, seen in every frame."""
+    robot = PlanarPose(0.0, 0.0, 0.0)
+    box = OrientedBox((3.0, 0.0, 0.9), (0.8, 0.6, 1.8), 0.4, "MSU", confidence=0.9)
+    return [FrameRecord(0.1 * i, robot, (box,)) for i in range(frames)]
+
+
+class TestStreamingTrack:
+    def track(self, tmp_path, *extra):
+        return main([*extra, "track", "--input", str(tmp_path / "det.jsonl"), "--output", str(tmp_path / "trk.jsonl")])
+
+    def test_invalid_utf8_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "det.jsonl").write_bytes(dumps_stream([], KIND_DETECTIONS).encode() + b"\xff\xfe\n")
+        assert self.track(tmp_path) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "trk.jsonl").exists()
+
+    def test_non_finite_gate_is_configuration_error(self, tmp_path, capsys):
+        write_stream(tmp_path / "det.jsonl", one_object_detections(50), KIND_DETECTIONS)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("tracker.gate_scale = nan\n")
+        assert self.track(tmp_path, "--config", str(cfg)) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "trk.jsonl").exists()
+
+    def test_wrong_kind_rejected_before_tracking(self, tmp_path, capsys):
+        write_stream(tmp_path / "det.jsonl", [], KIND_GROUND_TRUTH)
+        assert self.track(tmp_path) == 2
+        assert "expects a detections stream" in capsys.readouterr().err
+        assert not (tmp_path / "trk.jsonl").exists()
+
+    def bad_line_500(self, tmp_path):
+        lines = [serialize_record(r, KIND_DETECTIONS) for r in one_object_detections(600)]
+        lines[498] = "{not json}"  # the header is line 1
+        (tmp_path / "det.jsonl").write_text(dumps_stream([], KIND_DETECTIONS) + "\n".join(lines) + "\n")
+
+    def test_failure_on_line_500_leaves_no_output(self, tmp_path, capsys):
+        self.bad_line_500(tmp_path)
+        assert self.track(tmp_path) == 2
+        assert "line 500" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["det.jsonl"]
+
+    def test_failure_keeps_earlier_output(self, tmp_path):
+        write_stream(tmp_path / "det.jsonl", one_object_detections(30), KIND_DETECTIONS)
+        assert self.track(tmp_path) == 0
+        before = (tmp_path / "trk.jsonl").read_bytes()
+        self.bad_line_500(tmp_path)
+        assert self.track(tmp_path) == 2
+        assert (tmp_path / "trk.jsonl").read_bytes() == before
+
+    def traced_peak(self, tmp_path, frames: int) -> int:
+        write_stream(tmp_path / "det.jsonl", one_object_detections(frames), KIND_DETECTIONS)
+        tracemalloc.start()
+        try:
+            assert self.track(tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, out = read_stream(tmp_path / "trk.jsonl")
+        assert len(out) == frames and len(out[-1].ids) == 1
+        return peak
+
+    def test_memory_does_not_grow_with_the_stream(self, tmp_path):
+        """Tracking holds one input frame plus the tracker's state: ten times
+        the frames may not take even 1.25 times the memory."""
+        self.traced_peak(tmp_path, 200)  # first-call costs (caches, lazy imports) out of the way
+        short = self.traced_peak(tmp_path, 200)
+        long = self.traced_peak(tmp_path, 2000)
+        assert long < 1.25 * short, (short, long)
 
 
 class TestCampaign:

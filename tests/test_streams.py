@@ -1,12 +1,18 @@
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from obbtrack import streams
 from obbtrack.config import RunConfig, load_config, parse_config
 from obbtrack.errors import ConfigurationError, ParseError, StreamOrderError
-from obbtrack.geometry import OrientedBox, PlanarPose
+from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose
+from obbtrack.simulate import NoiseModel
 from obbtrack.streams import (
     FrameRecord,
     KIND_DETECTIONS,
@@ -14,10 +20,13 @@ from obbtrack.streams import (
     KIND_TRACKLETS,
     KINDS,
     dumps_stream,
+    iter_stream,
     loads_stream,
     read_stream,
+    serialize_record,
     write_stream,
 )
+from obbtrack.tracker import TrackerConfig
 
 
 def record(t=0.0, with_ids=True, yaw=0.3):
@@ -71,7 +80,11 @@ ANGLES = st.one_of(
     FINITE,
 )
 POSITIVE = st.floats(min_value=0.0, max_value=1.7976931348623157e308, exclude_min=True)
-IDS = st.one_of(st.sampled_from([0, -1, 2**63, -(2**63)]), st.integers(-(2**70), 2**70))
+IDS = st.one_of(
+    st.sampled_from([0, -1, 2**63, -(2**63), 10**400, -(10**400)]), st.integers(-(10**400), 10**400)
+)
+# names JSON must escape: quotes, backslashes, control characters, non-ASCII, U+2028
+CLASS_NAMES = st.text("MSUW é\"\\\n\x00\x1f\x7f\u2028😀", max_size=4)
 
 
 @st.composite
@@ -86,7 +99,7 @@ def frame_records(draw):
                     st.tuples(FINITE, FINITE, FINITE),
                     st.tuples(POSITIVE, POSITIVE, POSITIVE),
                     ANGLES,
-                    st.text("MSUW é\"\\\n\u2028", max_size=4),  # class names JSON must escape
+                    CLASS_NAMES,
                     st.floats(0.0, 1.0),
                 ),
                 max_size=2,
@@ -118,6 +131,190 @@ class TestRoundTripProperty:
             return repr((r.t, r.robot.x, r.robot.y, r.robot.heading, boxes, r.ids if kind != KIND_DETECTIONS else None))
 
         assert [written(r) for r in parsed] == [written(r) for r in records]
+
+
+@st.composite
+def writer_records(draw):
+    """frame_records with `t` as a float, an int or a numpy.float64, and
+    sometimes no ids on a record."""
+    records = []
+    for r in draw(frame_records()):
+        t = draw(st.sampled_from([float, int, np.float64]))(r.t)
+        ids = None if draw(st.booleans()) else r.ids
+        records.append(FrameRecord(t, r.robot, r.boxes, ids))
+    return records
+
+
+class TestWriterMatchesReference:
+    @given(st.sampled_from(KINDS), writer_records())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_dict_and_json_dumps(self, kind, records):
+        expected = oracles.reference_dumps_stream(records, kind)
+        assert "".join(serialize_record(r, kind) + "\n" for r in records) == expected.split("\n", 1)[1]
+        assert dumps_stream(records, kind) == expected
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "s.jsonl"
+            assert write_stream(path, iter(records), kind) == len(records)
+            assert path.read_bytes() == expected.encode("utf-8")
+
+
+def header_line(kind=KIND_GROUND_TRUTH):
+    return dumps_stream([], kind).rstrip("\n")
+
+
+BOX = '{"id":1,"class":"MW","cx":0,"cy":0,"cz":0,"l":%s,"w":1,"h":1,"yaw":0}'
+BAD_LINES = [
+    "{not json}",
+    "[1, 2]",
+    '{"t":0.5}',
+    '{"t":"soon","robot":{"x":0,"y":0,"heading":0},"boxes":[]}',
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[%s]}' % (BOX % "0"),
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[%s]}' % (BOX % "NaN"),
+    '{"t":1%s,"robot":{"x":0,"y":0,"heading":0},"boxes":[]}' % ("0" * 400),
+]
+BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1e", "\x85", "\u2028", "\u2029", "\n\n", "\r\r\n"]
+
+
+@st.composite
+def stream_files(draw):
+    """Stream bytes with mixed line breaks, blank lines, bad lines at random
+    places, times sometimes out of order, and sometimes no final break."""
+    kind = draw(st.sampled_from(KINDS))
+    records = draw(frame_records())
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
+    head = draw(st.sampled_from([header_line(kind)] * 8 + ["", "{}", '{"schema":"obbtrack/v1","kind":"x"}', "{"]))
+    lines = [head] + [serialize_record(r, kind) for r in records]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["", " \t "] + BAD_LINES))
+        lines.insert(draw(st.integers(1, len(lines))), extra)
+    text = "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("".join(BREAKS))
+    return text.encode("utf-8")
+
+
+def outcome(read):
+    """What a read gives: its records, or the error's class, message and line."""
+    try:
+        return repr(read())
+    except (ParseError, StreamOrderError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+class TestLineReader:
+    @given(stream_files())
+    @settings(max_examples=300, deadline=None)
+    def test_read_stream_matches_whole_text_reader(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "s.jsonl"
+            path.write_bytes(data)
+            expected = outcome(lambda: oracles.reference_loads_stream(path.read_text(encoding="utf-8")))
+            assert outcome(lambda: read_stream(path)) == expected
+        assert outcome(lambda: loads_stream(data.decode("utf-8"))) == expected
+
+    def write(self, tmp_path, *lines):
+        path = tmp_path / "s.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def test_kind_first_records_lazily(self, tmp_path):
+        good = serialize_record(record(0.0), KIND_GROUND_TRUTH)
+        path = self.write(tmp_path, header_line(), good, "{not json}")
+        kind, records = iter_stream(path)
+        assert kind == KIND_GROUND_TRUTH
+        assert next(records).ids == (4, 9)
+        with pytest.raises(ParseError, match="line 3"):
+            next(records)
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        files = []
+
+        def recording_open(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(streams, "open", recording_open, raising=False)
+        return files
+
+    def test_file_closed_at_end(self, tmp_path, opened):
+        path = self.write(tmp_path, header_line(), serialize_record(record(0.0), KIND_GROUND_TRUTH))
+        _, records = iter_stream(path)
+        assert not opened[0].closed
+        assert len(list(records)) == 1
+        assert opened[0].closed
+
+    def test_file_closed_on_error(self, tmp_path, opened):
+        path = self.write(tmp_path, header_line(), "{not json}")
+        _, records = iter_stream(path)
+        with pytest.raises(ParseError):
+            list(records)
+        assert opened[0].closed
+
+    def test_file_closed_on_bad_header(self, tmp_path, opened):
+        path = self.write(tmp_path, '{"schema":"other/v9"}')
+        with pytest.raises(ParseError, match="line 1"):
+            iter_stream(path)
+        assert opened[0].closed
+
+    def test_file_closed_when_abandoned(self, tmp_path, opened):
+        good = [serialize_record(record(t), KIND_GROUND_TRUTH) for t in (0.0, 0.1)]
+        _, records = iter_stream(self.write(tmp_path, header_line(), *good))
+        next(records)
+        records.close()
+        assert opened[0].closed
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xff\xfe\n", 1),
+            (b"%s\n\xff\xfe\n" % header_line().encode(), 2),
+            (b"%s\n\n\n{}\xc3\n" % header_line().encode(), 4),
+            # a lone carriage return starts a new line inside one chunk
+            (b"%s\n\r\r{\xe2\x28}\r\n" % header_line().encode(), 4),
+        ],
+    )
+    def test_invalid_utf8_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^line {line}: invalid UTF-8") as info:
+            read_stream(path)
+        assert info.value.line_number == line
+
+    def test_huge_id_round_trips(self):
+        rec = FrameRecord(0.0, PlanarPose(0.0, 0.0, 0.0), record().boxes[:1], (10**400,))
+        text = dumps_stream([rec], KIND_TRACKLETS)
+        assert loads_stream(text)[1][0].ids == (10**400,)
+
+
+class TestAtomicWrite:
+    def failing(self, n):
+        for i in range(n):
+            yield record(0.1 * i)
+        raise ParseError("bad input", 7)
+
+    def test_returns_record_count(self, tmp_path):
+        assert write_stream(tmp_path / "s.jsonl", (record(0.1 * i) for i in range(3)), KIND_GROUND_TRUTH) == 3
+
+    def test_error_leaves_no_file(self, tmp_path):
+        with pytest.raises(ParseError, match="line 7"):
+            write_stream(tmp_path / "s.jsonl", self.failing(3), KIND_GROUND_TRUTH)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_error_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, [record(0.0)], KIND_GROUND_TRUTH)
+        before = path.read_bytes()
+        with pytest.raises(ParseError):
+            write_stream(path, self.failing(3), KIND_GROUND_TRUTH)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_unknown_kind_writes_nothing(self, tmp_path):
+        with pytest.raises(ParseError, match="unknown stream kind"):
+            write_stream(tmp_path / "s.jsonl", [record(0.0)], "gt")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParseErrors:
@@ -218,6 +415,41 @@ class TestConfig:
             parse_config(f"metrics.alpha = {alpha}")
         with pytest.raises(ConfigurationError, match="metrics.alpha"):
             RunConfig(alpha=float(alpha))
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "tracker.gate_scale = nan",
+            "tracker.prune_confirmed = inf",
+            "noise.pos_sigma = nan",
+            "noise.latency = -inf",
+            "sim.object_speed = inf",
+            "sim.sensor_offset_x = nan",
+            "metrics.alpha = inf",
+            "classes.PALLET.extent = 1.2, nan, 0.15",
+            "classes.PALLET.extent = 1.2, 1.0, inf",
+        ],
+    )
+    def test_non_finite_value_rejected(self, setting):
+        with pytest.raises(ConfigurationError, match=setting.split(" ")[0].rsplit(".", 1)[-1]):
+            parse_config(setting)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TrackerConfig(gate_scale=math.nan),
+            lambda: TrackerConfig(move_pos_threshold=math.nan),
+            lambda: TrackerConfig(confirm_count=math.nan),
+            lambda: NoiseModel(pos_sigma=math.nan),
+            lambda: NoiseModel(sigma_mult_high=math.nan),
+            lambda: NoiseModel(fp_extent_jitter=math.nan),
+            lambda: ClassSpec("PALLET", (math.nan, 1.0, 0.15)),
+            lambda: ClassSpec("PALLET", (1.2, 1.0, math.inf)),
+        ],
+    )
+    def test_nan_fails_direct_construction(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
 
     def test_env_var_lookup(self, tmp_path, monkeypatch):
         path = tmp_path / "run.cfg"
