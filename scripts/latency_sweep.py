@@ -13,21 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from obbtrack.doe import TrialSpec
 from obbtrack.geometry import center_distance
-from obbtrack.simulate import NoiseModel, apply_latency, emulate_detector, generate_ground_truth, robot_pose_at
-from obbtrack.streams import FrameRecord, detections_to_map
-
-
-def rotating_stream(omega, r):
-    trial = TrialSpec(
-        trial_id=901, block="latency-sweep", row=1, classes=("MSU",),
-        motion="Stationary - NL - NA", robot_angular="Stationary",
-        occlusion="No", initial_distance=f"{r} m",
-    )
-    gt = generate_ground_truth(trial, duration=10.0, rate=10.0, seed=0)
-    gt = [FrameRecord(rec.t, robot_pose_at(0.0, omega, rec.t), rec.boxes, rec.ids) for rec in gt]
-    return gt, emulate_detector(gt, noise=NoiseModel.silent())
+from obbtrack.simulate import apply_latency, rotating_robot_stream
+from obbtrack.streams import detections_to_map
 
 
 def main():
@@ -43,7 +31,7 @@ def main():
     header = "omega\\lat " + " ".join(f"{l:>15.2f}s" for l in latencies)
     print(header)
     for omega in omegas:
-        gt, det = rotating_stream(omega, args.r)
+        gt, det = rotating_robot_stream(omega, args.r)
         poses = [rec.robot for rec in gt]
         cells = []
         for latency in latencies:

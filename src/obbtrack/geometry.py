@@ -2,11 +2,17 @@
 
 Boxes are 7-DoF (3D center, 3D extent, yaw about the vertical axis); robot
 poses live in SE(2). Everything here is a pure function on immutable values.
+
+A box is checked once, where it enters: the public `OrientedBox(...)` (stream
+parsing, the simulator, direct callers) converts every field to `float` and
+checks it. A box computed from checked boxes (`transform_box`, the tracker's
+prediction and output) comes from `_derived_box`, which checks only that
+its center did not overflow.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigurationError, InvalidInputError, UndefinedMeanError
@@ -105,15 +111,28 @@ class OrientedBox:
         return l * w * h
 
 
+_BOX_FIELDS = ("center", "extent", "yaw", "class_id", "confidence")
+
+
+def _derived_box(center: tuple, extent: tuple, yaw: float, class_id: str, confidence: float) -> OrientedBox:
+    """A box computed from checked boxes, built without `OrientedBox`'s checks:
+    plain floats, a wrapped yaw, and the extent, class and confidence of a
+    checked box. Only the center is checked, as arithmetic can overflow it."""
+    _require_finite("OrientedBox", *center)
+    box = object.__new__(OrientedBox)
+    # field by field, as the generated __init__ does: filling vars(box) would give each box
+    # its own dict, twice the memory
+    for name, value in zip(_BOX_FIELDS, (center, extent, yaw, class_id, confidence)):
+        object.__setattr__(box, name, value)
+    return box
+
+
 def transform_box(pose: PlanarPose, box: OrientedBox) -> OrientedBox:
     """Apply a planar rigid transform to a box; z and extent pass through."""
     c, s = math.cos(pose.heading), math.sin(pose.heading)
     x, y, z = box.center
-    return replace(
-        box,
-        center=(pose.x + c * x - s * y, pose.y + s * x + c * y, z),
-        yaw=wrap_angle(box.yaw + pose.heading),
-    )
+    center = (pose.x + c * x - s * y, pose.y + s * x + c * y, z)
+    return _derived_box(center, box.extent, wrap_angle(box.yaw + pose.heading), box.class_id, box.confidence)
 
 
 def transform_to_map(
@@ -261,7 +280,7 @@ def resolve_symmetric_yaw(yaw: float, reference: float, spec: ClassSpec) -> tupl
     return hyps[best], best
 
 
-def circular_mean(angles: Sequence[float], weights: Sequence[float] | None = None) -> float:
+def circular_mean(angles: Sequence[float]) -> float:
     """Circular mean of angles via the resultant vector, wrapped to (-pi, pi].
 
     Raises UndefinedMeanError when the resultant magnitude collapses
@@ -269,21 +288,14 @@ def circular_mean(angles: Sequence[float], weights: Sequence[float] | None = Non
     """
     if len(angles) == 0:
         raise InvalidInputError("circular_mean of an empty angle list")
-    if weights is None:
-        weights = [1.0] * len(angles)
-    if len(weights) != len(angles):
-        raise InvalidInputError("weights must match angles in length")
-    total = float(sum(weights))
-    if total <= 0.0:
-        raise InvalidInputError("weights must have a positive sum")
-    s = sum(w * math.sin(a) for a, w in zip(angles, weights))
-    c = sum(w * math.cos(a) for a, w in zip(angles, weights))
-    return resultant_direction(s, c, total)
+    s = sum(math.sin(a) for a in angles)
+    c = sum(math.cos(a) for a in angles)
+    return resultant_direction(s, c, float(len(angles)))
 
 
 def resultant_direction(s: float, c: float, total: float) -> float:
-    """Direction of the resultant vector (c, s) of unit vectors whose weights
-    sum to `total`, wrapped to (-pi, pi].
+    """Direction of the resultant vector (c, s) of `total` unit vectors,
+    wrapped to (-pi, pi].
 
     Raises UndefinedMeanError when the resultant magnitude collapses
     (antipodal cancellation leaves no meaningful direction).

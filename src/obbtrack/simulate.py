@@ -24,8 +24,10 @@ from .geometry import (
     IDENTITY_POSE,
     OrientedBox,
     PlanarPose,
+    compose,
+    invert,
     symmetry_hypotheses,
-    transform_to_sensor,
+    transform_box,
     wrap_angle,
 )
 from .streams import FrameRecord
@@ -199,6 +201,7 @@ def emulate_detector(
 
     out: list[FrameRecord] = []
     for rec in gt:
+        to_sensor = invert(compose(rec.robot, sensor_offset))
         boxes: list[OrientedBox] = []
         for b in rec.boxes:
             if dropout > 0.0 and rng.random() < dropout:
@@ -221,7 +224,7 @@ def emulate_detector(
                 j = int(rng.integers(1, spec.hypothesis_count))
                 yaw = symmetry_hypotheses(yaw, spec)[j]
             noisy = OrientedBox((cx, cy, cz), b.extent, yaw, b.class_id, confidence=1.0)
-            boxes.append(transform_to_sensor(noisy, rec.robot, sensor_offset))
+            boxes.append(transform_box(to_sensor, noisy))
         if noise.fp_rate > 0.0:
             for _ in range(int(rng.poisson(noise.fp_rate))):
                 cls = fp_classes[int(rng.integers(0, len(fp_classes)))]
@@ -241,12 +244,26 @@ def emulate_detector(
                     cls,
                     confidence=0.5,
                 )
-                boxes.append(transform_to_sensor(fp, rec.robot, sensor_offset))
+                boxes.append(transform_box(to_sensor, fp))
         out.append(FrameRecord(rec.t, rec.robot, tuple(boxes), None))
 
     if noise.latency > 0.0:
         out = apply_latency(out, [rec.robot for rec in gt], noise.latency)
     return out
+
+
+def rotating_robot_stream(omega: float, r: float) -> tuple[list[FrameRecord], list[FrameRecord]]:
+    """Ground truth and corruption-free detections, 10 s at 10 Hz, of one
+    stationary MSU at range r (m), seen by a robot turning in place at omega
+    (rad/s): the fixture of the ego-pose latency study."""
+    trial = TrialSpec(
+        trial_id=901, block="latency-sweep", row=1, classes=("MSU",),
+        motion="Stationary - NL - NA", robot_angular="Stationary",
+        occlusion="No", initial_distance=f"{r} m",
+    )
+    gt = generate_ground_truth(trial, duration=10.0, rate=10.0, seed=0)
+    gt = [FrameRecord(rec.t, robot_pose_at(0.0, omega, rec.t), rec.boxes, rec.ids) for rec in gt]
+    return gt, emulate_detector(gt, noise=NoiseModel.silent())
 
 
 def pose_at(poses: Sequence[PlanarPose], t: float) -> PlanarPose:

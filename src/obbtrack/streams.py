@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import BinaryIO, Generator, Iterable, Iterator, Sequence
 
 from .errors import ParseError, StreamOrderError
-from .geometry import IDENTITY_POSE, OrientedBox, PlanarPose, compose, transform_box
+from .geometry import IDENTITY_POSE, OrientedBox, PlanarPose, _require_finite, compose, transform_box
 
 SCHEMA = "obbtrack/v1"
 
@@ -42,6 +42,8 @@ class FrameRecord:
     ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        _require_finite("FrameRecord", self.t)
+        object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "boxes", tuple(self.boxes))
         if self.ids is not None:
             ids = tuple(int(i) for i in self.ids)
@@ -52,8 +54,8 @@ class FrameRecord:
 
 def serialize_record(record: FrameRecord, kind: str) -> str:
     """One record as compact JSON, the bytes `json.dumps(obj, separators=(",", ":"))`
-    gives: floats and ints by their own repr (boxes and poses hold plain
-    finite floats), class names through `encode_basestring_ascii`."""
+    gives: floats and ints by their own repr (records, boxes and poses hold
+    plain finite floats), class names through `encode_basestring_ascii`."""
     labeled = kind in LABELED_KINDS and record.ids is not None
     with_score = kind == KIND_DETECTIONS
     boxes = []
@@ -69,9 +71,8 @@ def serialize_record(record: FrameRecord, kind: str) -> str:
             text = f'{text},"score":{box.confidence!r}'
         boxes.append(f"{{{text}}}")
     robot = record.robot
-    # `t` is whatever the caller passed (int, float, numpy.float64): json spells it
     return (
-        f'{{"t":{json.dumps(record.t)},"robot":{{"x":{robot.x!r},"y":{robot.y!r},'
+        f'{{"t":{record.t!r},"robot":{{"x":{robot.x!r},"y":{robot.y!r},'
         f'"heading":{robot.heading!r}}},"boxes":[{",".join(boxes)}]}}'
     )
 

@@ -25,6 +25,8 @@ of `association.gated_pairs`, and the sensor pose is composed once per
 frame. Each yaw window caches the sine and cosine of every yaw it holds,
 computed when the yaw arrives (and again only when a hypothesis re-commit
 rotates the window), so its circular mean is two sums over cached values.
+Boxes the tracker computes from checked detections (the prediction and the
+output) go through `geometry._derived_box`, which checks only their center.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import enum
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 from .association import associate, gated_pairs
@@ -44,6 +46,7 @@ from .geometry import (
     IDENTITY_POSE,
     OrientedBox,
     PlanarPose,
+    _derived_box,
     center_distance,
     compose,
     resolve_symmetric_yaw,
@@ -85,24 +88,9 @@ class TrackerConfig:
     duplicate_merge_scale: float = 1.0
 
     def __post_init__(self):
-        for name in (
-            "move_pos_threshold",
-            "move_yaw_threshold",
-            "motion_min_history",
-            "confirm_window",
-            "history_capacity",
-            "orientation_window",
-            "prune_tentative",
-            "prune_confirmed",
-            "stationary_reentry_frames",
-            "orientation_outlier_threshold",
-            "orientation_outlier_frames",
-            "orientation_commit_margin",
-            "gate_scale",
-            "duplicate_merge_scale",
-        ):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ConfigurationError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if f.name != "confirm_count" and not getattr(self, f.name) > 0:  # NaN fails too
+                raise ConfigurationError(f"{f.name} must be strictly positive")
         if not self.confirm_count >= 1:
             raise ConfigurationError("confirm_count must be >= 1")
 
@@ -115,6 +103,11 @@ def detect_motion(prev: OrientedBox, curr: OrientedBox, config: TrackerConfig) -
     if yaw_difference(prev.yaw, curr.yaw) > config.move_yaw_threshold:
         return MotionState.MOVING
     return MotionState.STATIONARY
+
+
+def _with_yaw(box: OrientedBox, yaw: float) -> OrientedBox:
+    """`box` turned to `yaw`, a wrapped float, without checking it again."""
+    return _derived_box(box.center, box.extent, yaw, box.class_id, box.confidence)
 
 
 class YawWindow:
@@ -177,7 +170,6 @@ class Tracklet:
         # only the newest confirm_count match times can still confirm
         self.match_times: deque[float] = deque([t], maxlen=config.confirm_count)
         self.match_count = 1
-        self.miss_count = 0
         self.hyp_counts = [0] * spec.hypothesis_count
         self.hyp_counts[0] = 1
         # a class without symmetry needs no disambiguation
@@ -200,8 +192,8 @@ class Tracklet:
         """Shift every stored yaw by delta (hypothesis re-commit)."""
         self.resolved_yaws.rotate(delta)
         self.history_yaws.rotate(delta)
-        self.output_pose = replace(self.output_pose, yaw=wrap_angle(self.output_pose.yaw + delta))
-        self._predicted = replace(self._predicted, yaw=wrap_angle(self._predicted.yaw + delta))
+        self.output_pose = _with_yaw(self.output_pose, wrap_angle(self.output_pose.yaw + delta))
+        self._predicted = _with_yaw(self._predicted, wrap_angle(self._predicted.yaw + delta))
 
     def _vote_orientation(self, obs: OrientedBox) -> None:
         spec = self.spec
@@ -220,7 +212,6 @@ class Tracklet:
     def update(self, obs: OrientedBox, t: float) -> None:
         """Fold a matched observation into the tracklet and refresh its output."""
         config = self.config
-        self.miss_count = 0
         self.match_times.append(t)
         self.match_count += 1
 
@@ -252,7 +243,7 @@ class Tracklet:
             sx += x
             sy += y
             sz += z
-        self._predicted = OrientedBox(
+        self._predicted = _derived_box(
             (sx / n, sy / n, sz / n), obs.extent, self.history_yaws.mean(), obs.class_id, obs.confidence
         )
 
@@ -270,13 +261,10 @@ class Tracklet:
                     self.quiet_streak = 0
 
         if self.motion_state is MotionState.MOVING:
-            self.output_pose = replace(obs, yaw=resolved_yaw)
+            self.output_pose = _with_yaw(obs, resolved_yaw)
         else:
             # published stationary pose: averaged center, short-window yaw
-            self.output_pose = replace(self._predicted, yaw=self.resolved_yaws.mean())
-
-    def mark_missed(self) -> None:
-        self.miss_count += 1
+            self.output_pose = _with_yaw(self._predicted, self.resolved_yaws.mean())
 
     def confirmation_due(self) -> bool:
         """The newest `confirm_count` matches span at most `confirm_window`.
@@ -348,8 +336,6 @@ class Tracker:
         )
         for tid, di, _ in result.matches:
             self.registry[tid].update(det_map[di], t)
-        for tid in result.unmatched_tracklets:
-            self.registry[tid].mark_missed()
         for di in result.unmatched_detections:
             obs = det_map[di]
             tid = next(self._ids)

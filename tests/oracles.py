@@ -7,10 +7,12 @@ report path that the shared-matrix `evaluate_streams` must reproduce;
 every pair that the swept gate must reproduce, `reference_yaw_estimate`
 is the window yaw recomputed from the angles themselves,
 `reference_window_center` is the predicted center recomputed from every
-matched center, and `reference_dumps_stream` / `reference_loads_stream` are
+matched center, `reference_dumps_stream` / `reference_loads_stream` are
 the whole-text stream writer (a dict per box, `json.dumps` per record) and
 reader (`splitlines` over the whole text) that the line-at-a-time ones must
-reproduce."""
+reproduce, and `assert_public_box` / `reference_transform_box` rebuild a box
+through the public, checking `OrientedBox` constructor that boxes derived
+without those checks must equal."""
 import itertools
 import json
 import math
@@ -19,7 +21,7 @@ import numpy as np
 
 from obbtrack.association import AssociationResult, gate_threshold
 from obbtrack.errors import ParseError, StreamOrderError, UndefinedMeanError, UndefinedMetricError
-from obbtrack.geometry import OrientedBox, center_distance, circular_mean, iou_3d
+from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, circular_mean, iou_3d
 from obbtrack.metrics import (
     ALPHA_SWEEP,
     ClassMetrics,
@@ -428,3 +430,24 @@ def reference_loads_stream(text: str):
         last_t = record.t
         records.append(record)
     return kind, records
+
+
+def assert_public_box(box: OrientedBox) -> None:
+    """`box` holds plain floats and is what the public constructor, which
+    converts and checks every field, makes of its own fields."""
+    assert all(type(v) is float for v in (*box.center, *box.extent, box.yaw, box.confidence))
+    assert box == OrientedBox(box.center, box.extent, box.yaw, box.class_id, box.confidence)
+
+
+def reference_transform_box(pose: PlanarPose, box: OrientedBox) -> OrientedBox:
+    """The planar rigid transform of `box`, built by the public constructor:
+    raises InvalidInputError where the rotated center overflows."""
+    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    x, y, z = box.center
+    return OrientedBox(
+        (pose.x + c * x - s * y, pose.y + s * x + c * y, z),
+        box.extent,
+        box.yaw + pose.heading,
+        box.class_id,
+        box.confidence,
+    )

@@ -14,14 +14,7 @@ from obbtrack.config import RunConfig
 from obbtrack.doe import TrialSpec, balance_check, oa_matrix
 from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, iou_3d
 from obbtrack.metrics import FramePairing, det_a, hota, match_frame, pos_rmse, yaw_rmse
-from obbtrack.simulate import (
-    NoiseModel,
-    apply_latency,
-    emulate_detector,
-    generate_ground_truth,
-    robot_pose_at,
-    simulate_trial,
-)
+from obbtrack.simulate import NoiseModel, apply_latency, rotating_robot_stream, simulate_trial
 from obbtrack.streams import FrameRecord, detections_to_map
 from obbtrack.tracker import DEG, Lifecycle, MotionState, Tracker, TrackerConfig, detect_motion
 
@@ -267,16 +260,6 @@ def test_criterion_6_smoothing(campaign_runs):
         f"campaign avg IoU tracklet {t_iou:.3f} > detection {d_iou:.3f}",
         t_rmse <= 0.5 * d_rmse and t_iou > d_iou,
     )
-
-
-def rotating_robot_stream(omega, r, duration=10.0, rate=10.0):
-    trial = stationary_trial(classes=("MSU",), distance=f"{r} m")
-    gt = generate_ground_truth(trial, duration=duration, rate=rate, seed=0)
-    gt = [
-        FrameRecord(rec.t, robot_pose_at(0.0, omega, rec.t), rec.boxes, rec.ids) for rec in gt
-    ]
-    det = emulate_detector(gt, noise=NoiseModel.silent())
-    return gt, det
 
 
 def test_criterion_7_latency_mechanism():

@@ -244,6 +244,15 @@ class TestStreamingTrack:
         assert "expects a detections stream" in capsys.readouterr().err
         assert not (tmp_path / "trk.jsonl").exists()
 
+    def test_overflowing_window_mean_is_data_error(self, tmp_path, capsys):
+        """Each center is finite, but the tracker's window sum overflows."""
+        box = OrientedBox((1.7e308, 0.0, 0.9), (0.8, 0.6, 1.8), 0.4, "MSU", confidence=0.9)
+        records = [FrameRecord(0.1 * i, PlanarPose(0.0, 0.0, 0.0), (box,)) for i in range(3)]
+        write_stream(tmp_path / "det.jsonl", records, KIND_DETECTIONS)
+        assert self.track(tmp_path) == 2
+        assert "data error: OrientedBox contains a non-finite value: inf" in capsys.readouterr().err
+        assert not (tmp_path / "trk.jsonl").exists()
+
     def bad_line_500(self, tmp_path):
         lines = [serialize_record(r, KIND_DETECTIONS) for r in one_object_detections(600)]
         lines[498] = "{not json}"  # the header is line 1

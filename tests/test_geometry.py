@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obbtrack.errors import InvalidInputError, ConfigurationError, UndefinedMeanError
@@ -16,6 +16,7 @@ from obbtrack.geometry import (
     iou_3d,
     resolve_symmetric_yaw,
     symmetry_hypotheses,
+    transform_box,
     transform_to_map,
     transform_to_sensor,
     wrap_angle,
@@ -27,7 +28,7 @@ def box(cx=0.0, cy=0.0, cz=0.0, l=1.0, w=1.0, h=1.0, yaw=0.0, cls="MSU"):
     return OrientedBox((cx, cy, cz), (l, w, h), yaw, cls)
 
 
-from oracles import mc_iou
+from oracles import assert_public_box, mc_iou, reference_transform_box
 
 
 def clip_only_iou(a, b):
@@ -42,6 +43,8 @@ def clip_only_iou(a, b):
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 coords = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 extents = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
+# finite values up to near the largest float: rotations of these can overflow
+huge = st.one_of(st.sampled_from([0.0, 9e307, 1.7e308, -1.7e308]), st.floats(-1.7e308, 1.7e308))
 
 
 class TestWrap:
@@ -95,6 +98,32 @@ class TestTransforms:
             PlanarPose(float("nan"), 0.0, 0.0)
         with pytest.raises(InvalidInputError):
             box(cx=float("inf"))
+
+    @given(
+        st.tuples(huge, huge, huge),
+        st.tuples(extents, extents, extents),
+        angles,
+        huge,
+        huge,
+        st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), angles),
+    )
+    @example((1.7e308, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, 1.7e308, 0.0, 0.0)  # overflows
+    @example((1.7e308, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, -1.7e308, 0.0, 0.0)  # does not
+    @settings(max_examples=300)
+    def test_derived_box_passes_public_checks(self, center, extent, yaw, px, py, heading):
+        """transform_box builds its box without the public checks: it equals
+        the checked box, or raises where the checked box would."""
+        b = OrientedBox(center, extent, yaw, "MW", confidence=0.7)
+        pose = PlanarPose(px, py, heading)
+        try:
+            expected = reference_transform_box(pose, b)
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                transform_box(pose, b)
+            return
+        out = transform_box(pose, b)
+        assert_public_box(out)
+        assert out == expected
 
 
 class TestIou:
@@ -276,11 +305,6 @@ class TestCircularMean:
         vals = list(rng.normal(1.0, 0.2, 100))
         expected = math.atan2(sum(map(math.sin, vals)), sum(map(math.cos, vals)))
         assert circular_mean(vals) == pytest.approx(expected, abs=1e-12)
-
-    def test_weights(self):
-        assert circular_mean([0.0, 1.0], [3.0, 1.0]) == pytest.approx(
-            math.atan2(math.sin(1.0), 3.0 + math.cos(1.0))
-        )
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

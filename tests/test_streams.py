@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from obbtrack import streams
 from obbtrack.config import RunConfig, load_config, parse_config
-from obbtrack.errors import ConfigurationError, ParseError, StreamOrderError
+from obbtrack.errors import ConfigurationError, InvalidInputError, ParseError, StreamOrderError
 from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose
 from obbtrack.simulate import NoiseModel
 from obbtrack.streams import (
@@ -143,6 +143,18 @@ def writer_records(draw):
         ids = None if draw(st.booleans()) else r.ids
         records.append(FrameRecord(t, r.robot, r.boxes, ids))
     return records
+
+
+class TestIntTime:
+    def test_int_time_round_trips(self):
+        text = dumps_stream([FrameRecord(1, PlanarPose(0, 0, 0))], KIND_GROUND_TRUTH)
+        assert '"t":1.0,' in text
+        assert dumps_stream(loads_stream(text)[1], KIND_GROUND_TRUTH) == text
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(InvalidInputError):
+            FrameRecord(t, PlanarPose(0, 0, 0))
 
 
 class TestWriterMatchesReference:

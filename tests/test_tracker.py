@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obbtrack.errors import ConfigurationError, StreamOrderError, UndefinedMeanError
+from obbtrack.errors import ConfigurationError, InvalidInputError, StreamOrderError, UndefinedMeanError
 from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose, circular_mean, yaw_difference
 from obbtrack.tracker import (
     DEG,
@@ -19,7 +19,12 @@ from obbtrack.tracker import (
     detect_motion,
 )
 
-from oracles import reference_surviving_ids, reference_window_center, reference_yaw_estimate
+from oracles import (
+    assert_public_box,
+    reference_surviving_ids,
+    reference_window_center,
+    reference_yaw_estimate,
+)
 
 ORIGIN = PlanarPose(0.0, 0.0, 0.0)
 PLAIN = ClassSpec("OBJ", (1.2, 0.8, 0.7), symmetry_planes=0)
@@ -85,7 +90,6 @@ class TestIngest:
         trk.ingest_frame(0.0, ORIGIN, [box(cx=2.0)])
         snap = trk.ingest_frame(0.1, ORIGIN, [])
         assert snap.entries[0].output_pose.center[0] == pytest.approx(2.0)
-        assert trk.registry[1].miss_count == 1
 
     def test_monotone_timestamps_enforced(self):
         trk = make_tracker()
@@ -463,6 +467,12 @@ class TestCachedYawWindows:
             assert trk.output_pose.center == expected.center
 
 
+# repeated values let tracklets match and average; huge ones overflow sums
+HUGE_COORD = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e307, 9e307, 1.7e308, -1.7e308]),
+    st.floats(-2.0, 2.0),
+    st.floats(-1.7e308, 1.7e308),
+)
 OBJECTS = st.lists(
     st.tuples(st.sampled_from(["OBJ", "SYM", "QUAD"]), st.integers(-2, 2), st.integers(-2, 2)),
     min_size=1,
@@ -521,6 +531,44 @@ class TestTrackerProperties:
             # within the confirmed pruning age, the longer of the two
             recent = sum(n for tf, n in counts if t - tf <= cfg.prune_confirmed)
             assert len(snap.entries) == len(tracker.registry) <= recent
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(["OBJ", "SYM"]), HUGE_COORD, HUGE_COORD), min_size=1, max_size=3),
+        st.lists(
+            st.tuples(
+                st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(HUGE_COORD, HUGE_COORD, st.floats(-math.pi, math.pi))),
+                # per object: seen, dropped, or flipped (flips re-commit a symmetric orientation)
+                st.lists(st.sampled_from(["seen", "dropped", "flipped"]), min_size=3, max_size=3),
+                st.floats(-0.1, 0.1),  # pose noise shared by the frame
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_boxes_pass_public_checks(self, objects, frames):
+        """The tracker builds its predictions and outputs without the public
+        box checks: each equals the checked box, and an overflowing window
+        mean or transform still fails the center check."""
+        tracker = Tracker(
+            TrackerConfig(motion_min_history=1, history_capacity=4, orientation_commit_margin=2),
+            class_specs=REGISTRY,
+        )
+        for k, (robot, fates, noise) in enumerate(frames):
+            dets = [
+                box(x + noise, y - noise, 0.0, 0.3 + noise + (math.pi if fate == "flipped" else 0.0), cls)
+                for (cls, x, y), fate in zip(objects, fates)
+                if fate != "dropped"
+            ]
+            try:
+                snap = tracker.ingest_frame(0.1 * k, PlanarPose(*robot), dets)
+            except InvalidInputError as exc:
+                assert "non-finite" in str(exc)
+                return
+            for e in snap.entries:
+                assert_public_box(e.output_pose)
+            for trk in tracker.registry.values():
+                assert_public_box(trk.predicted_pose())
 
 
 class TestDeterminism:
