@@ -38,9 +38,14 @@ def yaw_difference(a: float, b: float) -> float:
 
 
 def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise InvalidInputError(f"{name} contains a non-finite value: {v!r}")
+    """Each value must be finite. An int too large for a float is invalid
+    input too: `math.isfinite` raises `OverflowError` on it."""
+    try:
+        for v in values:
+            if not math.isfinite(v):
+                raise InvalidInputError(f"{name} contains a non-finite value: {v!r}")
+    except OverflowError:
+        raise InvalidInputError(f"{name} contains a number too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -91,19 +96,22 @@ class OrientedBox:
     confidence: float = 1.0
 
     def __post_init__(self):
-        center = tuple(float(v) for v in self.center)
-        extent = tuple(float(v) for v in self.extent)
+        try:
+            center, extent = tuple(map(float, self.center)), tuple(map(float, self.extent))
+            yaw, confidence = float(self.yaw), float(self.confidence)
+        except OverflowError:
+            raise InvalidInputError("OrientedBox contains a number too large for a float") from None
         if len(center) != 3 or len(extent) != 3:
             raise InvalidInputError("center and extent must be 3-vectors")
-        _require_finite("OrientedBox", *center, *extent, self.yaw, self.confidence)
+        _require_finite("OrientedBox", *center, *extent, yaw, confidence)
         if min(extent) <= 0.0:
             raise InvalidInputError(f"extent components must be strictly positive, got {extent}")
-        if not 0.0 <= self.confidence <= 1.0:
+        if not 0.0 <= confidence <= 1.0:
             raise InvalidInputError(f"confidence must lie in [0, 1], got {self.confidence}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
-        object.__setattr__(self, "confidence", float(self.confidence))
+        object.__setattr__(self, "yaw", wrap_angle(yaw))
+        object.__setattr__(self, "confidence", confidence)
 
     @property
     def volume(self) -> float:

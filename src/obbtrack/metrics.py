@@ -6,9 +6,22 @@ maximizes the TP count first and total IoU second. Average IoU is computed
 threshold-free and normalized by the ground-truth box count, so both misses
 and bad localization pull it down.
 
+HOTA follows Luiten et al. (2021) with one deviation from TrackEval: each
+frame is matched by that rule (maximum cardinality, then maximum total IoU),
+not with each pair's IoU weighted by its global association score.
+
 `evaluate_streams` computes one IoU matrix per frame: every report row
 matches on it (or its per-class block), and HOTA and the id-switch count
-reuse the row's pairings at `alpha`.
+reuse the row's pairings at `alpha`. The cost follows the overlapping pairs,
+not the gt x pred product:
+- `iou_matrix` computes each box's circumscribed circle once and calls
+  `iou_3d` only on same-class pairs whose circles meet; every other entry is
+  the 0.0 that `iou_3d`'s own early-out would return.
+- `match_frame` takes the feasible pairs from the matrix's entries above the
+  threshold. When they are one-to-one they are the matching; only a frame
+  where two feasible pairs share a box goes to the assignment solver, and
+  `scipy.optimize` is imported on that first use, so tracking and
+  simulation never load it.
 """
 from __future__ import annotations
 
@@ -18,7 +31,6 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AlignmentError, InvalidInputError, UndefinedMetricError
 from .geometry import OrientedBox, center_distance, iou_3d, yaw_difference
@@ -58,13 +70,22 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidInputError(f"IoU threshold alpha must lie in [0, 1), got {alpha!r}")
 
 
+def _circles(boxes: Sequence[OrientedBox]) -> list[tuple[str, float, float, float]]:
+    """Class, BEV center and circumscribed radius of each box, as `iou_3d`'s
+    early-out computes them."""
+    return [(b.class_id, b.center[0], b.center[1], math.hypot(b.extent[0], b.extent[1]) / 2.0) for b in boxes]
+
+
 def iou_matrix(gt: Sequence[OrientedBox], pred: Sequence[OrientedBox]) -> np.ndarray:
-    """gt x pred IoU matrix; cross-class entries are 0 without computing them."""
+    """gt x pred IoU matrix. `iou_3d` runs only on same-class pairs whose
+    circumscribed circles meet; every other entry is 0."""
     iou = np.zeros((len(gt), len(pred)))
-    for i, g in enumerate(gt):
-        for j, p in enumerate(pred):
-            if g.class_id == p.class_id:
-                iou[i, j] = iou_3d(g, p)
+    pred_circles = _circles(pred)
+    for i, (cls, x, y, r) in enumerate(_circles(gt)):
+        for j, (p_cls, px, py, pr) in enumerate(pred_circles):
+            # the negation of iou_3d's disjoint-circle test, term for term
+            if p_cls == cls and math.hypot(x - px, y - py) <= r + pr:
+                iou[i, j] = iou_3d(gt[i], pred[j])
     return iou
 
 
@@ -87,10 +108,14 @@ def match_frame(
         if iou is None:
             iou = iou_matrix(gt, pred)
         feasible = iou > alpha
-        score = np.where(feasible, iou + _CARDINALITY_BONUS, 0.0)
-        rows, cols = linear_sum_assignment(score, maximize=True)
-        pairs = [(int(i), int(j), float(iou[i, j])) for i, j in zip(rows, cols) if feasible[i, j]]
-    pairs.sort()
+        rows, cols = np.nonzero(feasible)
+        rows, cols = rows.tolist(), cols.tolist()
+        if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
+            # one-to-one already: the only matching of maximum cardinality;
+            # np.nonzero and the mask both list it in row-major (gt, pred) order
+            pairs = list(zip(rows, cols, iou[feasible].tolist()))
+        else:
+            pairs = _solve_conflicts(iou, feasible)
     matched_gt = {i for i, _, _ in pairs}
     matched_pred = {j for _, j, _ in pairs}
     return FramePairing(
@@ -99,6 +124,18 @@ def match_frame(
         fp_indices=tuple(j for j in range(n_pred) if j not in matched_pred),
         fn_indices=tuple(i for i in range(n_gt) if i not in matched_gt),
     )
+
+
+def _solve_conflicts(iou: np.ndarray, feasible: np.ndarray) -> list[tuple[int, int, float]]:
+    """Optimal assignment over the whole frame, for frames where feasible
+    pairs share a box."""
+    from scipy.optimize import linear_sum_assignment
+
+    score = np.where(feasible, iou + _CARDINALITY_BONUS, 0.0)
+    rows, cols = linear_sum_assignment(score, maximize=True)
+    kept = feasible[rows, cols]
+    rows, cols = rows[kept], cols[kept]
+    return sorted(zip(rows.tolist(), cols.tolist(), iou[rows, cols].tolist()))
 
 
 def det_a(pairings: Iterable[FramePairing]) -> float:

@@ -1,8 +1,11 @@
 """Brute-force oracles, written independently of the package's code paths:
 Monte-Carlo volume sampling instead of polygon clipping, exhaustive matching
 enumeration instead of the Hungarian solver, and a from-scratch
-association-accuracy recount. `reference_evaluate_streams` is the direct
-report path that the shared-matrix `evaluate_streams` must reproduce;
+association-accuracy recount. `reference_dense_iou` and
+`reference_match_frame` are the dense IoU matrix and the solver run on every
+frame that the pair-filtered `iou_matrix` and `match_frame` must reproduce;
+`reference_evaluate_streams` is the direct report path, built on them, that
+the shared-matrix `evaluate_streams` must reproduce;
 `reference_associate` and `reference_surviving_ids` are the nested loops over
 every pair that the swept gate must reproduce, `reference_yaw_estimate`
 is the window yaw recomputed from the angles themselves,
@@ -25,9 +28,9 @@ from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, circular
 from obbtrack.metrics import (
     ALPHA_SWEEP,
     ClassMetrics,
+    FramePairing,
     MetricsReport,
     det_a,
-    match_frame,
     pos_rmse,
     yaw_rmse,
 )
@@ -131,6 +134,39 @@ def brute_force_match(gt, pred, alpha=0.5):
     return sorted((i, j, iou[(i, j)]) for i, j in best)
 
 
+def reference_dense_iou(gt, pred) -> np.ndarray:
+    """gt x pred IoU matrix with `iou_3d` on every same-class pair, 0.0 on
+    the others."""
+    iou = np.zeros((len(gt), len(pred)))
+    for i, g in enumerate(gt):
+        for j, p in enumerate(pred):
+            if g.class_id == p.class_id:
+                iou[i, j] = iou_3d(g, p)
+    return iou
+
+
+def reference_match_frame(gt, pred, alpha=0.5, timestamp=0.0) -> FramePairing:
+    """Per-frame matching with the assignment solver run on every frame, on
+    the dense IoU matrix."""
+    from scipy.optimize import linear_sum_assignment
+
+    pairs = []
+    if gt and pred:
+        iou = reference_dense_iou(gt, pred)
+        feasible = iou > alpha
+        score = np.where(feasible, iou + 1000.0, 0.0)
+        rows, cols = linear_sum_assignment(score, maximize=True)
+        pairs = sorted((int(i), int(j), float(iou[i, j])) for i, j in zip(rows, cols) if feasible[i, j])
+    matched_gt = {i for i, _, _ in pairs}
+    matched_pred = {j for _, j, _ in pairs}
+    return FramePairing(
+        timestamp=timestamp,
+        tp_pairs=tuple(pairs),
+        fp_indices=tuple(j for j in range(len(pred)) if j not in matched_pred),
+        fn_indices=tuple(i for i in range(len(gt)) if i not in matched_gt),
+    )
+
+
 def deta_oracle(frames, alpha=0.5):
     """frames: list of (gt_boxes, gt_ids, pred_boxes, pred_ids)."""
     tp = fp = fn = 0
@@ -185,7 +221,7 @@ def _reference_hota_single(gt_frames, pred_frames, alpha):
     co, gt_tp, pred_tp, gt_fn, pred_fp = {}, {}, {}, {}, {}
     tp_instances = []
     for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-        pairing = match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
+        pairing = reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
         tp += pairing.tp
         fp += pairing.fp
         fn += pairing.fn
@@ -220,11 +256,11 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
     iou_total = 0.0
     gt_total = 0
     for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-        pairing = match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
+        pairing = reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
         pairings.append(pairing)
         for gi, pi, _ in pairing.tp_pairs:
             tp_boxes.append((gt_rec.boxes[gi], pred_rec.boxes[pi]))
-        loose = match_frame(gt_rec.boxes, pred_rec.boxes, 0.0, gt_rec.t)
+        loose = reference_match_frame(gt_rec.boxes, pred_rec.boxes, 0.0, gt_rec.t)
         iou_total += sum(v for _, _, v in loose.tp_pairs)
         gt_total += len(gt_rec.boxes)
     try:
@@ -248,7 +284,7 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
             hota_score = None
         last_pred, switches = {}, 0
         for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-            for gi, pi, _ in match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t).tp_pairs:
+            for gi, pi, _ in reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t).tp_pairs:
                 gid, pid = gt_rec.ids[gi], pred_rec.ids[pi]
                 if gid in last_pred and last_pred[gid] != pid:
                     switches += 1
@@ -269,8 +305,9 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
 
 def reference_evaluate_streams(gt_frames, pred_frames, mode="tracklet", alpha=0.5, alpha_sweep=False):
     """Reference report for valid inputs: every row, every threshold, every
-    HOTA pass and the id-switch count run `match_frame` on the row's own
-    boxes, so each computes its IoUs from scratch."""
+    HOTA pass and the id-switch count run `reference_match_frame` on the
+    row's own boxes, so each computes its dense IoU matrix from scratch and
+    solves the assignment."""
     classes = sorted(
         {b.class_id for f in gt_frames for b in f.boxes} | {b.class_id for f in pred_frames for b in f.boxes}
     )

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
+import hashlib
 import json
 import math
 import time
@@ -17,6 +18,11 @@ from obbtrack.metrics import FramePairing, det_a, hota, match_frame, pos_rmse, y
 from obbtrack.simulate import NoiseModel, apply_latency, rotating_robot_stream, simulate_trial
 from obbtrack.streams import FrameRecord, detections_to_map
 from obbtrack.tracker import DEG, Lifecycle, MotionState, Tracker, TrackerConfig, detect_motion
+
+
+# sha256 of the `campaign run --seed 7` report. A change that alters the report
+# bytes on purpose re-pins it and says why in CHANGES.md.
+SEED_7_REPORT_SHA256 = "99d45b9b69dcdecace69916074191775d185b12ccd9cdfff74fe80cf68ece376"
 
 
 def check(n: int, desc: str, ok: bool) -> None:
@@ -341,3 +347,8 @@ def test_criterion_8_performance(campaign_runs):
 def test_criterion_9_determinism(campaign_runs):
     a, b, _ = campaign_runs
     check(9, "two `campaign run --seed 7` reports are byte-identical", a == b)
+
+
+def test_criterion_9_report_bytes_pinned(campaign_runs):
+    digest = hashlib.sha256(campaign_runs[0]).hexdigest()
+    check(9, f"`campaign run --seed 7` report sha256 {digest} is the pinned one", digest == SEED_7_REPORT_SHA256)

@@ -99,6 +99,42 @@ class TestTransforms:
         with pytest.raises(InvalidInputError):
             box(cx=float("inf"))
 
+    @pytest.mark.parametrize(
+        "args",
+        [(10**400, 0, 0), (0, -(10**400), 0), (0, 0, 10**400), (0, 0, 0, 10**400)],
+        ids=["x", "y", "heading", "timestamp"],
+    )
+    def test_pose_beyond_float_range_rejected(self, args):
+        with pytest.raises(InvalidInputError, match="PlanarPose contains a number too large for a float"):
+            PlanarPose(*args)
+
+    @pytest.mark.parametrize(
+        "center, extent, yaw, confidence",
+        [
+            ((10**400, 0, 0), (1, 1, 1), 0, 1),
+            ((0, 0, -(10**400)), (1, 1, 1), 0, 1),
+            ((0, 0, 0), (1, 10**400, 1), 0, 1),
+            ((0, 0, 0), (1, 1, 1), 10**400, 1),
+            ((0, 0, 0), (1, 1, 1), 0, 10**400),
+        ],
+        ids=["center_x", "center_z", "extent", "yaw", "confidence"],
+    )
+    def test_box_beyond_float_range_rejected(self, center, extent, yaw, confidence):
+        with pytest.raises(InvalidInputError, match="OrientedBox contains a number too large for a float"):
+            OrientedBox(center, extent, yaw, "MSU", confidence)
+
+    def test_box_checks_keep_their_messages(self):
+        with pytest.raises(InvalidInputError, match="3-vectors"):
+            OrientedBox((0, 0), (1, 1, 1), 0, "MSU")
+        with pytest.raises(InvalidInputError, match="non-finite value: nan"):
+            OrientedBox((0, 0, 0), (1, 1, 1), math.nan, "MSU")
+        with pytest.raises(InvalidInputError, match=r"strictly positive, got \(1.0, -1.0, 1.0\)"):
+            OrientedBox((0, 0, 0), (1, -1, 1), 0, "MSU")
+        with pytest.raises(InvalidInputError, match=r"confidence must lie in \[0, 1\], got 2"):
+            OrientedBox((0, 0, 0), (1, 1, 1), 0, "MSU", 2)
+        b = OrientedBox((1, 2, 3), (1, 1, 1), 4, "MSU", 1)
+        assert all(type(v) is float for v in (*b.center, *b.extent, b.yaw, b.confidence))
+
     @given(
         st.tuples(huge, huge, huge),
         st.tuples(extents, extents, extents),

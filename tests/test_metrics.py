@@ -1,10 +1,15 @@
 import math
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -287,6 +292,26 @@ class TestEvaluateStreams:
                     assert set(calls) <= same_class
                     assert max(calls.values(), default=1) == 1
 
+    def test_far_pairs_never_reach_iou_3d(self, monkeypatch):
+        tested = []
+        iou_3d = metrics.iou_3d
+
+        def counting_iou(a, b):
+            tested.append((a, b))
+            return iou_3d(a, b)
+
+        monkeypatch.setattr(metrics, "iou_3d", counting_iou)
+        # unit footprints 2 m apart: circumscribed circles (radius 0.71 m) never meet
+        row = [box(cx=2.0 * k, cy=0.3 * (k % 3)) for k in range(30)]
+        near = box(cx=10.2, cy=0.6)
+        iou = metrics.iou_matrix(row, [near])
+        assert tested == [(row[5], near)]
+        assert np.count_nonzero(iou) == 1 and iou[5, 0] > 0.0
+        tested.clear()
+        iou = metrics.iou_matrix(row, row)
+        assert np.count_nonzero(iou) == np.count_nonzero(np.diag(iou)) == 30
+        assert tested == [(b, b) for b in row]
+
 
 CLASSES = ("MW", "MSU", "SW")
 _grid = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
@@ -336,3 +361,171 @@ class TestSharedIouMatrix:
                     hota(gt, pred, alpha, sweep)
             else:
                 assert hota(gt, pred, alpha, sweep) == report.overall.hota
+
+
+# Footprints with exact half diagonals (0.25, 0.5, 1.25 m) on a 0.25 m grid, so
+# many circumscribed circles are exactly tangent or share a center. The huge
+# offsets absorb the step in x (boxes there share a center x), and pairs across
+# opposite huge offsets have an x difference that overflows to inf.
+EXACT_EXTENTS = [(0.3, 0.4, 1.0), (0.6, 0.8, 1.0), (1.5, 2.0, 1.0)]
+OFFSETS = [0.0, 1e6, -3.7e5, 1.7e308, -1.7e308]
+_scene_boxes = st.builds(
+    lambda offset, xy, z, extent, yaw, cls: OrientedBox((offset + xy[0], xy[1], z), extent, yaw, cls),
+    st.sampled_from(OFFSETS),
+    st.one_of(
+        st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(lambda ij: (0.25 * ij[0], 0.25 * ij[1])),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    ),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from(EXACT_EXTENTS),
+    st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]), st.floats(-math.pi, math.pi)),
+    st.sampled_from(["MSU", "MW"]),
+)
+
+
+@st.composite
+def _rim_pair(draw):
+    """Two boxes with a corner of each pointing at the other, centers a share
+    `s` of the sum of their circumscribed radii apart: for s just under 1 the
+    footprints overlap only near the rim of the circles."""
+    ext_a, ext_b = draw(st.sampled_from(EXACT_EXTENTS)), draw(st.sampled_from(EXACT_EXTENTS))
+    x, y = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    yaw = draw(st.floats(-math.pi, math.pi))
+    s = draw(st.sampled_from([0.9, 0.97, 0.99, 0.999, 1.0, 1.001]))
+    direction = yaw + math.atan2(ext_a[1], ext_a[0])
+    reach = (math.hypot(ext_a[0], ext_a[1]) + math.hypot(ext_b[0], ext_b[1])) / 2.0
+    a = OrientedBox((x, y, 0.0), ext_a, yaw, "MSU")
+    b = OrientedBox(
+        (x + s * reach * math.cos(direction), y + s * reach * math.sin(direction), 0.0),
+        ext_b,
+        direction + math.pi - math.atan2(ext_b[1], ext_b[0]),
+        "MSU",
+    )
+    return a, b
+
+
+class TestPairFilteredIou:
+    @given(
+        st.lists(_scene_boxes, max_size=8),
+        st.lists(_scene_boxes, max_size=8),
+        st.lists(_rim_pair(), max_size=3),
+    )
+    @settings(max_examples=300)
+    def test_equals_dense_matrix_bit_for_bit(self, gt, pred, rims):
+        gt = gt + [a for a, _ in rims]
+        pred = pred + [b for _, b in rims]
+        got = metrics.iou_matrix(gt, pred)
+        expected = oracles.reference_dense_iou(gt, pred)
+        assert got.shape == expected.shape == (len(gt), len(pred))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_tangent_circles_reach_iou_3d(self, monkeypatch):
+        tested = []
+        iou_3d = metrics.iou_3d
+        monkeypatch.setattr(metrics, "iou_3d", lambda a, b: tested.append((a, b)) or iou_3d(a, b))
+        a = box(l=0.6, w=0.8)
+        b = box(cx=0.75, l=0.3, w=0.4)  # radii 0.5 and 0.25, centers 0.75 apart
+        assert metrics.iou_matrix([a], [b]).tolist() == [[0.0]]
+        assert tested == [(a, b)]
+        assert metrics.iou_matrix([a], [box(cx=0.7500000001, l=0.3, w=0.4)]).tolist() == [[0.0]]
+        assert len(tested) == 1
+
+
+# Unit boxes on a 0.25 m grid: a 0.25 m offset gives IoU 0.6, a 0.5 m offset
+# 1/3, so frames at alpha 0.5 and 0.0 often have several feasible pairs per box.
+_grid_boxes = st.builds(
+    lambda ij, yaw, cls: box(0.25 * ij[0], 0.25 * ij[1], yaw=yaw, cls=cls),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.sampled_from([0.0, math.pi / 4]),
+    st.sampled_from(["MSU", "MW"]),
+)
+
+
+@st.composite
+def _match_scene(draw):
+    """gt and pred boxes, either side possibly empty; exact copies across the
+    sides give tied feasible sets."""
+    gt = draw(st.lists(_grid_boxes, max_size=6))
+    pred = draw(st.lists(_grid_boxes, max_size=6))
+    pred += [g for g in gt if draw(st.booleans())]
+    gt += [p for p in pred if draw(st.booleans())]
+    return draw(st.permutations(gt)), draw(st.permutations(pred))
+
+
+ONE_TO_ONE = ([box(), box(cx=3.0)], [box(cx=3.25), box(cx=0.25)])
+CONFLICT = ([box(), box(cx=0.3)], [box(cx=0.1)])
+TIED = ([box(), box()], [box(), box()])
+
+
+class TestConflictOnlySolver:
+    @given(_match_scene(), st.sampled_from([0.0, 0.5]))
+    @example(ONE_TO_ONE, 0.5)
+    @example(CONFLICT, 0.5)
+    @example(TIED, 0.0)
+    @example(([], [box()]), 0.0)
+    @example(([box()], []), 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_solver_on_every_frame(self, scene, alpha):
+        gt, pred = scene
+        expected = oracles.reference_match_frame(gt, pred, alpha, 2.5)
+        got = match_frame(gt, pred, alpha, 2.5)
+        assert got == expected
+        assert all(type(i) is int and type(j) is int and type(v) is float for i, j, v in got.tp_pairs)
+        assert match_frame(gt, pred, alpha, 2.5, metrics.iou_matrix(gt, pred)) == expected
+
+    def test_only_conflicting_frames_reach_the_solver(self, monkeypatch):
+        solved = []
+        solver = scipy.optimize.linear_sum_assignment
+
+        def counting_solver(score, maximize=False):
+            solved.append(score.shape)
+            return solver(score, maximize=maximize)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting_solver)
+        assert match_frame(*ONE_TO_ONE).tp_pairs == ((0, 1, 0.6), (1, 0, 0.6))
+        assert match_frame([], [box()]).fp_indices == (0,)
+        assert solved == []
+        pairing = match_frame(*CONFLICT)
+        assert pairing.tp_pairs == ((0, 0, metrics.iou_3d(box(), box(cx=0.1))),)
+        assert pairing.fn_indices == (1,)
+        assert match_frame(*TIED).tp == 2
+        assert solved == [(2, 1), (2, 2)]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_track_and_simulate_never_load_the_solver(tmp_path):
+    """`doe gen`, `simulate` and `track` run without importing scipy; a
+    conflicting frame scored afterwards imports it and is matched optimally."""
+    code = textwrap.dedent(
+        """
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from obbtrack.cli import main
+        from obbtrack.geometry import OrientedBox, iou_3d
+        from obbtrack.metrics import match_frame
+
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        d = sys.argv[2]
+        assert main(["doe", "gen", "--out", d + "/trials.json"]) == 0
+        assert main(["simulate", "--trials", d + "/trials.json", "--trial", "19", "--seed", "5",
+                     "--out-gt", d + "/gt.jsonl", "--out-det", d + "/det.jsonl"]) == 0
+        assert main(["track", "--input", d + "/det.jsonl", "--output", d + "/trk.jsonl"]) == 0
+        assert loaded() == [], loaded()
+        gt = [OrientedBox((0, 0, 0), (1, 1, 1), 0, "MSU"), OrientedBox((0.3, 0, 0), (1, 1, 1), 0, "MSU")]
+        pred = [OrientedBox((0.1, 0, 0), (1, 1, 1), 0, "MSU")]
+        pairing = match_frame(gt, pred)
+        assert pairing.tp_pairs == ((0, 0, iou_3d(gt[0], pred[0])),), pairing
+        assert pairing.fn_indices == (1,) and pairing.fp_indices == ()
+        assert "scipy.optimize" in sys.modules
+        print("ok")
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(SRC), str(tmp_path)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"

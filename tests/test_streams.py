@@ -156,6 +156,11 @@ class TestIntTime:
         with pytest.raises(InvalidInputError):
             FrameRecord(t, PlanarPose(0, 0, 0))
 
+    @pytest.mark.parametrize("t", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_time_beyond_float_range_rejected(self, t):
+        with pytest.raises(InvalidInputError, match="FrameRecord contains a number too large for a float"):
+            FrameRecord(t, PlanarPose(0, 0, 0))
+
 
 class TestWriterMatchesReference:
     @given(st.sampled_from(KINDS), writer_records())
