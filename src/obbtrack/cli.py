@@ -92,9 +92,20 @@ def _load_trials(path: str) -> list[TrialSpec]:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"trial sheet {path}: {exc.msg}", exc.lineno) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"trial sheet {path}: invalid UTF-8: {exc.reason}") from exc
     if not isinstance(obj, dict) or obj.get("schema") != TRIALS_SCHEMA:
         raise ParseError(f"{path} is not a trial sheet (schema {TRIALS_SCHEMA})")
-    return [TrialSpec.from_dict(entry) for entry in obj.get("trials", [])]
+    entries = obj.get("trials", [])
+    if not isinstance(entries, list):
+        raise ParseError(f"trial sheet {path}: field 'trials' has wrong type {type(entries).__name__}")
+    trials = []
+    for i, entry in enumerate(entries, start=1):
+        try:
+            trials.append(TrialSpec.from_dict(entry))
+        except ParseError as exc:
+            raise ParseError(f"trial sheet {path}: entry {i}: {exc}") from None
+    return trials
 
 
 def _blocks_by_name(name: str | None):

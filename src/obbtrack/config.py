@@ -41,17 +41,6 @@ class RunConfig:
             raise ConfigurationError(f"metrics.alpha must lie in [0, 1), got {self.alpha!r}")
 
 
-_SIM_FLOATS = {
-    "duration",
-    "rate",
-    "object_speed",
-    "object_spin",
-    "sensor_offset_x",
-    "sensor_offset_y",
-    "sensor_offset_heading",
-}
-
-
 def _coerce(raw: str, typ, key: str):
     raw = raw.strip()
     if typ is bool:
@@ -60,8 +49,6 @@ def _coerce(raw: str, typ, key: str):
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigurationError(f"{key}: expected a boolean, got {raw!r}")
-    if typ not in (int, float):
-        return raw
     try:
         value = typ(raw)
     except ValueError:
@@ -71,29 +58,36 @@ def _coerce(raw: str, typ, key: str):
     return value
 
 
-_TRACKER_TYPES = {f.name: type(getattr(TrackerConfig(), f.name)) for f in dataclasses.fields(TrackerConfig)}
-_NOISE_TYPES = {f.name: type(getattr(NoiseModel(), f.name)) for f in dataclasses.fields(NoiseModel)}
+def _settings(cfg: RunConfig) -> dict[str, dict]:
+    """Every scalar setting of `cfg` but the classes, as {section: {key: value}}."""
+    return {
+        "tracker": dataclasses.asdict(cfg.tracker),
+        "noise": dataclasses.asdict(cfg.noise),
+        "sim": {
+            "duration": cfg.duration,
+            "rate": cfg.rate,
+            "object_speed": cfg.object_speed,
+            "object_spin": cfg.object_spin,
+            "sensor_offset_x": cfg.sensor_offset.x,
+            "sensor_offset_y": cfg.sensor_offset.y,
+            "sensor_offset_heading": cfg.sensor_offset.heading,
+        },
+        "metrics": {"alpha": cfg.alpha, "alpha_sweep": cfg.alpha_sweep},
+    }
+
+
+# each key's type is the type of its default
+_TYPES = {section: {k: type(v) for k, v in kv.items()} for section, kv in _settings(RunConfig()).items()}
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse a flat key-value config document on top of `base` (defaults)."""
     cfg = base or RunConfig()
-    tracker_kv = dataclasses.asdict(cfg.tracker)
-    noise_kv = dataclasses.asdict(cfg.noise)
+    settings = _settings(cfg)
     classes: dict[str, dict] = {
         cid: {"extent": spec.nominal_extent, "symmetry_planes": spec.symmetry_planes}
         for cid, spec in cfg.classes.items()
     }
-    sim_kv = {
-        "duration": cfg.duration,
-        "rate": cfg.rate,
-        "object_speed": cfg.object_speed,
-        "object_spin": cfg.object_spin,
-        "sensor_offset_x": cfg.sensor_offset.x,
-        "sensor_offset_y": cfg.sensor_offset.y,
-        "sensor_offset_heading": cfg.sensor_offset.heading,
-    }
-    metrics_kv = {"alpha": cfg.alpha, "alpha_sweep": cfg.alpha_sweep}
 
     for n, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -104,15 +98,8 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key, raw_val = (part.strip() for part in line.split("=", 1))
         parts = key.split(".")
         section = parts[0]
-        if section == "tracker" and len(parts) == 2 and parts[1] in tracker_kv:
-            tracker_kv[parts[1]] = _coerce(raw_val, _TRACKER_TYPES[parts[1]], key)
-        elif section == "noise" and len(parts) == 2 and parts[1] in noise_kv:
-            noise_kv[parts[1]] = _coerce(raw_val, _NOISE_TYPES[parts[1]], key)
-        elif section == "sim" and len(parts) == 2 and parts[1] in _SIM_FLOATS:
-            sim_kv[parts[1]] = _coerce(raw_val, float, key)
-        elif section == "metrics" and len(parts) == 2 and parts[1] in metrics_kv:
-            typ = bool if parts[1] == "alpha_sweep" else float
-            metrics_kv[parts[1]] = _coerce(raw_val, typ, key)
+        if len(parts) == 2 and parts[1] in _TYPES.get(section, ()):
+            settings[section][parts[1]] = _coerce(raw_val, _TYPES[section][parts[1]], key)
         elif section == "classes" and len(parts) == 3:
             entry = classes.setdefault(parts[1], {"extent": None, "symmetry_planes": 0})
             if parts[2] == "extent":
@@ -136,19 +123,19 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigurationError(f"classes.{cid}.extent is required")
         class_specs[cid] = ClassSpec(cid, entry["extent"], entry["symmetry_planes"])
 
+    sim = settings["sim"]
     return RunConfig(
-        tracker=TrackerConfig(**tracker_kv),
-        noise=NoiseModel(**noise_kv),
+        tracker=TrackerConfig(**settings["tracker"]),
+        noise=NoiseModel(**settings["noise"]),
         classes=class_specs,
-        duration=sim_kv["duration"],
-        rate=sim_kv["rate"],
+        duration=sim["duration"],
+        rate=sim["rate"],
         sensor_offset=PlanarPose(
-            sim_kv["sensor_offset_x"], sim_kv["sensor_offset_y"], sim_kv["sensor_offset_heading"]
+            sim["sensor_offset_x"], sim["sensor_offset_y"], sim["sensor_offset_heading"]
         ),
-        object_speed=sim_kv["object_speed"],
-        object_spin=sim_kv["object_spin"],
-        alpha=metrics_kv["alpha"],
-        alpha_sweep=bool(metrics_kv["alpha_sweep"]),
+        object_speed=sim["object_speed"],
+        object_spin=sim["object_spin"],
+        **settings["metrics"],
     )
 
 

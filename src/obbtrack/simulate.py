@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classes import DEFAULT_CLASS_SPECS
-from .doe import TrialSpec
+from .doe import OCCLUSION_TOKENS, TrialSpec
 from .errors import ConfigurationError
 from .geometry import (
     ClassSpec,
@@ -36,8 +36,6 @@ from .streams import FrameRecord
 OBJECT_SPEED = 0.2  # m/s
 OBJECT_SPIN = 0.2  # rad/s
 
-OCCLUSION_TOKENS = ("none", "low", "high")
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -55,7 +53,6 @@ class NoiseModel:
     fp_rate: float = 0.1
     fp_extent_jitter: float = 0.15
     latency: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         for name in (
@@ -78,17 +75,12 @@ class NoiseModel:
             if not 0.0 <= v <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
 
-    def dropout_for(self, occlusion: str) -> float:
-        return {"none": self.dropout_none, "low": self.dropout_low, "high": self.dropout_high}[
-            occlusion
-        ]
-
-    def sigma_mult_for(self, occlusion: str) -> float:
-        return {
-            "none": self.sigma_mult_none,
-            "low": self.sigma_mult_low,
-            "high": self.sigma_mult_high,
-        }[occlusion]
+    def at_occlusion(self, occlusion: str) -> tuple[float, float]:
+        """(dropout probability, noise multiplier) at an occlusion token, the
+        fields named after it."""
+        if occlusion not in OCCLUSION_TOKENS.values():
+            raise ConfigurationError(f"unknown occlusion level {occlusion!r}")
+        return getattr(self, f"dropout_{occlusion}"), getattr(self, f"sigma_mult_{occlusion}")
 
     @classmethod
     def silent(cls) -> "NoiseModel":
@@ -187,15 +179,13 @@ def emulate_detector(
     sensor_offset: PlanarPose = IDENTITY_POSE,
     rng: np.random.Generator | None = None,
 ) -> list[FrameRecord]:
-    """Corrupt a ground-truth stream into sensor-frame detections."""
+    """Corrupt a ground-truth stream into sensor-frame detections, drawing from
+    `rng` (default: a generator seeded with 0)."""
     specs = dict(class_specs) if class_specs is not None else dict(DEFAULT_CLASS_SPECS)
     noise = noise if noise is not None else NoiseModel()
-    if occlusion not in OCCLUSION_TOKENS:
-        raise ConfigurationError(f"unknown occlusion level {occlusion!r}")
+    dropout, mult = noise.at_occlusion(occlusion)
     if rng is None:
-        rng = np.random.default_rng(noise.rng_seed)
-    dropout = noise.dropout_for(occlusion)
-    mult = noise.sigma_mult_for(occlusion)
+        rng = np.random.default_rng(0)
     fp_classes = sorted(specs)
     (x_lo, x_hi), (y_lo, y_hi) = _scene_bounds(gt)
 

@@ -11,14 +11,13 @@ each line as its iterator is consumed, so a stream never has to fit in memory.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import BinaryIO, Generator, Iterable, Iterator, Sequence
 
-from .errors import ParseError, StreamOrderError
+from .errors import InvalidInputError, ParseError, StreamOrderError
 from .geometry import IDENTITY_POSE, OrientedBox, PlanarPose, _require_finite, compose, transform_box
 
 SCHEMA = "obbtrack/v1"
@@ -112,26 +111,23 @@ def write_stream(path: str | Path, records: Iterable[FrameRecord], kind: str) ->
 
 
 def _pick(obj: dict, key: str, line: int, kinds=(int, float)):
+    """`obj[key]`, checked only for what JSON can get wrong: presence and type.
+    The value types the record is built from convert it and check its range."""
     if key not in obj:
         raise ParseError(f"missing field {key!r}", line)
     val = obj[key]
     if not isinstance(val, kinds) or isinstance(val, bool):
         raise ParseError(f"field {key!r} has wrong type {type(val).__name__}", line)
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ParseError(f"field {key!r} is not finite", line)
     return val
 
 
 def _parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
-    t = float(_pick(obj, "t", line))
+    t = _pick(obj, "t", line)
     robot_obj = obj.get("robot")
     if not isinstance(robot_obj, dict):
         raise ParseError("missing or malformed field 'robot'", line)
     robot = PlanarPose(
-        float(_pick(robot_obj, "x", line)),
-        float(_pick(robot_obj, "y", line)),
-        float(_pick(robot_obj, "heading", line)),
-        timestamp=t,
+        _pick(robot_obj, "x", line), _pick(robot_obj, "y", line), _pick(robot_obj, "heading", line), t
     )
     boxes_obj = obj.get("boxes")
     if not isinstance(boxes_obj, list):
@@ -145,18 +141,18 @@ def _parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
         cls = b.get("class")
         if not isinstance(cls, str):
             raise ParseError("missing or malformed field 'class'", line)
-        score = float(_pick(b, "score", line)) if "score" in b else 1.0
+        score = _pick(b, "score", line) if "score" in b else 1.0
         boxes.append(
             OrientedBox(
-                (float(_pick(b, "cx", line)), float(_pick(b, "cy", line)), float(_pick(b, "cz", line))),
-                (float(_pick(b, "l", line)), float(_pick(b, "w", line)), float(_pick(b, "h", line))),
-                float(_pick(b, "yaw", line)),
+                (_pick(b, "cx", line), _pick(b, "cy", line), _pick(b, "cz", line)),
+                (_pick(b, "l", line), _pick(b, "w", line), _pick(b, "h", line)),
+                _pick(b, "yaw", line),
                 cls,
                 confidence=score,
             )
         )
         if labeled:
-            ids.append(int(_pick(b, "id", line, kinds=(int,))))
+            ids.append(_pick(b, "id", line, kinds=(int,)))
     return FrameRecord(t, robot, tuple(boxes), tuple(ids) if labeled else None)
 
 
@@ -191,9 +187,7 @@ def _parse(lines: Iterable[str]) -> Iterator:
             raise ParseError("record lines must be JSON objects", n)
         try:
             record = _parse_record(obj, kind, n)
-        except ParseError:
-            raise
-        except Exception as exc:  # surfacing invalid box values with a line number
+        except InvalidInputError as exc:  # a value its type rejects, reported with the line
             raise ParseError(str(exc), n) from exc
         if last_t is not None and record.t <= last_t:
             raise StreamOrderError(f"line {n}: timestamp {record.t} not after {last_t}")

@@ -12,7 +12,8 @@ is the window yaw recomputed from the angles themselves,
 `reference_window_center` is the predicted center recomputed from every
 matched center, `reference_dumps_stream` / `reference_loads_stream` are
 the whole-text stream writer (a dict per box, `json.dumps` per record) and
-reader (`splitlines` over the whole text) that the line-at-a-time ones must
+reader (`splitlines` over the whole text, and its own record parser that
+checks each number where it is picked) that the line-at-a-time ones must
 reproduce, and `assert_public_box` / `reference_transform_box` rebuild a box
 through the public, checking `OrientedBox` constructor that boxes derived
 without those checks must equal."""
@@ -34,7 +35,7 @@ from obbtrack.metrics import (
     pos_rmse,
     yaw_rmse,
 )
-from obbtrack.streams import KINDS, KIND_DETECTIONS, LABELED_KINDS, SCHEMA, FrameRecord, _parse_record
+from obbtrack.streams import KINDS, KIND_DETECTIONS, LABELED_KINDS, SCHEMA, FrameRecord
 
 
 def mc_iou(a: OrientedBox, b: OrientedBox, n=200_000, seed=0) -> float:
@@ -429,9 +430,55 @@ def reference_dumps_stream(records, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reference_pick(obj: dict, key: str, line: int, kinds=(int, float)):
+    if key not in obj:
+        raise ParseError(f"missing field {key!r}", line)
+    val = obj[key]
+    if not isinstance(val, kinds) or isinstance(val, bool):
+        raise ParseError(f"field {key!r} has wrong type {type(val).__name__}", line)
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ParseError(f"field {key!r} is not finite", line)
+    return val
+
+
+def reference_parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
+    """One record line checked field by field as it is picked, finiteness
+    included, every number converted before its type is built."""
+    t = float(_reference_pick(obj, "t", line))
+    robot_obj = obj.get("robot")
+    if not isinstance(robot_obj, dict):
+        raise ParseError("missing or malformed field 'robot'", line)
+    robot = PlanarPose(
+        float(_reference_pick(robot_obj, "x", line)),
+        float(_reference_pick(robot_obj, "y", line)),
+        float(_reference_pick(robot_obj, "heading", line)),
+        timestamp=t,
+    )
+    boxes_obj = obj.get("boxes")
+    if not isinstance(boxes_obj, list):
+        raise ParseError("missing or malformed field 'boxes'", line)
+    boxes = []
+    ids = []
+    labeled = kind in LABELED_KINDS
+    for b in boxes_obj:
+        if not isinstance(b, dict):
+            raise ParseError("box entries must be objects", line)
+        cls = b.get("class")
+        if not isinstance(cls, str):
+            raise ParseError("missing or malformed field 'class'", line)
+        score = float(_reference_pick(b, "score", line)) if "score" in b else 1.0
+        center = tuple(float(_reference_pick(b, k, line)) for k in ("cx", "cy", "cz"))
+        extent = tuple(float(_reference_pick(b, k, line)) for k in ("l", "w", "h"))
+        yaw = float(_reference_pick(b, "yaw", line))
+        boxes.append(OrientedBox(center, extent, yaw, cls, confidence=score))
+        if labeled:
+            ids.append(int(_reference_pick(b, "id", line, kinds=(int,))))
+    return FrameRecord(t, robot, tuple(boxes), tuple(ids) if labeled else None)
+
+
 def reference_loads_stream(text: str):
-    """Whole-text reader; the per-record parse is the package's `_parse_record`,
-    which the line-at-a-time reader shares."""
+    """Whole-text reader over `reference_parse_record`, any error the types
+    raise on a record reported as a `ParseError` with its line."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty stream: missing header", 1)
@@ -457,7 +504,7 @@ def reference_loads_stream(text: str):
         if not isinstance(obj, dict):
             raise ParseError("record lines must be JSON objects", n)
         try:
-            record = _parse_record(obj, kind, n)
+            record = reference_parse_record(obj, kind, n)
         except ParseError:
             raise
         except Exception as exc:

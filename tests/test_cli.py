@@ -81,6 +81,52 @@ class TestSimulate:
                 assert yaw_difference(mapped.yaw, gb.yaw) < 1e-9
 
 
+class TestTrialSheetChecks:
+    """A bad trial-sheet entry is a data error (exit 2) naming the sheet and
+    the entry, counted from 1, not a traceback or a silently changed trial."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda e: {k: v for k, v in e.items() if k != "row"}, "missing field 'row'"),
+            (lambda e: list(e), "expected an object, got list"),
+            (lambda e: {**e, "trial_id": "abc"}, "field 'trial_id' has wrong type str"),
+            (lambda e: {**e, "trial_id": 1.7}, "field 'trial_id' has wrong type float"),  # was read as trial 1
+            (lambda e: {**e, "row": True}, "field 'row' has wrong type bool"),
+            (lambda e: {**e, "classes": "MSU"}, "field 'classes' has wrong type str"),
+            (lambda e: {**e, "classes": ["MSU", 7]}, "field 'classes' must be a list of strings"),
+            (lambda e: {**e, "occlusion": "> 60%"}, "unknown occlusion level '> 60%'"),
+            (lambda e: {**e, "initial_distance": "far"}, "unknown initial_distance level 'far'"),
+            (lambda e: {**e, "motion_collapsed": "false"}, "field 'motion_collapsed' has wrong type str"),
+        ],
+        ids=["missing-key", "not-an-object", "string-id", "fractional-id", "bool-row", "string-classes",
+             "non-string-class", "unknown-occlusion", "unknown-distance", "string-flag"],
+    )
+    def test_bad_entry_is_data_error(self, tmp_path, trial_sheet, capsys, edit, message):
+        payload = json.loads(trial_sheet.read_text())
+        payload["trials"][1] = edit(payload["trials"][1])
+        sheet = tmp_path / "edited.json"
+        sheet.write_text(json.dumps(payload))
+        assert main(["simulate", "--trials", str(sheet), "--trial", "1",
+                     "--out-gt", str(tmp_path / "gt.jsonl"), "--out-det", str(tmp_path / "det.jsonl")]) == 2
+        assert capsys.readouterr().err == f"data error: trial sheet {sheet}: entry 2: {message}\n"
+        assert not (tmp_path / "gt.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"schema":"obbtrack/trials/v1","trials":5}', "field 'trials' has wrong type int"),
+            (b'\xff{"schema":"obbtrack/trials/v1","trials":[]}', "invalid UTF-8: invalid start byte"),
+        ],
+        ids=["trials-not-a-list", "not-utf8"],
+    )
+    def test_bad_sheet_is_data_error(self, tmp_path, capsys, data, message):
+        sheet = tmp_path / "trials.json"
+        sheet.write_bytes(data)
+        assert main(["simulate", "--trials", str(sheet), "--trial", "1"]) == 2
+        assert capsys.readouterr().err == f"data error: trial sheet {sheet}: {message}\n"
+
+
 class TestSimulationSettings:
     """Settings that describe no simulation are configuration errors (exit 1)
     with a message, not tracebacks or data errors."""

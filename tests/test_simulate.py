@@ -136,6 +136,14 @@ class TestDetectorEmulator:
         assert gt1 == gt2 and det1 == det2
         assert det1 != det3
 
+    def test_occlusion_lookup(self):
+        noise = NoiseModel(dropout_low=0.25, sigma_mult_low=1.75)
+        assert noise.at_occlusion("low") == (0.25, 1.75)
+        assert [noise.at_occlusion(token) for token in ("none", "high")] == [(0.02, 1.0), (0.3, 2.5)]
+        gt = generate_ground_truth(trial_by("single-msu", 1), duration=1.0)
+        with pytest.raises(ConfigurationError, match="unknown occlusion level 'medium'"):
+            emulate_detector(gt, noise=noise, occlusion="medium")
+
     def test_probability_validation(self):
         with pytest.raises(ConfigurationError):
             NoiseModel(flip_prob=1.5)
