@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidInputError
@@ -41,9 +42,7 @@ def gate_threshold(det: OrientedBox, track_box: OrientedBox, scale: float = 1.0)
     A same-object center cannot plausibly move further than this between
     frames, so anything beyond it is treated as a different object.
     """
-    da = math.hypot(det.extent[0], det.extent[1])
-    db = math.hypot(track_box.extent[0], track_box.extent[1])
-    return 0.5 * max(da, db) * scale
+    return max(_half_diagonal(det), _half_diagonal(track_box)) * scale
 
 
 def _half_diagonal(box: OrientedBox) -> float:
@@ -60,10 +59,13 @@ def gated_pairs(
     `i` indexes `left` and `j` indexes `right`; with `right` omitted the
     pairs are drawn from `left` itself, with i < j. A pair is kept iff
     ``center_distance(left[i], right[j]) <= gate_threshold(left[i], right[j], scale)``.
+    Each box's half diagonal is computed once per call.
     """
     upper = right is None
     if upper:
         right = left
+    radii_left = [_half_diagonal(b) for b in left]
+    radii_right = radii_left if upper else [_half_diagonal(b) for b in right]
     lanes: dict[str, list[tuple[float, int]]] = {}
     for j, b in enumerate(right):
         lanes.setdefault(b.class_id, []).append((b.center[0], j))
@@ -71,25 +73,29 @@ def gated_pairs(
     for cls, lane in lanes.items():
         lane.sort()
         js = [j for _, j in lane]
-        sweeps[cls] = ([x for x, _ in lane], js, max(_half_diagonal(right[j]) for j in js))
+        sweeps[cls] = ([x for x, _ in lane], js, max(radii_right[j] for j in js))
 
     pairs = []
     for i, a in enumerate(left):
-        if a.class_id not in sweeps:
+        sweep = sweeps.get(a.class_id)
+        if sweep is None:
             continue
-        xs, js, widest = sweeps[a.class_id]
+        xs, js, widest = sweep
         x = a.center[0]
+        ra = radii_left[i]
         # |dx| <= distance <= gate <= reach for any pair that can pass
-        reach = max(_half_diagonal(a), widest) * scale
+        reach = max(ra, widest) * scale
         reach += SWEEP_SLACK * (reach + abs(x))
         lo = bisect_left(xs, x - reach)
-        for j in sorted(js[lo : bisect_right(xs, x + reach, lo)]):
+        for j in js[lo : bisect_right(xs, x + reach, lo)]:
             if upper and j <= i:
                 continue
-            b = right[j]
-            dist = center_distance(a, b)
-            if dist <= gate_threshold(a, b, scale):
+            dist = center_distance(a, right[j])
+            # gate_threshold(a, right[j], scale), from the radii at hand
+            if dist <= max(ra, radii_right[j]) * scale:
                 pairs.append((dist, i, j))
+    # a window lists its boxes by x; i already ascends, so this orders j
+    pairs.sort(key=itemgetter(1, 2))
     return pairs
 
 

@@ -145,4 +145,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         path = os.environ.get(ENV_CONFIG) or None
     if path is None:
         return RunConfig()
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path}: invalid UTF-8: {exc.reason}") from None
+    return parse_config(text)

@@ -7,7 +7,8 @@ A box is checked once, where it enters: the public `OrientedBox(...)` (stream
 parsing, the simulator, direct callers) converts every field to `float` and
 checks it. A box computed from checked boxes (`transform_box`, the tracker's
 prediction and output) comes from `_derived_box`, which checks only that
-its center did not overflow.
+its center did not overflow; a box that only turns a derived one to a new
+yaw keeps its checked center and comes from `_unchecked_box`.
 """
 from __future__ import annotations
 
@@ -127,6 +128,12 @@ def _derived_box(center: tuple, extent: tuple, yaw: float, class_id: str, confid
     plain floats, a wrapped yaw, and the extent, class and confidence of a
     checked box. Only the center is checked, as arithmetic can overflow it."""
     _require_finite("OrientedBox", *center)
+    return _unchecked_box(center, extent, yaw, class_id, confidence)
+
+
+def _unchecked_box(center: tuple, extent: tuple, yaw: float, class_id: str, confidence: float) -> OrientedBox:
+    """`_derived_box` without even the center check: for a box whose center
+    is that of a box already checked."""
     box = object.__new__(OrientedBox)
     # field by field, as the generated __init__ does: filling vars(box) would give each box
     # its own dict, twice the memory

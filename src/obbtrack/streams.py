@@ -47,7 +47,7 @@ class FrameRecord:
         if self.ids is not None:
             ids = tuple(int(i) for i in self.ids)
             if len(ids) != len(self.boxes):
-                raise ParseError("ids and boxes length mismatch")
+                raise InvalidInputError("ids and boxes length mismatch")
             object.__setattr__(self, "ids", ids)
 
 

@@ -19,14 +19,23 @@ confirmation rule can still use, and the class spec and tracker config the
 tracklet was created under. A dropped tracklet is only counted
 (`Tracker.dropped`), so memory is bounded by the live tracklets.
 
-Per-frame cost follows the number of nearby pairs, not the square of the
-scene: association and duplicate suppression share the sort-and-sweep gate
-of `association.gated_pairs`, and the sensor pose is composed once per
-frame. Each yaw window caches the sine and cosine of every yaw it holds,
-computed when the yaw arrives (and again only when a hypothesis re-commit
-rotates the window), so its circular mean is two sums over cached values.
+Per-frame cost follows what changed and the number of nearby pairs, not
+the number of live tracklets or the square of the scene:
+- association and duplicate suppression share the sort-and-sweep gate of
+  `association.gated_pairs`, which computes each box's gate radius once;
+- the sensor pose is composed once per frame;
+- each tracklet keeps its frozen `SnapshotEntry` and rebuilds it only when
+  one of its fields changes (an update or a confirmation), so a snapshot
+  is a tuple of the live tracklets' entries, in the registry's id order;
+- an update resolves the symmetric yaw once, and again only when its
+  orientation vote re-committed the hypothesis and rotated the tracklet;
+- each yaw window caches the sine and cosine of every yaw it holds,
+  computed when the yaw arrives (and again only when a re-commit rotates
+  the window), so its circular mean is two sums over cached values.
 Boxes the tracker computes from checked detections (the prediction and the
-output) go through `geometry._derived_box`, which checks only their center.
+output) go through `geometry._derived_box`, which checks only their center;
+a box that only turns one of these to a new yaw skips even that check
+(`geometry._unchecked_box`).
 """
 from __future__ import annotations
 
@@ -47,6 +56,7 @@ from .geometry import (
     OrientedBox,
     PlanarPose,
     _derived_box,
+    _unchecked_box,
     center_distance,
     compose,
     resolve_symmetric_yaw,
@@ -107,7 +117,7 @@ def detect_motion(prev: OrientedBox, curr: OrientedBox, config: TrackerConfig) -
 
 def _with_yaw(box: OrientedBox, yaw: float) -> OrientedBox:
     """`box` turned to `yaw`, a wrapped float, without checking it again."""
-    return _derived_box(box.center, box.extent, yaw, box.class_id, box.confidence)
+    return _unchecked_box(box.center, box.extent, yaw, box.class_id, box.confidence)
 
 
 class YawWindow:
@@ -147,6 +157,16 @@ class YawWindow:
             self.append(y, math.sin(y), math.cos(y))
 
 
+@dataclass(frozen=True)
+class SnapshotEntry:
+    id: int
+    class_id: str
+    lifecycle: Lifecycle
+    motion_state: MotionState
+    output_pose: OrientedBox
+    oriented: bool
+
+
 class Tracklet:
     """One tracked object: identity, bounded windows of centers and yaws,
     lifecycle, and the class spec and tracker config it was created under."""
@@ -177,6 +197,15 @@ class Tracklet:
         self.quiet_streak = 0
         self.outlier_streak = 0
         self._predicted = obs
+        self.refresh_entry()
+
+    def refresh_entry(self) -> None:
+        """Rebuild `entry`, the tracklet's snapshot entry; called whenever
+        one of its fields changes. Entries are frozen, so every snapshot
+        taken between two changes shares the same one."""
+        self.entry = SnapshotEntry(
+            self.id, self.class_id, self.lifecycle, self.motion_state, self.output_pose, self.oriented
+        )
 
     @property
     def last_match_time(self) -> float:
@@ -195,19 +224,22 @@ class Tracklet:
         self.output_pose = _with_yaw(self.output_pose, wrap_angle(self.output_pose.yaw + delta))
         self._predicted = _with_yaw(self._predicted, wrap_angle(self._predicted.yaw + delta))
 
-    def _vote_orientation(self, obs: OrientedBox) -> None:
+    def _vote_orientation(self, j: int) -> bool:
+        """Count a vote for hypothesis `j`; True iff the vote committed a
+        hypothesis other than the first and so rotated the tracklet."""
         spec = self.spec
-        _, j = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, spec)
         self.hyp_counts[j] += 1
         ranked = sorted(self.hyp_counts, reverse=True)
         runner_up = ranked[1] if len(ranked) > 1 else 0
         if ranked[0] - runner_up >= self.config.orientation_commit_margin:
             winner = self.hyp_counts.index(ranked[0])
+            self.oriented = True
             if winner != 0:
                 # stored yaws live on the first observation's hypothesis;
                 # the majority says the true one is `winner` steps away
                 self._rotate_orientation(-winner * TWO_PI / spec.hypothesis_count)
-            self.oriented = True
+                return True
+        return False
 
     def update(self, obs: OrientedBox, t: float) -> None:
         """Fold a matched observation into the tracklet and refresh its output."""
@@ -215,9 +247,10 @@ class Tracklet:
         self.match_times.append(t)
         self.match_count += 1
 
-        if not self.oriented:
-            self._vote_orientation(obs)
-        resolved_yaw, _ = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, self.spec)
+        resolved_yaw, j = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, self.spec)
+        if not self.oriented and self._vote_orientation(j):
+            # the re-commit turned the reference yaw
+            resolved_yaw, _ = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, self.spec)
 
         if yaw_difference(resolved_yaw, self.resolved_yaws.mean()) > config.orientation_outlier_threshold:
             self.outlier_streak += 1
@@ -265,6 +298,11 @@ class Tracklet:
         else:
             # published stationary pose: averaged center, short-window yaw
             self.output_pose = _with_yaw(self._predicted, self.resolved_yaws.mean())
+        self.refresh_entry()
+
+    def confirm(self) -> None:
+        self.lifecycle = Lifecycle.CONFIRMED
+        self.refresh_entry()
 
     def confirmation_due(self) -> bool:
         """The newest `confirm_count` matches span at most `confirm_window`.
@@ -275,16 +313,6 @@ class Tracklet:
         ts = self.match_times
         c = self.config.confirm_count
         return len(ts) >= c and ts[-1] - ts[-c] <= self.config.confirm_window
-
-
-@dataclass(frozen=True)
-class SnapshotEntry:
-    id: int
-    class_id: str
-    lifecycle: Lifecycle
-    motion_state: MotionState
-    output_pose: OrientedBox
-    oriented: bool
 
 
 @dataclass(frozen=True)
@@ -300,7 +328,13 @@ class TrackerSnapshot:
 
 
 class Tracker:
-    """Single-owner stateful tracker; ingest frames strictly in time order."""
+    """Single-owner stateful tracker; ingest frames strictly in time order.
+
+    `registry` maps tracklet ids to live tracklets. Ids are drawn from a
+    counter and inserted as drawn, and a dict iterates in insertion order,
+    so the registry always iterates in ascending id order: snapshots and
+    duplicate suppression read it as it is, without sorting.
+    """
 
     def __init__(
         self,
@@ -353,7 +387,7 @@ class Tracker:
         existing one. Two same-class tracklets closer than the association
         gate cannot be distinct physical objects, so keep the better-supported
         one."""
-        alive = sorted(self.registry.values(), key=lambda trk: trk.id)
+        alive = list(self.registry.values())
         doomed: set[int] = set()
         # pairs come in (id_a, id_b) order; pairs outside the gate never doom
         for _, i, j in gated_pairs(
@@ -375,7 +409,7 @@ class Tracker:
         for tid in list(self.registry):
             trk = self.registry[tid]
             if trk.lifecycle is Lifecycle.TENTATIVE and trk.confirmation_due():
-                trk.lifecycle = Lifecycle.CONFIRMED
+                trk.confirm()
             if now - trk.last_match_time > (
                 cfg.prune_confirmed if trk.lifecycle is Lifecycle.CONFIRMED else cfg.prune_tentative
             ):
@@ -384,10 +418,4 @@ class Tracker:
     def snapshot(self, now: float) -> TrackerSnapshot:
         """Every live tracklet in id order; `TrackerSnapshot.published()`
         filters the ones ready for consumers."""
-        entries = tuple(
-            SnapshotEntry(
-                trk.id, trk.class_id, trk.lifecycle, trk.motion_state, trk.output_pose, trk.oriented
-            )
-            for trk in sorted(self.registry.values(), key=lambda trk: trk.id)
-        )
-        return TrackerSnapshot(now, entries)
+        return TrackerSnapshot(now, tuple(trk.entry for trk in self.registry.values()))

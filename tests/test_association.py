@@ -184,11 +184,12 @@ class TestGatedPairs:
     def test_far_pairs_never_tested(self, monkeypatch):
         tested = []
 
-        def counting_gate(a, b, scale=1.0):
+        def counting_distance(a, b):
             tested.append((a, b))
-            return gate_threshold(a, b, scale)
+            return center_distance(a, b)
 
-        monkeypatch.setattr("obbtrack.association.gate_threshold", counting_gate)
+        # every exact gate test measures its pair's center distance first
+        monkeypatch.setattr("obbtrack.association.center_distance", counting_distance)
         row = [box(cx=2.0 * k, cy=0.3 * (k % 3)) for k in range(30)]
         assert gated_pairs(row) == []
         assert gated_pairs(row, [box(cx=10.2, cy=0.6)]) == [(pytest.approx(0.2), 5, 0)]

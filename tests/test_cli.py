@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -251,6 +252,15 @@ class TestTrackAndEvaluate:
         cfg.write_text("tracker.not_a_knob = 3\n")
         assert main(["--config", str(cfg), "doe", "gen", "--out", str(tmp_path / "t.json")]) == 1
 
+    def test_config_not_utf8_is_configuration_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"sim.rate = 1\xff\n")
+        assert main(["--config", str(cfg), "doe", "gen", "--out", str(tmp_path / "t.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert str(cfg) in err and "invalid UTF-8" in err
+        assert not (tmp_path / "t.json").exists()
+
     def test_config_alpha_out_of_range_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("metrics.alpha = -0.1\n")
@@ -264,6 +274,13 @@ def one_object_detections(frames: int) -> list[FrameRecord]:
     robot = PlanarPose(0.0, 0.0, 0.0)
     box = OrientedBox((3.0, 0.0, 0.9), (0.8, 0.6, 1.8), 0.4, "MSU", confidence=0.9)
     return [FrameRecord(0.1 * i, robot, (box,)) for i in range(frames)]
+
+
+def fill_tuple_free_lists() -> None:
+    """Build and drop 2,000 tuples of each size from 1 to 19: built at their
+    exact size, each is freed onto its size's free list, filling it."""
+    held = [tuple(range(n)) for n in range(1, 20) for _ in range(2000)]
+    del held
 
 
 class TestStreamingTrack:
@@ -320,12 +337,25 @@ class TestStreamingTrack:
 
     def traced_peak(self, tmp_path, frames: int) -> int:
         write_stream(tmp_path / "det.jsonl", one_object_detections(frames), KIND_DETECTIONS)
+        # CPython keeps up to 2,000 freed tuples of each size below 20 for
+        # reuse, and tracemalloc counts a tuple on such a free list as
+        # allocated. A full collection empties the lists, and a tuple built
+        # by resizing (`tuple(map(...))`, `tuple(<generator>)`) is freed onto
+        # them, so a traced run that follows a full collection refills them
+        # and looks up to ~130 KB larger, however long it is. Whether an
+        # automatic full collection falls just before a run depends on the
+        # tests run before this one, so start every run with full lists and
+        # keep automatic collections out of it.
+        gc.collect()
+        fill_tuple_free_lists()
+        gc.disable()
         tracemalloc.start()
         try:
             assert self.track(tmp_path) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            gc.enable()
         _, out = read_stream(tmp_path / "trk.jsonl")
         assert len(out) == frames and len(out[-1].ids) == 1
         return peak

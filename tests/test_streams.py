@@ -163,6 +163,14 @@ class TestIntTime:
             FrameRecord(t, PlanarPose(0, 0, 0))
 
 
+class TestFrameRecordChecks:
+    def test_ids_boxes_length_mismatch_is_invalid_input(self):
+        box = OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, "MSU")
+        with pytest.raises(InvalidInputError, match="ids and boxes length mismatch") as info:
+            FrameRecord(0.0, PlanarPose(0, 0, 0), (box, box), (1,))
+        assert not isinstance(info.value, ParseError)
+
+
 class TestWriterMatchesReference:
     @given(st.sampled_from(KINDS), writer_records())
     @settings(max_examples=300, deadline=None)

@@ -13,6 +13,7 @@ from obbtrack.tracker import (
     DEG,
     Lifecycle,
     MotionState,
+    SnapshotEntry,
     Tracker,
     TrackerConfig,
     Tracklet,
@@ -490,6 +491,21 @@ FRAMES = st.lists(
 )
 
 
+def frame_detections(objects, fates, noise):
+    """One frame of detections of `objects` (class, grid x, grid y), each
+    seen, dropped, doubled or flipped as its fate says."""
+    dets = []
+    for (cls, ix, iy), fate in zip(objects, fates):
+        obs = box(ix + noise, iy - noise, yaw=0.3 + noise, cls=cls)
+        if fate == "flipped":
+            obs = replace(obs, yaw=obs.yaw + math.pi)
+        if fate != "dropped":
+            dets.append(obs)
+        if fate == "doubled":
+            dets.append(replace(obs, center=(obs.center[0] + 0.1, obs.center[1], 0.0)))
+    return dets
+
+
 class TestTrackerProperties:
     @given(OBJECTS, FRAMES, st.sampled_from([0.4, 1.0, 5.0]), st.sampled_from([0.5, 1.0]))
     @settings(max_examples=100, deadline=None)
@@ -505,15 +521,7 @@ class TestTrackerProperties:
         t, seen_ids, gone, counts = 0.0, set(), set(), []
         for step, fates, noise in frames:
             t += step
-            dets = []
-            for (cls, ix, iy), fate in zip(objects, fates):
-                obs = box(ix + noise, iy - noise, yaw=0.3 + noise, cls=cls)
-                if fate == "flipped":
-                    obs = replace(obs, yaw=obs.yaw + math.pi)
-                if fate != "dropped":
-                    dets.append(obs)
-                if fate == "doubled":
-                    dets.append(replace(obs, center=(obs.center[0] + 0.1, obs.center[1], 0.0)))
+            dets = frame_detections(objects, fates, noise)
             snap = tracker.ingest_frame(t, ORIGIN, dets)
             counts.append((t, len(dets)))
 
@@ -531,6 +539,30 @@ class TestTrackerProperties:
             # within the confirmed pruning age, the longer of the two
             recent = sum(n for tf, n in counts if t - tf <= cfg.prune_confirmed)
             assert len(snap.entries) == len(tracker.registry) <= recent
+
+    @given(OBJECTS, FRAMES, st.sampled_from([1, 2, 8]), st.sampled_from([1, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_cached_entries_are_current_and_in_id_order(self, objects, frames, margin, min_history):
+        """After every frame each live tracklet's kept entry equals one built
+        afresh from its fields, the registry iterates in ascending id order,
+        and the snapshot is the live entries in that order. Doubled boxes
+        make duplicates to suppress, flips re-commit symmetric tracklets, and
+        a short motion warm-up lets the motion state change."""
+        tracker = Tracker(
+            TrackerConfig(orientation_commit_margin=margin, motion_min_history=min_history, history_capacity=4),
+            class_specs=REGISTRY,
+        )
+        t = 0.0
+        for step, fates, noise in frames:
+            t += step
+            snap = tracker.ingest_frame(t, ORIGIN, frame_detections(objects, fates, noise))
+            fresh = tuple(
+                SnapshotEntry(trk.id, trk.class_id, trk.lifecycle, trk.motion_state, trk.output_pose, trk.oriented)
+                for trk in tracker.registry.values()
+            )
+            assert tuple(trk.entry for trk in tracker.registry.values()) == fresh
+            assert list(tracker.registry) == sorted(tracker.registry)
+            assert snap.entries == fresh
 
     @given(
         st.lists(st.tuples(st.sampled_from(["OBJ", "SYM"]), HUGE_COORD, HUGE_COORD), min_size=1, max_size=3),
