@@ -9,11 +9,21 @@ checks it. A box computed from checked boxes (`transform_box`, the tracker's
 prediction and output) comes from `_derived_box`, which checks only that
 its center did not overflow; a box that only turns a derived one to a new
 yaw keeps its checked center and comes from `_unchecked_box`.
+
+`OrientedBox` and `PlanarPose` are slotted frozen dataclasses with a
+hand-written `__init__` that converts and checks each field once and sets
+each slot once, through the slot's descriptor (as `_unchecked_box` does); the
+dataclass keeps their eq, hash and repr. A box names the first of its
+errors in this order: a field that does not convert to `float` (or is too
+large for one), taken in field order; a center or extent that is not a
+3-vector; a non-finite value; a non-positive extent; a confidence outside
+[0, 1]; a class id that is not a string.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence
 
 from .errors import ConfigurationError, InvalidInputError, UndefinedMeanError
@@ -49,7 +59,7 @@ def _require_finite(name: str, *values: float) -> None:
         raise InvalidInputError(f"{name} contains a number too large for a float") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PlanarPose:
     """Robot pose on the ground plane: position, heading, stream timestamp."""
 
@@ -58,13 +68,17 @@ class PlanarPose:
     heading: float
     timestamp: float = 0.0
 
-    def __post_init__(self):
-        _require_finite("PlanarPose", self.x, self.y, self.heading, self.timestamp)
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
-        object.__setattr__(self, "timestamp", float(self.timestamp))
+    def __init__(self, x: float, y: float, heading: float, timestamp: float = 0.0):
+        _require_finite("PlanarPose", x, y, heading, timestamp)
+        _set_x(self, float(x))
+        _set_y(self, float(y))
+        _set_heading(self, wrap_angle(float(heading)))
+        _set_timestamp(self, float(timestamp))
 
+
+_set_x, _set_y, _set_heading, _set_timestamp = (
+    PlanarPose.x.__set__, PlanarPose.y.__set__, PlanarPose.heading.__set__, PlanarPose.timestamp.__set__
+)
 
 IDENTITY_POSE = PlanarPose(0.0, 0.0, 0.0)
 
@@ -86,7 +100,7 @@ def invert(p: PlanarPose) -> PlanarPose:
     return PlanarPose(-(c * p.x + s * p.y), s * p.x - c * p.y, -p.heading, timestamp=p.timestamp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OrientedBox:
     """7-DoF box hypothesis: center (m), extent (length, width, height, m), yaw."""
 
@@ -96,23 +110,38 @@ class OrientedBox:
     class_id: str
     confidence: float = 1.0
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        center: Sequence[float],
+        extent: Sequence[float],
+        yaw: float,
+        class_id: str,
+        confidence: float = 1.0,
+    ):
         try:
-            center, extent = tuple(map(float, self.center)), tuple(map(float, self.extent))
-            yaw, confidence = float(self.yaw), float(self.confidence)
-        except OverflowError:
-            raise InvalidInputError("OrientedBox contains a number too large for a float") from None
-        if len(center) != 3 or len(extent) != 3:
-            raise InvalidInputError("center and extent must be 3-vectors")
-        _require_finite("OrientedBox", *center, *extent, yaw, confidence)
-        if min(extent) <= 0.0:
-            raise InvalidInputError(f"extent components must be strictly positive, got {extent}")
-        if not 0.0 <= confidence <= 1.0:
-            raise InvalidInputError(f"confidence must lie in [0, 1], got {self.confidence}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "yaw", wrap_angle(yaw))
-        object.__setattr__(self, "confidence", confidence)
+            cx, cy, cz = center
+            l, w, h = extent
+            cx, cy, cz, l, w, h = float(cx), float(cy), float(cz), float(l), float(w), float(h)
+            yaw_f, conf = float(yaw), float(confidence)
+        except (TypeError, ValueError, OverflowError):
+            _name_conversion_error(center, extent, yaw, confidence)
+            raise
+        if not (
+            isfinite(cx) and isfinite(cy) and isfinite(cz) and isfinite(l) and isfinite(w) and isfinite(h)
+            and isfinite(yaw_f) and isfinite(conf)
+        ):
+            _require_finite("OrientedBox", cx, cy, cz, l, w, h, yaw_f, conf)
+        if l <= 0.0 or w <= 0.0 or h <= 0.0:
+            raise InvalidInputError(f"extent components must be strictly positive, got {(l, w, h)}")
+        if not 0.0 <= conf <= 1.0:
+            raise InvalidInputError(f"confidence must lie in [0, 1], got {confidence}")
+        if not isinstance(class_id, str):
+            raise InvalidInputError(f"class_id must be a string, got {type(class_id).__name__}")
+        _set_center(self, (cx, cy, cz))
+        _set_extent(self, (l, w, h))
+        _set_yaw(self, wrap_angle(yaw_f))
+        _set_class_id(self, class_id)
+        _set_confidence(self, conf)
 
     @property
     def volume(self) -> float:
@@ -120,14 +149,34 @@ class OrientedBox:
         return l * w * h
 
 
-_BOX_FIELDS = ("center", "extent", "yaw", "class_id", "confidence")
+_set_center, _set_extent, _set_yaw, _set_class_id, _set_confidence = (
+    OrientedBox.center.__set__,
+    OrientedBox.extent.__set__,
+    OrientedBox.yaw.__set__,
+    OrientedBox.class_id.__set__,
+    OrientedBox.confidence.__set__,
+)
+
+
+def _name_conversion_error(center, extent, yaw, confidence) -> None:
+    """Raise the first error of `OrientedBox`'s conversions, in field order:
+    each field is converted before the lengths are checked."""
+    try:
+        center, extent = [float(v) for v in center], [float(v) for v in extent]
+        float(yaw), float(confidence)
+    except OverflowError:
+        raise InvalidInputError("OrientedBox contains a number too large for a float") from None
+    if len(center) != 3 or len(extent) != 3:
+        raise InvalidInputError("center and extent must be 3-vectors")
 
 
 def _derived_box(center: tuple, extent: tuple, yaw: float, class_id: str, confidence: float) -> OrientedBox:
     """A box computed from checked boxes, built without `OrientedBox`'s checks:
     plain floats, a wrapped yaw, and the extent, class and confidence of a
     checked box. Only the center is checked, as arithmetic can overflow it."""
-    _require_finite("OrientedBox", *center)
+    x, y, z = center
+    if not (isfinite(x) and isfinite(y) and isfinite(z)):
+        _require_finite("OrientedBox", x, y, z)
     return _unchecked_box(center, extent, yaw, class_id, confidence)
 
 
@@ -135,10 +184,11 @@ def _unchecked_box(center: tuple, extent: tuple, yaw: float, class_id: str, conf
     """`_derived_box` without even the center check: for a box whose center
     is that of a box already checked."""
     box = object.__new__(OrientedBox)
-    # field by field, as the generated __init__ does: filling vars(box) would give each box
-    # its own dict, twice the memory
-    for name, value in zip(_BOX_FIELDS, (center, extent, yaw, class_id, confidence)):
-        object.__setattr__(box, name, value)
+    _set_center(box, center)
+    _set_extent(box, extent)
+    _set_yaw(box, yaw)
+    _set_class_id(box, class_id)
+    _set_confidence(box, confidence)
     return box
 
 

@@ -7,15 +7,23 @@ The writer is canonical: parsing a file we wrote and re-serializing it
 reproduces the bytes. Both directions move one line at a time: `write_stream`
 serializes each record as its iterable yields it, and `iter_stream` parses
 each line as its iterator is consumed, so a stream never has to fit in memory.
+
+Both directions pay only for new data. The reader fetches a box's fields and
+checks their JSON types in one pass; the field-by-field checks run only to
+name the first error of a bad box. The writer keeps the text of each box of
+the previous record, keyed by identity, so a box republished unchanged (a
+coasting tracklet's pose) is not formatted again. `FrameRecord` is a slotted
+value type that converts and checks each field once, as the geometry types do.
 """
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import BinaryIO, Generator, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Generator, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import InvalidInputError, ParseError, StreamOrderError
 from .geometry import IDENTITY_POSE, OrientedBox, PlanarPose, _require_finite, compose, transform_box
@@ -31,7 +39,7 @@ KINDS = (KIND_GROUND_TRUTH, KIND_DETECTIONS, KIND_TRACKLETS)
 LABELED_KINDS = (KIND_GROUND_TRUTH, KIND_TRACKLETS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FrameRecord:
     """One stream frame: timestamp, robot pose, boxes, optional object ids."""
 
@@ -40,40 +48,91 @@ class FrameRecord:
     boxes: tuple[OrientedBox, ...] = ()
     ids: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        _require_finite("FrameRecord", self.t)
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        if self.ids is not None:
-            ids = tuple(int(i) for i in self.ids)
-            if len(ids) != len(self.boxes):
+    def __init__(
+        self,
+        t: float,
+        robot: PlanarPose,
+        boxes: Iterable[OrientedBox] = (),
+        ids: Iterable[int] | None = None,
+    ):
+        _require_finite("FrameRecord", t)
+        boxes = tuple(boxes)
+        if ids is not None:
+            ids = tuple(map(_object_id, ids))
+            if len(ids) != len(boxes):
                 raise InvalidInputError("ids and boxes length mismatch")
-            object.__setattr__(self, "ids", ids)
+        _set_t(self, float(t))
+        _set_robot(self, robot)
+        _set_boxes(self, boxes)
+        _set_ids(self, ids)
+
+
+_set_t, _set_robot, _set_boxes, _set_ids = (
+    FrameRecord.t.__set__, FrameRecord.robot.__set__, FrameRecord.boxes.__set__, FrameRecord.ids.__set__
+)
+
+
+def _object_id(value) -> int:
+    """An object id as an `int`: from any integer type but bool, never from
+    a float or a numeric string."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInputError(f"FrameRecord ids must be integers, got {value!r}")
+
+
+def _box_text(box: OrientedBox, with_score: bool) -> str:
+    """A box's JSON members after its id: class, center, extent, yaw, and a
+    detection's score."""
+    (cx, cy, cz), (l, w, h) = box.center, box.extent
+    text = (
+        f'"class":{encode_basestring_ascii(box.class_id)},"cx":{cx!r},"cy":{cy!r},"cz":{cz!r},'
+        f'"l":{l!r},"w":{w!r},"h":{h!r},"yaw":{box.yaw!r}'
+    )
+    return f'{text},"score":{box.confidence!r}' if with_score else text
+
+
+def _record_serializer(kind: str) -> Callable[[FrameRecord], str]:
+    """`serialize_record` for the records of one stream, taken in order. It
+    keeps the text of each box of the previous record, keyed by the box's
+    identity while that record's boxes are held, so that a box republished
+    unchanged (a coasting tracklet's) is not formatted again. Identity, not
+    equality: `0.0 == -0.0`, but their reprs differ."""
+    labeled = kind in LABELED_KINDS
+    with_score = kind == KIND_DETECTIONS
+    previous: dict[int, str] = {}
+    held: tuple[OrientedBox, ...] = ()
+
+    def serialize(record: FrameRecord) -> str:
+        nonlocal previous, held
+        ids = record.ids if labeled else None
+        texts: dict[int, str] = {}
+        boxes = []
+        for i, box in enumerate(record.boxes):
+            key = id(box)
+            text = previous.get(key)
+            if text is None:
+                text = _box_text(box, with_score)
+            texts[key] = text
+            boxes.append(f"{{{text}}}" if ids is None else f'{{"id":{ids[i]!r},{text}}}')
+        # held, so that no new box can take the id of a box in `previous`
+        previous, held = texts, record.boxes
+        robot = record.robot
+        return (
+            f'{{"t":{record.t!r},"robot":{{"x":{robot.x!r},"y":{robot.y!r},'
+            f'"heading":{robot.heading!r}}},"boxes":[{",".join(boxes)}]}}'
+        )
+
+    return serialize
 
 
 def serialize_record(record: FrameRecord, kind: str) -> str:
     """One record as compact JSON, the bytes `json.dumps(obj, separators=(",", ":"))`
     gives: floats and ints by their own repr (records, boxes and poses hold
     plain finite floats), class names through `encode_basestring_ascii`."""
-    labeled = kind in LABELED_KINDS and record.ids is not None
-    with_score = kind == KIND_DETECTIONS
-    boxes = []
-    for i, box in enumerate(record.boxes):
-        (cx, cy, cz), (l, w, h) = box.center, box.extent
-        text = (
-            f'"class":{encode_basestring_ascii(box.class_id)},"cx":{cx!r},"cy":{cy!r},"cz":{cz!r},'
-            f'"l":{l!r},"w":{w!r},"h":{h!r},"yaw":{box.yaw!r}'
-        )
-        if labeled:
-            text = f'"id":{record.ids[i]!r},{text}'
-        if with_score:
-            text = f'{text},"score":{box.confidence!r}'
-        boxes.append(f"{{{text}}}")
-    robot = record.robot
-    return (
-        f'{{"t":{record.t!r},"robot":{{"x":{robot.x!r},"y":{robot.y!r},'
-        f'"heading":{robot.heading!r}}},"boxes":[{",".join(boxes)}]}}'
-    )
+    return _record_serializer(kind)(record)
 
 
 def _header(kind: str) -> str:
@@ -84,7 +143,7 @@ def _header(kind: str) -> str:
 
 def dumps_stream(records: Iterable[FrameRecord], kind: str) -> str:
     lines = [_header(kind)]
-    lines.extend(serialize_record(r, kind) for r in records)
+    lines.extend(map(_record_serializer(kind), records))
     return "\n".join(lines) + "\n"
 
 
@@ -96,12 +155,13 @@ def write_stream(path: str | Path, records: Iterable[FrameRecord], kind: str) ->
     path = Path(path)
     header = _header(kind)
     tmp = path.with_name(f".{path.name}.tmp")
+    serialize = _record_serializer(kind)
     count = 0
     try:
         with open(tmp, "w", encoding="utf-8") as f:
             f.write(header + "\n")
             for record in records:
-                f.write(serialize_record(record, kind) + "\n")
+                f.write(serialize(record) + "\n")
                 count += 1
         os.replace(tmp, path)
     except BaseException:
@@ -121,6 +181,11 @@ def _pick(obj: dict, key: str, line: int, kinds=(int, float)):
     return val
 
 
+# JSON numbers: json.loads makes exactly these types, and true and false are bools
+_NUMBERS = frozenset((int, float))
+_box_fields = operator.itemgetter("class", "cx", "cy", "cz", "l", "w", "h", "yaw")
+
+
 def _parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
     t = _pick(obj, "t", line)
     robot_obj = obj.get("robot")
@@ -136,24 +201,41 @@ def _parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
     ids: list[int] = []
     labeled = kind in LABELED_KINDS
     for b in boxes_obj:
-        if not isinstance(b, dict):
-            raise ParseError("box entries must be objects", line)
-        cls = b.get("class")
-        if not isinstance(cls, str):
-            raise ParseError("missing or malformed field 'class'", line)
-        score = _pick(b, "score", line) if "score" in b else 1.0
-        boxes.append(
-            OrientedBox(
-                (_pick(b, "cx", line), _pick(b, "cy", line), _pick(b, "cz", line)),
-                (_pick(b, "l", line), _pick(b, "w", line), _pick(b, "h", line)),
-                _pick(b, "yaw", line),
-                cls,
-                confidence=score,
-            )
-        )
+        # one pass over the fields and their JSON types; only a bad box goes
+        # through the field-by-field checks, which name its first error
+        try:
+            cls, cx, cy, cz, l, w, h, yaw = _box_fields(b)
+            score = b.get("score", 1.0)
+            box_id = b["id"] if labeled else 0
+        except (KeyError, TypeError):  # a missing field, or an entry that is no object
+            _raise_box_error(b, labeled, line)
+        if not (
+            type(cls) is str
+            and type(box_id) is int
+            and {type(score), type(cx), type(cy), type(cz), type(l), type(w), type(h), type(yaw)} <= _NUMBERS
+        ):
+            _raise_box_error(b, labeled, line)
+        boxes.append(OrientedBox((cx, cy, cz), (l, w, h), yaw, cls, score))
         if labeled:
-            ids.append(_pick(b, "id", line, kinds=(int,)))
+            ids.append(box_id)
     return FrameRecord(t, robot, tuple(boxes), tuple(ids) if labeled else None)
+
+
+def _raise_box_error(b, labeled: bool, line: int) -> NoReturn:
+    """Raise the first error of a box entry that failed the one-pass check,
+    in the order the fields are checked: class, score, cx...yaw, the box's
+    values, then id."""
+    if not isinstance(b, dict):
+        raise ParseError("box entries must be objects", line)
+    cls = b.get("class")
+    if not isinstance(cls, str):
+        raise ParseError("missing or malformed field 'class'", line)
+    score = _pick(b, "score", line) if "score" in b else 1.0
+    cx, cy, cz, l, w, h, yaw = (_pick(b, key, line) for key in ("cx", "cy", "cz", "l", "w", "h", "yaw"))
+    OrientedBox((cx, cy, cz), (l, w, h), yaw, cls, confidence=score)
+    if labeled:
+        _pick(b, "id", line, kinds=(int,))
+    raise AssertionError(f"line {line}: box entry failed the one-pass check but no field check")
 
 
 def _parse(lines: Iterable[str]) -> Iterator:

@@ -157,7 +157,7 @@ class YawWindow:
             self.append(y, math.sin(y), math.cos(y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnapshotEntry:
     id: int
     class_id: str

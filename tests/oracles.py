@@ -14,9 +14,13 @@ matched center, `reference_dumps_stream` / `reference_loads_stream` are
 the whole-text stream writer (a dict per box, `json.dumps` per record) and
 reader (`splitlines` over the whole text, and its own record parser that
 checks each number where it is picked) that the line-at-a-time ones must
-reproduce, and `assert_public_box` / `reference_transform_box` rebuild a box
+reproduce, `assert_public_box` / `reference_transform_box` rebuild a box
 through the public, checking `OrientedBox` constructor that boxes derived
-without those checks must equal."""
+without those checks must equal, and `reference_box_fields`,
+`reference_pose_fields` and `reference_record_fields` are the value types'
+constructors as dataclass `__init__` plus `__post_init__` (set each field,
+then convert, check and set it again) that the one-pass `__init__`s must
+reproduce."""
 import itertools
 import json
 import math
@@ -24,8 +28,8 @@ import math
 import numpy as np
 
 from obbtrack.association import AssociationResult, gate_threshold
-from obbtrack.errors import ParseError, StreamOrderError, UndefinedMeanError, UndefinedMetricError
-from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, circular_mean, iou_3d
+from obbtrack.errors import InvalidInputError, ParseError, StreamOrderError, UndefinedMeanError, UndefinedMetricError
+from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, circular_mean, iou_3d, wrap_angle
 from obbtrack.metrics import (
     ALPHA_SWEEP,
     ClassMetrics,
@@ -535,3 +539,51 @@ def reference_transform_box(pose: PlanarPose, box: OrientedBox) -> OrientedBox:
         box.class_id,
         box.confidence,
     )
+
+
+def _reference_require_finite(name: str, *values) -> None:
+    try:
+        for v in values:
+            if not math.isfinite(v):
+                raise InvalidInputError(f"{name} contains a non-finite value: {v!r}")
+    except OverflowError:
+        raise InvalidInputError(f"{name} contains a number too large for a float") from None
+
+
+def reference_box_fields(center, extent, yaw, class_id, confidence=1.0) -> tuple:
+    """The fields of `OrientedBox(center, extent, yaw, class_id, confidence)`
+    as converted and checked in `__post_init__`, or its error. Any class id
+    passes: its check came later."""
+    try:
+        center, extent = tuple(map(float, center)), tuple(map(float, extent))
+        yaw_f, conf = float(yaw), float(confidence)
+    except OverflowError:
+        raise InvalidInputError("OrientedBox contains a number too large for a float") from None
+    if len(center) != 3 or len(extent) != 3:
+        raise InvalidInputError("center and extent must be 3-vectors")
+    _reference_require_finite("OrientedBox", *center, *extent, yaw_f, conf)
+    if min(extent) <= 0.0:
+        raise InvalidInputError(f"extent components must be strictly positive, got {extent}")
+    if not 0.0 <= conf <= 1.0:
+        raise InvalidInputError(f"confidence must lie in [0, 1], got {confidence}")
+    return center, extent, wrap_angle(yaw_f), class_id, conf
+
+
+def reference_pose_fields(x, y, heading, timestamp=0.0) -> tuple:
+    """The fields of `PlanarPose(x, y, heading, timestamp)` as checked and
+    converted in `__post_init__`, or its error."""
+    _reference_require_finite("PlanarPose", x, y, heading, timestamp)
+    return float(x), float(y), wrap_angle(float(heading)), float(timestamp)
+
+
+def reference_record_fields(t, robot, boxes=(), ids=None) -> tuple:
+    """The fields of `FrameRecord(t, robot, boxes, ids)` as checked and
+    converted in `__post_init__`, or its error, for integer ids (other ids
+    it truncated or accepted; they are rejected now)."""
+    _reference_require_finite("FrameRecord", t)
+    boxes = tuple(boxes)
+    if ids is not None:
+        ids = tuple(int(i) for i in ids)
+        if len(ids) != len(boxes):
+            raise InvalidInputError("ids and boxes length mismatch")
+    return float(t), robot, boxes, ids

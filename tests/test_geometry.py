@@ -10,6 +10,7 @@ from obbtrack.geometry import (
     ClassSpec,
     OrientedBox,
     PlanarPose,
+    _unchecked_box,
     center_distance,
     circular_mean,
     footprint_intersection_area,
@@ -28,7 +29,16 @@ def box(cx=0.0, cy=0.0, cz=0.0, l=1.0, w=1.0, h=1.0, yaw=0.0, cls="MSU"):
     return OrientedBox((cx, cy, cz), (l, w, h), yaw, cls)
 
 
-from oracles import assert_public_box, mc_iou, reference_transform_box
+from oracles import (
+    assert_public_box,
+    mc_iou,
+    reference_box_fields,
+    reference_pose_fields,
+    reference_record_fields,
+    reference_transform_box,
+)
+from obbtrack.streams import FrameRecord
+from obbtrack.tracker import Lifecycle, MotionState, SnapshotEntry
 
 
 def clip_only_iou(a, b):
@@ -160,6 +170,104 @@ class TestTransforms:
         out = transform_box(pose, b)
         assert_public_box(out)
         assert out == expected
+
+
+# what a constructor may be handed: floats of every kind, NaN and infinities,
+# ints too large for a float, numpy floats, numeric and other strings, None
+ANY_NUMBER = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1, 10**400, -(10**400), 2**1024, math.nan, math.inf, "1.5", "x", None]),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**64), 2**64),
+)
+GOOD_NUMBER = st.one_of(st.floats(-1e3, 1e3), st.integers(-1000, 1000), st.floats(-1e3, 1e3).map(np.float64))
+POSITIVE_NUMBER = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 1000), st.floats(1e-3, 1e3).map(np.float32))
+
+
+def vectors(elements):
+    """Lists, tuples and numpy arrays, of three elements or a wrong number."""
+    three = st.lists(elements, min_size=3, max_size=3)
+    return st.one_of(
+        three,
+        three.map(tuple),
+        three.map(lambda v: np.array(v, dtype=object)),
+        st.lists(elements, max_size=5),
+        st.lists(st.floats(), min_size=2, max_size=4).map(np.array),
+    )
+
+
+def built(make):
+    """A constructor's outcome: its fields with their types, or its error's class and message."""
+    try:
+        return repr(make())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePassConstructors:
+    """The one-pass `__init__`s give the fields the dataclass `__init__` plus
+    `__post_init__` gave, bit for bit, or the same error."""
+
+    @given(
+        vectors(GOOD_NUMBER | ANY_NUMBER),
+        vectors(POSITIVE_NUMBER | ANY_NUMBER),
+        GOOD_NUMBER | ANY_NUMBER,
+        st.sampled_from(["MW", "MSU", ""]),
+        st.floats(0.0, 1.0) | ANY_NUMBER,
+    )
+    @example([math.nan, 0.0, 0.0], [1.0, 1.0, 1.0], math.inf, "MW", 1.0)  # the first non-finite value is named
+    @example([0.0, 0.0], [1, 10**400, 1], 0.0, "MW", 1.0)  # every field converts before lengths are checked
+    @example([0.0, 0.0], [1.0, 1.0, 1.0], "x", "MW", 1.0)
+    @settings(max_examples=1000)
+    def test_box_fields_match_reference(self, center, extent, yaw, class_id, confidence):
+        def fields():
+            b = OrientedBox(center, extent, yaw, class_id, confidence)
+            return b.center, b.extent, b.yaw, b.class_id, b.confidence
+
+        assert built(fields) == built(lambda: reference_box_fields(center, extent, yaw, class_id, confidence))
+
+    @given(GOOD_NUMBER | ANY_NUMBER, GOOD_NUMBER | ANY_NUMBER, GOOD_NUMBER | ANY_NUMBER, GOOD_NUMBER | ANY_NUMBER)
+    @settings(max_examples=300)
+    def test_pose_fields_match_reference(self, x, y, heading, timestamp):
+        def fields():
+            p = PlanarPose(x, y, heading, timestamp)
+            return p.x, p.y, p.heading, p.timestamp
+
+        assert built(fields) == built(lambda: reference_pose_fields(x, y, heading, timestamp))
+
+    @given(
+        GOOD_NUMBER | ANY_NUMBER,
+        st.integers(0, 3),
+        st.none() | st.lists(st.integers(-(10**400), 10**400) | st.integers(-(2**63), 2**63 - 1).map(np.int64), max_size=4),
+    )
+    @settings(max_examples=300)
+    def test_record_fields_match_reference(self, t, n_boxes, ids):
+        robot, boxes = PlanarPose(0.0, 0.0, 0.0), [box(cx=float(i)) for i in range(n_boxes)]
+
+        def fields():
+            r = FrameRecord(t, robot, iter(boxes), ids)
+            return r.t, r.robot, r.boxes, r.ids
+
+        assert built(fields) == built(lambda: reference_record_fields(t, robot, iter(boxes), ids))
+
+    @pytest.mark.parametrize("class_id", [3, None, b"MW", ("MW",)], ids=["int", "none", "bytes", "tuple"])
+    def test_class_id_must_be_a_string(self, class_id):
+        with pytest.raises(InvalidInputError, match=f"class_id must be a string, got {type(class_id).__name__}"):
+            OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, class_id)
+
+    def test_no_instance_dict(self):
+        """Slotted value types: no per-instance `__dict__`, half the memory of a box."""
+        b = box()
+        values = [
+            b,
+            _unchecked_box(b.center, b.extent, b.yaw, b.class_id, b.confidence),
+            PlanarPose(0.0, 0.0, 0.0),
+            FrameRecord(0.0, PlanarPose(0.0, 0.0, 0.0), (b,), (1,)),
+            SnapshotEntry(1, "MSU", Lifecycle.CONFIRMED, MotionState.STATIONARY, b, True),
+        ]
+        for value in values:
+            assert not hasattr(value, "__dict__"), type(value).__name__
 
 
 class TestIou:

@@ -170,6 +170,17 @@ class TestFrameRecordChecks:
             FrameRecord(0.0, PlanarPose(0, 0, 0), (box, box), (1,))
         assert not isinstance(info.value, ParseError)
 
+    @pytest.mark.parametrize("bad", [1.7, True, "3", math.nan, math.inf, None], ids=repr)
+    def test_ids_must_be_integers(self, bad):
+        box = OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, "MSU")
+        with pytest.raises(InvalidInputError, match=f"FrameRecord ids must be integers, got {re.escape(repr(bad))}$"):
+            FrameRecord(0.0, PlanarPose(0, 0, 0), (box, box), (1, bad))
+
+    def test_integer_ids_become_int(self):
+        box = OrientedBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, "MSU")
+        ids = FrameRecord(0.0, PlanarPose(0, 0, 0), (box, box), [np.int64(7), np.uint8(3)]).ids
+        assert ids == (7, 3) and all(type(i) is int for i in ids)
+
 
 class TestWriterMatchesReference:
     @given(st.sampled_from(KINDS), writer_records())
@@ -182,6 +193,72 @@ class TestWriterMatchesReference:
             path = Path(d) / "s.jsonl"
             assert write_stream(path, iter(records), kind) == len(records)
             assert path.read_bytes() == expected.encode("utf-8")
+
+
+ZEROS = st.one_of(st.sampled_from([0.0, -0.0]), FINITE)
+
+
+def negated_zeros(box):
+    """A box equal to `box` but not the same object, its zeros negated:
+    `0.0 == -0.0`, but their reprs differ."""
+    def flip(v):
+        return -v if v == 0.0 else v
+
+    return OrientedBox(tuple(map(flip, box.center)), box.extent, flip(box.yaw), box.class_id, flip(box.confidence))
+
+
+@st.composite
+def republishing_records(draw):
+    """Records whose boxes are new, the same objects as a box of the record
+    before or of the record two back (a coasting tracklet republishes its
+    box), or equal to such a box but distinct, its zeros negated."""
+    new_boxes = st.builds(
+        OrientedBox,
+        st.tuples(ZEROS, ZEROS, ZEROS),
+        st.tuples(POSITIVE, POSITIVE, POSITIVE),
+        st.one_of(st.sampled_from([0.0, -0.0]), ANGLES),
+        CLASS_NAMES,
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    records = []
+    for n in range(draw(st.integers(1, 6))):
+        earlier = [b for r in records[-2:] for b in r.boxes]
+        boxes = []
+        for _ in range(draw(st.integers(0, 3))):
+            how = draw(st.sampled_from(["new", "same", "twin"] if earlier else ["new"]))
+            if how == "new":
+                boxes.append(draw(new_boxes))
+            else:
+                old = draw(st.sampled_from(earlier))
+                boxes.append(old if how == "same" else negated_zeros(old))
+        ids = draw(st.none() | st.lists(IDS, min_size=len(boxes), max_size=len(boxes)))
+        records.append(FrameRecord(float(n), PlanarPose(draw(ZEROS), 0.0, 0.0, timestamp=float(n)), boxes, ids))
+    return records
+
+
+class TestWriterReusesText:
+    @given(st.sampled_from(KINDS), republishing_records())
+    @settings(max_examples=300, deadline=None)
+    def test_republished_boxes_same_bytes_as_reference(self, kind, records):
+        expected = oracles.reference_dumps_stream(records, kind)
+        assert dumps_stream(records, kind) == expected
+        assert "".join(serialize_record(r, kind) + "\n" for r in records) == expected.split("\n", 1)[1]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "s.jsonl"
+            assert write_stream(path, iter(records), kind) == len(records)
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_box_freed_with_its_record_is_not_mistaken_for_a_new_one(self):
+        """Each record and its box are dropped once written, so a new box can
+        take the memory, and the id, of the last one: the writer holds the
+        boxes whose text it keeps."""
+
+        def fresh(n):
+            for i in range(n):
+                yield FrameRecord(float(i), PlanarPose(0.0, 0.0, 0.0), (OrientedBox((float(i), 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, "MW"),), (i,))
+
+        for kind in KINDS:
+            assert dumps_stream(fresh(50), kind) == oracles.reference_dumps_stream(list(fresh(50)), kind)
 
 
 def header_line(kind=KIND_GROUND_TRUTH):
@@ -199,6 +276,17 @@ BAD_LINES = [
     '{"t":1%s,"robot":{"x":0,"y":0,"heading":0},"boxes":[]}' % ("0" * 400),
     '{"t":0.5,"robot":{"x":0,"y":-Infinity,"heading":0},"boxes":[]}',
     '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[%s]}' % (BOX % ("9" * 400)),
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":2.5,"class":"MW","cx":0,"cy":0,"cz":0,"l":1,"w":1,"h":1,"yaw":0}]}',
+    # boxes with several faults: the first in field order is the one named
+    # (class, score, cx...yaw, the box's values, then id)
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"class":"MW","cx":NaN,"cy":0,"cz":0,"l":1,"w":1,"h":1,"yaw":0}]}',
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":1,"class":"MW","score":"high","cy":0,"cz":0,"l":1,"w":1,"h":1,"yaw":0}]}',
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[%s,5]}' % (BOX % "1"),
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":1.5,"class":"MW","cx":0,"cy":0,"cz":0,"l":0,"w":1,"h":1,"yaw":0}]}',
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":1,"cx":0,"cy":0,"cz":0,"l":1,"w":1,"h":1,"yaw":"north"}]}',
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"class":"MW","score":0.5,"cx":0,"cy":0,"cz":0,"l":1,"w":true,"h":1,"yaw":0}]}',
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":"7","class":"MW","cx":0,"cy":0,"cz":0,"l":1,"w":1,"h":1e400,"yaw":0}]}',
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":7,"class":"MW","score":1.5,"cx":0,"cy":0,"cz":0,"l":1,"w":1,"h":1,"yaw":0}]}',
 ]
 BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1e", "\x85", "\u2028", "\u2029", "\n\n", "\r\r\n"]
 
@@ -256,6 +344,13 @@ class TestLineReader:
             expected = outcome(lambda: oracles.reference_loads_stream(path.read_text(encoding="utf-8")))
             assert_same_outcome(outcome(lambda: read_stream(path)), expected)
         assert_same_outcome(outcome(lambda: loads_stream(data.decode("utf-8"))), expected)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("line", BAD_LINES)
+    def test_bad_line_named_as_the_reference_names_it(self, kind, line):
+        text = header_line(kind) + "\n" + line + "\n"
+        expected = outcome(lambda: oracles.reference_loads_stream(text))
+        assert_same_outcome(outcome(lambda: loads_stream(text)), expected)
 
     def write(self, tmp_path, *lines):
         path = tmp_path / "s.jsonl"
