@@ -13,18 +13,21 @@ yaw keeps its checked center and comes from `_unchecked_box`.
 `OrientedBox` and `PlanarPose` are slotted frozen dataclasses with a
 hand-written `__init__` that converts and checks each field once and sets
 each slot once, through the slot's descriptor (as `_unchecked_box` does); the
-dataclass keeps their eq, hash and repr. A box names the first of its
-errors in this order: a field that does not convert to `float` (or is too
-large for one), taken in field order; a center or extent that is not a
-3-vector; a non-finite value; a non-positive extent; a confidence outside
-[0, 1]; a class id that is not a string.
+dataclass keeps their eq, hash and repr. Each takes real numbers only
+(ints, floats and numpy scalars, not numeric strings), and names a value
+that is not one as `InvalidInputError`. A box names the first of its errors
+in this order: a value that is not a number (or is too large for a float),
+taken in field order; a center or extent that is not a 3-vector; a
+non-finite value; a non-positive extent; a confidence outside [0, 1]; a
+class id that is not a string. A pose names its first bad field, in field
+order: not a number, too large for a float, or not finite.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from math import isfinite
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import ConfigurationError, InvalidInputError, UndefinedMeanError
 
@@ -48,15 +51,23 @@ def yaw_difference(a: float, b: float) -> float:
     return TWO_PI - d if d > math.pi else d
 
 
-def _require_finite(name: str, *values: float) -> None:
-    """Each value must be finite. An int too large for a float is invalid
-    input too: `math.isfinite` raises `OverflowError` on it."""
+def _is_finite_number(owner: str, field: str, value) -> bool:
+    """Whether `value` is finite; it must be a real number. `math.isfinite`
+    takes what `float()` converts, strings excepted, and raises
+    `OverflowError` on an int too large for a float."""
     try:
-        for v in values:
-            if not math.isfinite(v):
-                raise InvalidInputError(f"{name} contains a non-finite value: {v!r}")
+        return isfinite(value)
+    except TypeError:
+        raise InvalidInputError(f"{owner} {field} must be a number, got {type(value).__name__}") from None
     except OverflowError:
-        raise InvalidInputError(f"{name} contains a number too large for a float") from None
+        raise InvalidInputError(f"{owner} contains a number too large for a float") from None
+
+
+def _require_finite(owner: str, **fields) -> None:
+    """Each field must be a finite real number; the first bad one is named."""
+    for field, value in fields.items():
+        if not _is_finite_number(owner, field, value):
+            raise InvalidInputError(f"{owner} contains a non-finite value: {value!r}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -69,7 +80,12 @@ class PlanarPose:
     timestamp: float = 0.0
 
     def __init__(self, x: float, y: float, heading: float, timestamp: float = 0.0):
-        _require_finite("PlanarPose", x, y, heading, timestamp)
+        try:
+            finite = isfinite(x) and isfinite(y) and isfinite(heading) and isfinite(timestamp)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            _require_finite("PlanarPose", x=x, y=y, heading=heading, timestamp=timestamp)
         _set_x(self, float(x))
         _set_y(self, float(y))
         _set_heading(self, wrap_angle(float(heading)))
@@ -121,16 +137,17 @@ class OrientedBox:
         try:
             cx, cy, cz = center
             l, w, h = extent
-            cx, cy, cz, l, w, h = float(cx), float(cy), float(cz), float(l), float(w), float(h)
-            yaw_f, conf = float(yaw), float(confidence)
+            # on the values as given: a string converts to float, but fails here
+            finite = (
+                isfinite(cx) and isfinite(cy) and isfinite(cz) and isfinite(l) and isfinite(w) and isfinite(h)
+                and isfinite(yaw) and isfinite(confidence)
+            )
         except (TypeError, ValueError, OverflowError):
-            _name_conversion_error(center, extent, yaw, confidence)
-            raise
-        if not (
-            isfinite(cx) and isfinite(cy) and isfinite(cz) and isfinite(l) and isfinite(w) and isfinite(h)
-            and isfinite(yaw_f) and isfinite(conf)
-        ):
-            _require_finite("OrientedBox", cx, cy, cz, l, w, h, yaw_f, conf)
+            finite = False
+        if not finite:
+            _name_box_error(center, extent, yaw, confidence)
+        cx, cy, cz, l, w, h = float(cx), float(cy), float(cz), float(l), float(w), float(h)
+        yaw_f, conf = float(yaw), float(confidence)
         if l <= 0.0 or w <= 0.0 or h <= 0.0:
             raise InvalidInputError(f"extent components must be strictly positive, got {(l, w, h)}")
         if not 0.0 <= conf <= 1.0:
@@ -158,16 +175,26 @@ _set_center, _set_extent, _set_yaw, _set_class_id, _set_confidence = (
 )
 
 
-def _name_conversion_error(center, extent, yaw, confidence) -> None:
-    """Raise the first error of `OrientedBox`'s conversions, in field order:
-    each field is converted before the lengths are checked."""
-    try:
-        center, extent = [float(v) for v in center], [float(v) for v in extent]
-        float(yaw), float(confidence)
-    except OverflowError:
-        raise InvalidInputError("OrientedBox contains a number too large for a float") from None
+def _name_box_error(center, extent, yaw, confidence) -> NoReturn:
+    """Raise the first error of the values of a box that failed the one-pass
+    check: every value is checked to be a number before the lengths are, and
+    the lengths before finiteness."""
+    vectors = []
+    for vector in (center, extent):
+        try:
+            vectors.append(list(vector))
+        except TypeError:  # no sequence, so no 3-vector
+            vectors.append([])
+    center, extent = vectors
+    fields = {f"center[{i}]": v for i, v in enumerate(center)}
+    fields.update((f"extent[{i}]", v) for i, v in enumerate(extent))
+    fields.update(yaw=yaw, confidence=confidence)
+    for field, value in fields.items():
+        _is_finite_number("OrientedBox", field, value)
     if len(center) != 3 or len(extent) != 3:
         raise InvalidInputError("center and extent must be 3-vectors")
+    _require_finite("OrientedBox", **{field: float(value) for field, value in fields.items()})
+    raise AssertionError("a box failed the one-pass check but no field check")
 
 
 def _derived_box(center: tuple, extent: tuple, yaw: float, class_id: str, confidence: float) -> OrientedBox:
@@ -176,7 +203,7 @@ def _derived_box(center: tuple, extent: tuple, yaw: float, class_id: str, confid
     checked box. Only the center is checked, as arithmetic can overflow it."""
     x, y, z = center
     if not (isfinite(x) and isfinite(y) and isfinite(z)):
-        _require_finite("OrientedBox", x, y, z)
+        _require_finite("OrientedBox", x=x, y=y, z=z)
     return _unchecked_box(center, extent, yaw, class_id, confidence)
 
 
@@ -353,8 +380,12 @@ def circular_mean(angles: Sequence[float]) -> float:
     """
     if len(angles) == 0:
         raise InvalidInputError("circular_mean of an empty angle list")
-    s = sum(math.sin(a) for a in angles)
-    c = sum(math.cos(a) for a in angles)
+    # left-to-right sums, as the tracker's: sum() of floats is compensated
+    # from Python 3.12
+    s = c = 0.0
+    for a in angles:
+        s += math.sin(a)
+        c += math.cos(a)
     return resultant_direction(s, c, float(len(angles)))
 
 

@@ -55,7 +55,7 @@ class FrameRecord:
         boxes: Iterable[OrientedBox] = (),
         ids: Iterable[int] | None = None,
     ):
-        _require_finite("FrameRecord", t)
+        _require_finite("FrameRecord", t=t)
         boxes = tuple(boxes)
         if ids is not None:
             ids = tuple(map(_object_id, ids))

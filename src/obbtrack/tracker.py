@@ -12,12 +12,15 @@ hypothesis leads the runner-up by `orientation_commit_margin` votes, which is
 what keeps occasional detector flips (and even a flipped *first* detection)
 out of the published stream.
 
-Tracklet state holds each fact once: the newest `history_capacity` matched
-centers and yaws (the smoothed prediction), a shorter `orientation_window`
-of resolved yaws (the published stationary yaw), the match times the
-confirmation rule can still use, and the class spec and tracker config the
-tracklet was created under. A dropped tracklet is only counted
-(`Tracker.dropped`), so memory is bounded by the live tracklets.
+Tracklet state holds each fact once. One bounded window keeps an entry per
+match, `(t, x, y, z, resolved yaw, sin, cos)`, as many as the longest rule
+reads, and each rule reads a suffix of it: the smoothed prediction the
+newest `history_capacity` entries, the published stationary yaw the newest
+`orientation_len` (at most `orientation_window`, fewer after an orientation
+reset), and the confirmation rule the newest `confirm_count` times. Beside
+it are the class spec and tracker config the tracklet was created under. A
+dropped tracklet is only counted (`Tracker.dropped`), so memory is bounded
+by the live tracklets.
 
 Per-frame cost follows what changed and the number of nearby pairs, not
 the number of live tracklets or the square of the scene:
@@ -29,9 +32,11 @@ the number of live tracklets or the square of the scene:
   is a tuple of the live tracklets' entries, in the registry's id order;
 - an update resolves the symmetric yaw once, and again only when its
   orientation vote re-committed the hypothesis and rotated the tracklet;
-- each yaw window caches the sine and cosine of every yaw it holds,
-  computed when the yaw arrives (and again only when a re-commit rotates
-  the window), so its circular mean is two sums over cached values.
+- each window entry carries the sine and cosine of its yaw, computed when
+  the match arrives (and again only when a re-commit rotates the window);
+  one left-to-right pass over the history suffix sums the center and the
+  yaw, and the orientation mean is summed once per update (or re-commit)
+  and kept for the next update's outlier test.
 Boxes the tracker computes from checked detections (the prediction and the
 output) go through `geometry._derived_box`, which checks only their center;
 a box that only turns one of these to a new yaw skips even that check
@@ -120,43 +125,6 @@ def _with_yaw(box: OrientedBox, yaw: float) -> OrientedBox:
     return _unchecked_box(box.center, box.extent, yaw, box.class_id, box.confidence)
 
 
-class YawWindow:
-    """Bounded window of yaws with the sine and cosine of each kept beside it."""
-
-    __slots__ = ("yaws", "sin", "cos")
-
-    def __init__(self, maxlen: int):
-        self.yaws: deque[float] = deque(maxlen=maxlen)
-        self.sin: deque[float] = deque(maxlen=maxlen)
-        self.cos: deque[float] = deque(maxlen=maxlen)
-
-    def append(self, yaw: float, sin: float, cos: float) -> None:
-        self.yaws.append(yaw)
-        self.sin.append(sin)
-        self.cos.append(cos)
-
-    def mean(self) -> float:
-        """`circular_mean(yaws)` bit for bit (the same unit-weight sums in the
-        same order); the newest yaw when the yaws cancel antipodally."""
-        try:
-            return resultant_direction(sum(self.sin), sum(self.cos), float(len(self.yaws)))
-        except UndefinedMeanError:
-            return self.yaws[-1]
-
-    def keep_last(self, k: int) -> None:
-        for window in (self.yaws, self.sin, self.cos):
-            while len(window) > k:
-                window.popleft()
-
-    def rotate(self, delta: float) -> None:
-        """Shift every yaw by delta; the only place a cached value is recomputed."""
-        yaws = [wrap_angle(y + delta) for y in self.yaws]
-        for window in (self.yaws, self.sin, self.cos):
-            window.clear()
-        for y in yaws:
-            self.append(y, math.sin(y), math.cos(y))
-
-
 @dataclass(frozen=True, slots=True)
 class SnapshotEntry:
     id: int
@@ -168,27 +136,29 @@ class SnapshotEntry:
 
 
 class Tracklet:
-    """One tracked object: identity, bounded windows of centers and yaws,
-    lifecycle, and the class spec and tracker config it was created under."""
+    """One tracked object: identity, one bounded window of its newest
+    matches, lifecycle, and the class spec and tracker config it was created
+    under."""
 
     def __init__(self, tid: int, obs: OrientedBox, t: float, spec: ClassSpec, config: TrackerConfig):
         self.id = tid
         self.class_id = obs.class_id
         self.spec = spec
         self.config = config
-        sin, cos = math.sin(obs.yaw), math.cos(obs.yaw)
-        self.centers: deque[tuple[float, float, float]] = deque([obs.center], maxlen=config.history_capacity)
-        self.history_yaws = YawWindow(config.history_capacity)
-        self.history_yaws.append(obs.yaw, sin, cos)
-        # orientation keeps its own, shorter window: rotation must track faster
-        # than position averaging smooths
-        self.resolved_yaws = YawWindow(config.orientation_window)
-        self.resolved_yaws.append(obs.yaw, sin, cos)
+        x, y, z = obs.center
+        # one (t, x, y, z, resolved yaw, sin, cos) entry per match, newest
+        # last; each rule reads a suffix of it
+        self.window: deque[tuple[float, ...]] = deque(
+            [(t, x, y, z, obs.yaw, math.sin(obs.yaw), math.cos(obs.yaw))],
+            maxlen=max(config.history_capacity, config.orientation_window, config.confirm_count),
+        )
+        # orientation reads its own suffix, by default the shorter one:
+        # rotation must track faster than position averaging smooths
+        self.orientation_len = 1
+        self._orientation_mean = self._yaw_mean(1)
         self.lifecycle = Lifecycle.TENTATIVE
         self.motion_state = MotionState.STATIONARY
         self.output_pose = obs
-        # only the newest confirm_count match times can still confirm
-        self.match_times: deque[float] = deque([t], maxlen=config.confirm_count)
         self.match_count = 1
         self.hyp_counts = [0] * spec.hypothesis_count
         self.hyp_counts[0] = 1
@@ -209,18 +179,37 @@ class Tracklet:
 
     @property
     def last_match_time(self) -> float:
-        return self.match_times[-1]
+        return self.window[-1][0]
 
     def predicted_pose(self) -> OrientedBox:
-        """Smoothed full-window pose: the association anchor and the pose fed
-        to the motion predicate. Robust to single-frame outliers, unlike the
-        published output in the Moving state. Cached; refreshed on update."""
+        """Pose smoothed over the history suffix: the association anchor and
+        the pose fed to the motion predicate. Robust to single-frame
+        outliers, unlike the published output in the Moving state. Cached;
+        refreshed on update."""
         return self._predicted
 
+    def _yaw_mean(self, n: int) -> float:
+        """`circular_mean` of the newest `n` resolved yaws bit for bit (the
+        same unit-weight sums in the same order); the newest yaw when they
+        cancel antipodally."""
+        window = self.window
+        s = c = 0.0
+        for _, _, _, _, _, sin, cos in itertools.islice(window, len(window) - n, None):
+            s += sin
+            c += cos
+        try:
+            return resultant_direction(s, c, float(n))
+        except UndefinedMeanError:
+            return window[-1][4]
+
     def _rotate_orientation(self, delta: float) -> None:
-        """Shift every stored yaw by delta (hypothesis re-commit)."""
-        self.resolved_yaws.rotate(delta)
-        self.history_yaws.rotate(delta)
+        """Shift every stored yaw by delta (hypothesis re-commit); the only
+        place a stored sine or cosine is recomputed."""
+        window = self.window
+        rotated = [(t, x, y, z, wrap_angle(yaw + delta)) for t, x, y, z, yaw, _, _ in window]
+        window.clear()
+        window.extend((t, x, y, z, yaw, math.sin(yaw), math.cos(yaw)) for t, x, y, z, yaw in rotated)
+        self._orientation_mean = self._yaw_mean(self.orientation_len)
         self.output_pose = _with_yaw(self.output_pose, wrap_angle(self.output_pose.yaw + delta))
         self._predicted = _with_yaw(self._predicted, wrap_angle(self._predicted.yaw + delta))
 
@@ -244,7 +233,6 @@ class Tracklet:
     def update(self, obs: OrientedBox, t: float) -> None:
         """Fold a matched observation into the tracklet and refresh its output."""
         config = self.config
-        self.match_times.append(t)
         self.match_count += 1
 
         resolved_yaw, j = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, self.spec)
@@ -252,33 +240,41 @@ class Tracklet:
             # the re-commit turned the reference yaw
             resolved_yaw, _ = resolve_symmetric_yaw(obs.yaw, self.output_pose.yaw, self.spec)
 
-        if yaw_difference(resolved_yaw, self.resolved_yaws.mean()) > config.orientation_outlier_threshold:
+        if yaw_difference(resolved_yaw, self._orientation_mean) > config.orientation_outlier_threshold:
             self.outlier_streak += 1
         else:
             self.outlier_streak = 0
 
         old_motion = self._predicted
-        sin, cos = math.sin(resolved_yaw), math.cos(resolved_yaw)
-        self.centers.append(obs.center)
-        self.history_yaws.append(resolved_yaw, sin, cos)
-        self.resolved_yaws.append(resolved_yaw, sin, cos)
-
+        window = self.window
+        x, y, z = obs.center
+        window.append((t, x, y, z, resolved_yaw, math.sin(resolved_yaw), math.cos(resolved_yaw)))
+        if self.orientation_len < config.orientation_window:
+            self.orientation_len += 1
         if self.outlier_streak >= config.orientation_outlier_frames:
             # sustained disagreement means the object genuinely reoriented:
             # keep only the observations that describe the new orientation
-            self.resolved_yaws.keep_last(config.orientation_outlier_frames)
+            self.orientation_len = min(self.orientation_len, config.orientation_outlier_frames)
             self.outlier_streak = 0
+        self._orientation_mean = self._yaw_mean(self.orientation_len)
 
-        # left-to-right sums: sum() of floats is compensated from Python 3.12
-        n = len(self.centers)
-        sx = sy = sz = 0.0
-        for x, y, z in self.centers:
+        # one left-to-right pass over the newest history_capacity matches
+        # (sum() of floats is compensated from Python 3.12)
+        n = len(window)
+        if n > config.history_capacity:
+            n = config.history_capacity
+        sx = sy = sz = ss = sc = 0.0
+        for _, x, y, z, _, s, c in itertools.islice(window, len(window) - n, None):
             sx += x
             sy += y
             sz += z
-        self._predicted = _derived_box(
-            (sx / n, sy / n, sz / n), obs.extent, self.history_yaws.mean(), obs.class_id, obs.confidence
-        )
+            ss += s
+            sc += c
+        try:
+            yaw = resultant_direction(ss, sc, float(n))
+        except UndefinedMeanError:
+            yaw = resolved_yaw
+        self._predicted = _derived_box((sx / n, sy / n, sz / n), obs.extent, yaw, obs.class_id, obs.confidence)
 
         # consecutive smoothed poses feed the threshold test; below
         # motion_min_history samples the mean estimate is too noisy to trust
@@ -297,7 +293,7 @@ class Tracklet:
             self.output_pose = _with_yaw(obs, resolved_yaw)
         else:
             # published stationary pose: averaged center, short-window yaw
-            self.output_pose = _with_yaw(self._predicted, self.resolved_yaws.mean())
+            self.output_pose = _with_yaw(self._predicted, self._orientation_mean)
         self.refresh_entry()
 
     def confirm(self) -> None:
@@ -310,9 +306,9 @@ class Tracklet:
         The tracker asks after every frame, so every run of `confirm_count`
         consecutive matches is tested while it is the newest one.
         """
-        ts = self.match_times
+        window = self.window
         c = self.config.confirm_count
-        return len(ts) >= c and ts[-1] - ts[-c] <= self.config.confirm_window
+        return len(window) >= c and window[-1][0] - window[-c][0] <= self.config.confirm_window
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,12 @@ through the public, checking `OrientedBox` constructor that boxes derived
 without those checks must equal, and `reference_box_fields`,
 `reference_pose_fields` and `reference_record_fields` are the value types'
 constructors as dataclass `__init__` plus `__post_init__` (set each field,
-then convert, check and set it again) that the one-pass `__init__`s must
-reproduce."""
+then convert, check and set it again), each value required to be a
+`numbers.Real`, that the one-pass `__init__`s must reproduce."""
 import itertools
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -447,15 +448,15 @@ def _reference_pick(obj: dict, key: str, line: int, kinds=(int, float)):
 
 def reference_parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
     """One record line checked field by field as it is picked, finiteness
-    included, every number converted before its type is built."""
-    t = float(_reference_pick(obj, "t", line))
+    included, every JSON number passed to its type as it was read."""
+    t = _reference_pick(obj, "t", line)
     robot_obj = obj.get("robot")
     if not isinstance(robot_obj, dict):
         raise ParseError("missing or malformed field 'robot'", line)
     robot = PlanarPose(
-        float(_reference_pick(robot_obj, "x", line)),
-        float(_reference_pick(robot_obj, "y", line)),
-        float(_reference_pick(robot_obj, "heading", line)),
+        _reference_pick(robot_obj, "x", line),
+        _reference_pick(robot_obj, "y", line),
+        _reference_pick(robot_obj, "heading", line),
         timestamp=t,
     )
     boxes_obj = obj.get("boxes")
@@ -470,13 +471,13 @@ def reference_parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
         cls = b.get("class")
         if not isinstance(cls, str):
             raise ParseError("missing or malformed field 'class'", line)
-        score = float(_reference_pick(b, "score", line)) if "score" in b else 1.0
-        center = tuple(float(_reference_pick(b, k, line)) for k in ("cx", "cy", "cz"))
-        extent = tuple(float(_reference_pick(b, k, line)) for k in ("l", "w", "h"))
-        yaw = float(_reference_pick(b, "yaw", line))
+        score = _reference_pick(b, "score", line) if "score" in b else 1.0
+        center = tuple(_reference_pick(b, k, line) for k in ("cx", "cy", "cz"))
+        extent = tuple(_reference_pick(b, k, line) for k in ("l", "w", "h"))
+        yaw = _reference_pick(b, "yaw", line)
         boxes.append(OrientedBox(center, extent, yaw, cls, confidence=score))
         if labeled:
-            ids.append(int(_reference_pick(b, "id", line, kinds=(int,))))
+            ids.append(_reference_pick(b, "id", line, kinds=(int,)))
     return FrameRecord(t, robot, tuple(boxes), tuple(ids) if labeled else None)
 
 
@@ -541,27 +542,38 @@ def reference_transform_box(pose: PlanarPose, box: OrientedBox) -> OrientedBox:
     )
 
 
-def _reference_require_finite(name: str, *values) -> None:
+def _reference_number(owner: str, field: str, value) -> float:
+    """`value` as a float. It must be a `numbers.Real`, which ints, floats and
+    numpy's real scalars are and strings are not, though `float()` converts
+    a numeric one."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{owner} {field} must be a number, got {type(value).__name__}")
     try:
-        for v in values:
-            if not math.isfinite(v):
-                raise InvalidInputError(f"{name} contains a non-finite value: {v!r}")
+        return float(value)
     except OverflowError:
-        raise InvalidInputError(f"{name} contains a number too large for a float") from None
+        raise InvalidInputError(f"{owner} contains a number too large for a float") from None
+
+
+def _reference_require_finite(owner: str, **fields) -> None:
+    for field, value in fields.items():
+        if not math.isfinite(_reference_number(owner, field, value)):
+            raise InvalidInputError(f"{owner} contains a non-finite value: {value!r}")
 
 
 def reference_box_fields(center, extent, yaw, class_id, confidence=1.0) -> tuple:
     """The fields of `OrientedBox(center, extent, yaw, class_id, confidence)`
-    as converted and checked in `__post_init__`, or its error. Any class id
+    as converted and checked in `__post_init__`, or its error, with every
+    value required to be a real number before it is converted. Any class id
     passes: its check came later."""
-    try:
-        center, extent = tuple(map(float, center)), tuple(map(float, extent))
-        yaw_f, conf = float(yaw), float(confidence)
-    except OverflowError:
-        raise InvalidInputError("OrientedBox contains a number too large for a float") from None
+    fields = {f"center[{i}]": v for i, v in enumerate(center)}
+    fields.update((f"extent[{i}]", v) for i, v in enumerate(extent))
+    fields.update(yaw=yaw, confidence=confidence)
+    converted = {field: _reference_number("OrientedBox", field, v) for field, v in fields.items()}
+    center, extent = tuple(map(float, center)), tuple(map(float, extent))
+    yaw_f, conf = converted["yaw"], converted["confidence"]
     if len(center) != 3 or len(extent) != 3:
         raise InvalidInputError("center and extent must be 3-vectors")
-    _reference_require_finite("OrientedBox", *center, *extent, yaw_f, conf)
+    _reference_require_finite("OrientedBox", **converted)
     if min(extent) <= 0.0:
         raise InvalidInputError(f"extent components must be strictly positive, got {extent}")
     if not 0.0 <= conf <= 1.0:
@@ -571,8 +583,9 @@ def reference_box_fields(center, extent, yaw, class_id, confidence=1.0) -> tuple
 
 def reference_pose_fields(x, y, heading, timestamp=0.0) -> tuple:
     """The fields of `PlanarPose(x, y, heading, timestamp)` as checked and
-    converted in `__post_init__`, or its error."""
-    _reference_require_finite("PlanarPose", x, y, heading, timestamp)
+    converted in `__post_init__`, or its error, with each value required to
+    be a real number where it is checked."""
+    _reference_require_finite("PlanarPose", x=x, y=y, heading=heading, timestamp=timestamp)
     return float(x), float(y), wrap_angle(float(heading)), float(timestamp)
 
 
@@ -580,7 +593,7 @@ def reference_record_fields(t, robot, boxes=(), ids=None) -> tuple:
     """The fields of `FrameRecord(t, robot, boxes, ids)` as checked and
     converted in `__post_init__`, or its error, for integer ids (other ids
     it truncated or accepted; they are rejected now)."""
-    _reference_require_finite("FrameRecord", t)
+    _reference_require_finite("FrameRecord", t=t)
     boxes = tuple(boxes)
     if ids is not None:
         ids = tuple(int(i) for i in ids)

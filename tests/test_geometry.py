@@ -173,9 +173,9 @@ class TestTransforms:
 
 
 # what a constructor may be handed: floats of every kind, NaN and infinities,
-# ints too large for a float, numpy floats, numeric and other strings, None
+# ints too large for a float, numpy floats, numeric and other strings, bytes, None
 ANY_NUMBER = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, 1, 10**400, -(10**400), 2**1024, math.nan, math.inf, "1.5", "x", None]),
+    st.sampled_from([0.0, -0.0, 0.5, 1, 10**400, -(10**400), 2**1024, math.nan, math.inf, "1.5", "x", b"1.5", None]),
     st.floats(),
     st.floats(width=32).map(np.float32),
     st.floats().map(np.float64),
@@ -250,6 +250,20 @@ class TestOnePassConstructors:
             return r.t, r.robot, r.boxes, r.ids
 
         assert built(fields) == built(lambda: reference_record_fields(t, robot, iter(boxes), ids))
+
+    @pytest.mark.parametrize("value", ["1.5", "x", None], ids=["numeric-string", "string", "none"])
+    def test_non_numbers_are_invalid_input(self, value):
+        got = type(value).__name__
+        with pytest.raises(InvalidInputError, match=rf"^OrientedBox center\[0\] must be a number, got {got}$"):
+            OrientedBox((value, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0, "MW")
+        with pytest.raises(InvalidInputError, match=f"^PlanarPose x must be a number, got {got}$"):
+            PlanarPose(value, 0.0, 0.0)
+
+    @pytest.mark.parametrize("vector", [None, 1.0])
+    def test_a_non_sequence_is_no_3_vector(self, vector):
+        for center, extent in ((vector, (1.0, 1.0, 1.0)), ((0.0, 0.0, 0.0), vector)):
+            with pytest.raises(InvalidInputError, match="^center and extent must be 3-vectors$"):
+                OrientedBox(center, extent, 0.0, "MW")
 
     @pytest.mark.parametrize("class_id", [3, None, b"MW", ("MW",)], ids=["int", "none", "bytes", "tuple"])
     def test_class_id_must_be_a_string(self, class_id):

@@ -287,6 +287,7 @@ BAD_LINES = [
     '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"class":"MW","score":0.5,"cx":0,"cy":0,"cz":0,"l":1,"w":true,"h":1,"yaw":0}]}',
     '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":"7","class":"MW","cx":0,"cy":0,"cz":0,"l":1,"w":1,"h":1e400,"yaw":0}]}',
     '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":7,"class":"MW","score":1.5,"cx":0,"cy":0,"cz":0,"l":1,"w":1,"h":1,"yaw":0}]}',
+    '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":7,"class":"MW","score":2,"cx":0,"cy":0,"cz":0,"l":1,"w":1,"h":1,"yaw":0}]}',
 ]
 BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1e", "\x85", "\u2028", "\u2029", "\n\n", "\r\r\n"]
 

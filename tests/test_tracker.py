@@ -297,11 +297,15 @@ class TestConfirmationOracle:
         st.lists(st.floats(0.0, 30.0), min_size=1, max_size=25, unique=True),
         st.integers(1, 5),
         st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+        st.integers(1, 6),
     )
     @settings(max_examples=200)
-    def test_bounded_times_confirm_on_the_same_match(self, times, count, window):
+    def test_bounded_times_confirm_on_the_same_match(self, times, count, window, capacity):
+        # confirm_count may exceed both other windows and so set the bound
         times = sorted(times)
-        cfg = TrackerConfig(confirm_count=count, confirm_window=window)
+        cfg = TrackerConfig(
+            confirm_count=count, confirm_window=window, history_capacity=capacity, orientation_window=1
+        )
         assert confirm_index(times, cfg) == all_windows_confirm_index(times, cfg)
 
     def test_match_state_is_bounded(self):
@@ -309,7 +313,8 @@ class TestConfirmationOracle:
         trk = Tracklet(1, box(), 0.0, PLAIN, cfg)
         for k in range(1, 50):
             trk.update(box(), k * 10.0)
-        assert list(trk.match_times) == [470.0, 480.0, 490.0]
+        # one entry per match, as many as the longest window reads
+        assert [entry[0] for entry in trk.window] == [10.0 * k for k in range(30, 50)]
         assert trk.match_count == 50
         assert trk.last_match_time == 490.0
 
@@ -347,19 +352,28 @@ class TestDuplicateSuppression:
         assert tracker.dropped == len(specs) - len(expected)
 
 
+def newest_yaws(trk, n):
+    return [entry[4] for entry in trk.window][-n:]
+
+
 def assert_yaw_windows_exact(trk, centers):
-    """Cached sines and cosines are those of the stored yaws, each window's
-    estimate is the circular mean of its yaws, and the predicted center is
-    the mean of the newest `history_capacity` of the matched `centers`, all
-    bit for bit. (A new tracklet predicts its first observation as it is,
-    so call this after an update.)"""
-    assert trk.predicted_pose().center == reference_window_center(centers, trk.config.history_capacity)
-    for window in (trk.history_yaws, trk.resolved_yaws):
-        yaws = list(window.yaws)
-        assert list(window.sin) == [math.sin(y) for y in yaws]
-        assert list(window.cos) == [math.cos(y) for y in yaws]
-        assert window.mean() == reference_yaw_estimate(yaws)
-    assert trk.predicted_pose().yaw == reference_yaw_estimate(trk.history_yaws.yaws)
+    """The window holds one entry per match, as many as its longest suffix
+    reads, with the matched centers and the sine and cosine of each stored
+    yaw; the predicted yaw and the orientation mean are the circular means
+    of their suffixes' yaws, and the predicted center is the mean of the
+    newest `history_capacity` of the matched `centers`, all bit for bit. (A
+    new tracklet predicts its first observation as it is, so call this
+    after an update.)"""
+    cfg = trk.config
+    capacity = max(cfg.history_capacity, cfg.orientation_window, cfg.confirm_count)
+    assert len(trk.window) == min(len(centers), capacity)
+    assert [entry[1:4] for entry in trk.window] == list(centers)[-len(trk.window):]
+    assert [entry[5] for entry in trk.window] == [math.sin(entry[4]) for entry in trk.window]
+    assert [entry[6] for entry in trk.window] == [math.cos(entry[4]) for entry in trk.window]
+    assert 1 <= trk.orientation_len <= min(len(trk.window), cfg.orientation_window)
+    assert trk._orientation_mean == reference_yaw_estimate(newest_yaws(trk, trk.orientation_len))
+    assert trk.predicted_pose().center == reference_window_center(centers, cfg.history_capacity)
+    assert trk.predicted_pose().yaw == reference_yaw_estimate(newest_yaws(trk, cfg.history_capacity))
 
 
 def at_origin(n):
@@ -380,7 +394,7 @@ class TestCachedYawWindows:
             max_size=40,
         ),
         st.integers(1, 4),
-        st.integers(1, 5),
+        st.integers(1, 9),
     )
     @settings(max_examples=150)
     def test_estimates_equal_circular_mean(self, cls, yaws, outlier_frames, window):
@@ -405,6 +419,9 @@ class TestCachedYawWindows:
         for k in range(1, 12):
             trk.update(box(yaw=0.01 * k, cls="SYM"), 0.1 * k)
             assert_yaw_windows_exact(trk, at_origin(k + 1))
+            # the re-commit turns the orientation mean with the stored yaws,
+            # so the yaw it re-resolves is no outlier
+            assert trk.outlier_streak == 0
         assert rotations == [-math.pi]
         assert trk.oriented
 
@@ -416,7 +433,7 @@ class TestCachedYawWindows:
         sizes = []
         for k in range(10, 14):
             trk.update(box(yaw=1.0472 + 0.01 * k), 0.1 * k)
-            sizes.append(len(trk.resolved_yaws.yaws))
+            sizes.append(trk.orientation_len)
             assert_yaw_windows_exact(trk, at_origin(k + 1))
         # the third sustained outlier keeps only the three newest yaws
         assert sizes == [8, 8, 3, 4]
@@ -426,8 +443,8 @@ class TestCachedYawWindows:
         trk = Tracklet(1, box(yaw=0.0), 0.0, PLAIN, cfg)
         trk.update(box(yaw=math.pi), 0.1)
         with pytest.raises(UndefinedMeanError):
-            circular_mean(list(trk.resolved_yaws.yaws))
-        assert trk.resolved_yaws.mean() == math.pi
+            circular_mean(newest_yaws(trk, trk.orientation_len))
+        assert trk._orientation_mean == math.pi
         assert trk.predicted_pose().yaw == math.pi
         assert_yaw_windows_exact(trk, at_origin(2))
 
