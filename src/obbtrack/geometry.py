@@ -16,9 +16,10 @@ each slot once, through the slot's descriptor (as `_unchecked_box` does); the
 dataclass keeps their eq, hash and repr. Each takes real numbers only
 (ints, floats and numpy scalars, not numeric strings), and names a value
 that is not one as `InvalidInputError`. A box names the first of its errors
-in this order: a value that is not a number (or is too large for a float),
-taken in field order; a center or extent that is not a 3-vector; a
-non-finite value; a non-positive extent; a confidence outside [0, 1]; a
+in this order: a center or extent that is an iterator (the one-pass check
+has consumed its values); a value that is not a number (or is too large for
+a float), taken in field order; a center or extent that is not a 3-vector;
+a non-finite value; a non-positive extent; a confidence outside [0, 1]; a
 class id that is not a string. A pose names its first bad field, in field
 order: not a number, too large for a float, or not finite.
 """
@@ -180,11 +181,15 @@ def _name_box_error(center, extent, yaw, confidence) -> NoReturn:
     check: every value is checked to be a number before the lengths are, and
     the lengths before finiteness."""
     vectors = []
-    for vector in (center, extent):
+    for name, vector in (("center", center), ("extent", extent)):
         try:
-            vectors.append(list(vector))
+            items = iter(vector)
         except TypeError:  # no sequence, so no 3-vector
             vectors.append([])
+            continue
+        if items is vector:  # an iterator: the one-pass check consumed it
+            raise InvalidInputError(f"OrientedBox {name} must be a sequence, got {type(vector).__name__}")
+        vectors.append(list(items))
     center, extent = vectors
     fields = {f"center[{i}]": v for i, v in enumerate(center)}
     fields.update((f"extent[{i}]", v) for i, v in enumerate(extent))
@@ -261,9 +266,9 @@ def _polygon_area(pts: Sequence[tuple[float, float]]) -> float:
     if len(pts) < 3:
         return 0.0
     acc = 0.0
-    for i in range(len(pts)):
+    for i in range(-len(pts), 0):
         x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % len(pts)]
+        x2, y2 = pts[i + 1]
         acc += x1 * y2 - x2 * y1
     return abs(acc) / 2.0
 
@@ -271,21 +276,29 @@ def _polygon_area(pts: Sequence[tuple[float, float]]) -> float:
 def _clip_polygon(
     subject: list[tuple[float, float]], clip: list[tuple[float, float]]
 ) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman clip of `subject` against convex CCW polygon `clip`."""
+    """Sutherland-Hodgman clip of `subject` against convex CCW polygon `clip`.
+
+    Edges and vertex pairs are walked by the indices -n..-1, so the index
+    after the last one is 0: the pairs and their order of a walk from index
+    0 with a modulo. A pass whose vertices all lie inside its edge would
+    return its input, so it is skipped.
+    """
     output = subject
-    n = len(clip)
-    for i in range(n):
+    for i in range(-len(clip), 0):
         if not output:
             return []
         ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
+        bx, by = clip[i + 1]
         ex, ey = bx - ax, by - ay
+        sides = [ex * (py - ay) - ey * (px - ax) for px, py in output]
+        # min() can pass over a NaN side, but the sum is then NaN
+        if min(sides) >= 0.0 <= sum(sides):
+            continue
         inputs = output
         output = []
-        sides = [ex * (py - ay) - ey * (px - ax) for px, py in inputs]
-        for j in range(len(inputs)):
+        for j in range(-len(inputs), 0):
             p1, s1 = inputs[j], sides[j]
-            p2, s2 = inputs[(j + 1) % len(inputs)], sides[(j + 1) % len(inputs)]
+            p2, s2 = inputs[j + 1], sides[j + 1]
             if s1 >= 0.0:
                 output.append(p1)
                 if s2 < 0.0:

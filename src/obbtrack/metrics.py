@@ -10,18 +10,18 @@ HOTA follows Luiten et al. (2021) with one deviation from TrackEval: each
 frame is matched by that rule (maximum cardinality, then maximum total IoU),
 not with each pair's IoU weighted by its global association score.
 
-`evaluate_streams` computes one IoU matrix per frame: every report row
-matches on it (or its per-class block), and HOTA and the id-switch count
-reuse the row's pairings at `alpha`. The cost follows the overlapping pairs,
-not the gt x pred product:
-- `iou_matrix` computes each box's circumscribed circle once and calls
-  `iou_3d` only on same-class pairs whose circles meet; every other entry is
-  the 0.0 that `iou_3d`'s own early-out would return.
-- `match_frame` takes the feasible pairs from the matrix's entries above the
-  threshold. When they are one-to-one they are the matching; only a frame
-  where two feasible pairs share a box goes to the assignment solver, and
-  `scipy.optimize` is imported on that first use, so tracking and
-  simulation never load it.
+`evaluate_streams` lists each frame's overlapping pairs once: every report
+row matches on that list (or its per-class share), and HOTA and the id-switch
+count reuse the row's pairings at `alpha`. The cost follows the overlapping
+pairs, not the gt x pred product, and no dense matrix is built:
+- `overlapping_pairs` computes each box's circumscribed circle once and
+  calls `iou_3d` only on same-class pairs whose circles meet; every pair it
+  leaves out has the IoU 0.0 that `iou_3d`'s own early-out would return.
+- `match_frame` keeps the listed pairs with IoU above the threshold. When
+  they are one-to-one they are the matching, found with two sets; only a
+  frame where two feasible pairs share a box builds the dense score matrix
+  for the assignment solver. numpy runs only there, and `scipy.optimize` is
+  imported on that first use, so tracking and simulation never load it.
 """
 from __future__ import annotations
 
@@ -76,17 +76,17 @@ def _circles(boxes: Sequence[OrientedBox]) -> list[tuple[str, float, float, floa
     return [(b.class_id, b.center[0], b.center[1], math.hypot(b.extent[0], b.extent[1]) / 2.0) for b in boxes]
 
 
-def iou_matrix(gt: Sequence[OrientedBox], pred: Sequence[OrientedBox]) -> np.ndarray:
-    """gt x pred IoU matrix. `iou_3d` runs only on same-class pairs whose
-    circumscribed circles meet; every other entry is 0."""
-    iou = np.zeros((len(gt), len(pred)))
+def overlapping_pairs(gt: Sequence[OrientedBox], pred: Sequence[OrientedBox]) -> list[tuple[int, int, float]]:
+    """`(i, j, iou)` of each same-class gt x pred pair whose circumscribed
+    circles meet, in row-major order; every other pair's IoU is 0."""
+    pairs = []
     pred_circles = _circles(pred)
     for i, (cls, x, y, r) in enumerate(_circles(gt)):
         for j, (p_cls, px, py, pr) in enumerate(pred_circles):
             # the negation of iou_3d's disjoint-circle test, term for term
             if p_cls == cls and math.hypot(x - px, y - py) <= r + pr:
-                iou[i, j] = iou_3d(gt[i], pred[j])
-    return iou
+                pairs.append((i, j, iou_3d(gt[i], pred[j])))
+    return pairs
 
 
 def match_frame(
@@ -94,48 +94,45 @@ def match_frame(
     pred: Sequence[OrientedBox],
     alpha: float = 0.5,
     timestamp: float = 0.0,
-    iou: np.ndarray | None = None,
+    overlaps: Sequence[tuple[int, int, float]] | None = None,
 ) -> FramePairing:
     """Maximum-cardinality, then maximum-total-IoU one-to-one matching of
     same-class pairs with IoU strictly above `alpha`.
 
-    `iou` is `iou_matrix(gt, pred)` when the caller already has it.
+    `overlaps` is `overlapping_pairs(gt, pred)` when the caller already has it.
     """
     _check_alpha(alpha)
-    n_gt, n_pred = len(gt), len(pred)
-    pairs: list[tuple[int, int, float]] = []
-    if n_gt and n_pred:
-        if iou is None:
-            iou = iou_matrix(gt, pred)
-        feasible = iou > alpha
-        rows, cols = np.nonzero(feasible)
-        rows, cols = rows.tolist(), cols.tolist()
-        if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
-            # one-to-one already: the only matching of maximum cardinality;
-            # np.nonzero and the mask both list it in row-major (gt, pred) order
-            pairs = list(zip(rows, cols, iou[feasible].tolist()))
-        else:
-            pairs = _solve_conflicts(iou, feasible)
+    if overlaps is None:
+        overlaps = overlapping_pairs(gt, pred)
+    pairs = [pair for pair in overlaps if pair[2] > alpha]
     matched_gt = {i for i, _, _ in pairs}
     matched_pred = {j for _, j, _ in pairs}
+    # a one-to-one set is the only matching of maximum cardinality, already
+    # in row-major order; the solver runs only where two pairs share a box
+    if len(matched_gt) < len(pairs) or len(matched_pred) < len(pairs):
+        pairs = _solve_conflicts(pairs, len(gt), len(pred))
+        matched_gt = {i for i, _, _ in pairs}
+        matched_pred = {j for _, j, _ in pairs}
     return FramePairing(
         timestamp=timestamp,
         tp_pairs=tuple(pairs),
-        fp_indices=tuple(j for j in range(n_pred) if j not in matched_pred),
-        fn_indices=tuple(i for i in range(n_gt) if i not in matched_gt),
+        fp_indices=tuple(j for j in range(len(pred)) if j not in matched_pred),
+        fn_indices=tuple(i for i in range(len(gt)) if i not in matched_gt),
     )
 
 
-def _solve_conflicts(iou: np.ndarray, feasible: np.ndarray) -> list[tuple[int, int, float]]:
+def _solve_conflicts(feasible: list[tuple[int, int, float]], n_gt: int, n_pred: int) -> list[tuple[int, int, float]]:
     """Optimal assignment over the whole frame, for frames where feasible
-    pairs share a box."""
+    pairs share a box. The score is the bonus-lifted IoU on feasible pairs
+    and 0 elsewhere."""
     from scipy.optimize import linear_sum_assignment
 
-    score = np.where(feasible, iou + _CARDINALITY_BONUS, 0.0)
-    rows, cols = linear_sum_assignment(score, maximize=True)
-    kept = feasible[rows, cols]
-    rows, cols = rows[kept], cols[kept]
-    return sorted(zip(rows.tolist(), cols.tolist(), iou[rows, cols].tolist()))
+    rows, cols, values = zip(*feasible)
+    score = np.zeros((n_gt, n_pred))
+    score[rows, cols] = np.array(values) + _CARDINALITY_BONUS
+    iou = {(i, j): v for i, j, v in feasible}
+    assigned = zip(*(a.tolist() for a in linear_sum_assignment(score, maximize=True)))
+    return sorted((i, j, iou[i, j]) for i, j in assigned if (i, j) in iou)
 
 
 def det_a(pairings: Iterable[FramePairing]) -> float:
@@ -186,14 +183,14 @@ def _require_ids(frames: Sequence[FrameRecord], label: str) -> None:
             raise InvalidInputError(f"duplicate {label} ids within frame t={f.t}")
 
 
-# A frame as a report row sees it: boxes, ids, IoU block (None if a side is
-# empty) and pairings by threshold, shared by all rows that see the same boxes.
-_FrameView = namedtuple("_FrameView", "t gt pred gt_ids pred_ids iou pairings")
+# A frame as a report row sees it: boxes, ids, overlapping pairs and pairings
+# by threshold, shared by all rows that see the same boxes.
+_FrameView = namedtuple("_FrameView", "t gt pred gt_ids pred_ids overlaps pairings")
 
 
 def _whole_frame(gt_rec: FrameRecord, pred_rec: FrameRecord) -> _FrameView:
-    iou = iou_matrix(gt_rec.boxes, pred_rec.boxes)
-    return _FrameView(gt_rec.t, gt_rec.boxes, pred_rec.boxes, gt_rec.ids, pred_rec.ids, iou, {})
+    overlaps = overlapping_pairs(gt_rec.boxes, pred_rec.boxes)
+    return _FrameView(gt_rec.t, gt_rec.boxes, pred_rec.boxes, gt_rec.ids, pred_rec.ids, overlaps, {})
 
 
 def _class_block(frame: _FrameView, class_id: str) -> _FrameView:
@@ -201,13 +198,18 @@ def _class_block(frame: _FrameView, class_id: str) -> _FrameView:
     pj = [j for j, b in enumerate(frame.pred) if b.class_id == class_id]
     if len(gi) == len(frame.gt) and len(pj) == len(frame.pred):
         return frame
+    # positions within the block; both maps keep the frame's order, so the
+    # re-indexed pairs stay row-major
+    gt_pos = {i: k for k, i in enumerate(gi)}
+    pred_pos = {j: k for k, j in enumerate(pj)}
     return _FrameView(
         frame.t,
         tuple(frame.gt[i] for i in gi),
         tuple(frame.pred[j] for j in pj),
         tuple(frame.gt_ids[i] for i in gi),
         None if frame.pred_ids is None else tuple(frame.pred_ids[j] for j in pj),
-        frame.iou[np.ix_(gi, pj)] if gi and pj else None,
+        # a listed pair is same-class, so its gt box names the block
+        [(gt_pos[i], pred_pos[j], v) for i, j, v in frame.overlaps if i in gt_pos],
         {},
     )
 
@@ -215,7 +217,7 @@ def _class_block(frame: _FrameView, class_id: str) -> _FrameView:
 def _match_all(views: Sequence[_FrameView], alpha: float) -> list[FramePairing]:
     for v in views:
         if alpha not in v.pairings:
-            v.pairings[alpha] = match_frame(v.gt, v.pred, alpha, v.t, v.iou)
+            v.pairings[alpha] = match_frame(v.gt, v.pred, alpha, v.t, v.overlaps)
     return [v.pairings[alpha] for v in views]
 
 

@@ -3,7 +3,11 @@ Monte-Carlo volume sampling instead of polygon clipping, exhaustive matching
 enumeration instead of the Hungarian solver, and a from-scratch
 association-accuracy recount. `reference_dense_iou` and
 `reference_match_frame` are the dense IoU matrix and the solver run on every
-frame that the pair-filtered `iou_matrix` and `match_frame` must reproduce;
+frame that the pair list of `overlapping_pairs` and `match_frame` must
+reproduce; `reference_iou_3d` is `iou_3d` on the footprint corners, the
+clip with a pass over every edge and the area walk with modulo indices
+(`reference_footprint_corners`, `reference_clip_polygon`,
+`reference_polygon_area`) that the clip that skips passes must reproduce;
 `reference_evaluate_streams` is the direct report path, built on them, that
 the shared-matrix `evaluate_streams` must reproduce;
 `reference_associate` and `reference_surviving_ids` are the nested loops over
@@ -30,7 +34,15 @@ import numpy as np
 
 from obbtrack.association import AssociationResult, gate_threshold
 from obbtrack.errors import InvalidInputError, ParseError, StreamOrderError, UndefinedMeanError, UndefinedMetricError
-from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, circular_mean, iou_3d, wrap_angle
+from obbtrack.geometry import (
+    DEGENERATE_AREA,
+    OrientedBox,
+    PlanarPose,
+    center_distance,
+    circular_mean,
+    iou_3d,
+    wrap_angle,
+)
 from obbtrack.metrics import (
     ALPHA_SWEEP,
     ClassMetrics,
@@ -149,6 +161,75 @@ def reference_dense_iou(gt, pred) -> np.ndarray:
             if g.class_id == p.class_id:
                 iou[i, j] = iou_3d(g, p)
     return iou
+
+
+def reference_footprint_corners(box: OrientedBox) -> list[tuple[float, float]]:
+    """BEV footprint rectangle corners in counter-clockwise order."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    hl, hw = box.extent[0] / 2.0, box.extent[1] / 2.0
+    cx, cy = box.center[0], box.center[1]
+    return [
+        (cx + c * dx - s * dy, cy + s * dx + c * dy)
+        for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))
+    ]
+
+
+def reference_polygon_area(pts) -> float:
+    if len(pts) < 3:
+        return 0.0
+    acc = 0.0
+    for i in range(len(pts)):
+        x1, y1 = pts[i]
+        x2, y2 = pts[(i + 1) % len(pts)]
+        acc += x1 * y2 - x2 * y1
+    return abs(acc) / 2.0
+
+
+def reference_clip_polygon(subject, clip):
+    """Sutherland-Hodgman clip of `subject` against convex CCW polygon `clip`,
+    one full pass per edge."""
+    output = subject
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        inputs = output
+        output = []
+        sides = [ex * (py - ay) - ey * (px - ax) for px, py in inputs]
+        for j in range(len(inputs)):
+            p1, s1 = inputs[j], sides[j]
+            p2, s2 = inputs[(j + 1) % len(inputs)], sides[(j + 1) % len(inputs)]
+            if s1 >= 0.0:
+                output.append(p1)
+                if s2 < 0.0:
+                    t = s1 / (s1 - s2)
+                    output.append((p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1])))
+            elif s2 >= 0.0:
+                t = s1 / (s1 - s2)
+                output.append((p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1])))
+    return output
+
+
+def reference_iou_3d(a: OrientedBox, b: OrientedBox) -> float:
+    """`iou_3d` built on the reference footprint, clip and area."""
+    z_lo = max(a.center[2] - a.extent[2] / 2.0, b.center[2] - b.extent[2] / 2.0)
+    z_hi = min(a.center[2] + a.extent[2] / 2.0, b.center[2] + b.extent[2] / 2.0)
+    dz = z_hi - z_lo
+    if dz <= 0.0:
+        return 0.0
+    reach = math.hypot(a.extent[0], a.extent[1]) / 2.0 + math.hypot(b.extent[0], b.extent[1]) / 2.0
+    if math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]) > reach:
+        return 0.0
+    poly = reference_clip_polygon(reference_footprint_corners(a), reference_footprint_corners(b))
+    area = reference_polygon_area(poly)
+    inter = (area if area >= DEGENERATE_AREA else 0.0) * dz
+    if inter <= 0.0:
+        return 0.0
+    union = a.volume + b.volume - inter
+    return min(1.0, max(0.0, inter / union))
 
 
 def reference_match_frame(gt, pred, alpha=0.5, timestamp=0.0) -> FramePairing:

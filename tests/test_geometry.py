@@ -33,6 +33,7 @@ from oracles import (
     assert_public_box,
     mc_iou,
     reference_box_fields,
+    reference_iou_3d,
     reference_pose_fields,
     reference_record_fields,
     reference_transform_box,
@@ -265,6 +266,14 @@ class TestOnePassConstructors:
             with pytest.raises(InvalidInputError, match="^center and extent must be 3-vectors$"):
                 OrientedBox(center, extent, 0.0, "MW")
 
+    def test_an_iterator_is_named_as_no_sequence(self):
+        # the one-pass check's unpacking consumed it, so its values are gone
+        with pytest.raises(InvalidInputError, match="^OrientedBox center must be a sequence, got generator$"):
+            OrientedBox((v for v in (0.0, "x", 0.0)), (1, 1, 1), 0.0, "MW")
+        with pytest.raises(InvalidInputError, match="^OrientedBox extent must be a sequence, got list_iterator$"):
+            OrientedBox((0.0, 0.0, 0.0), iter([1.0, math.inf, 1.0]), 0.0, "MW")
+        assert OrientedBox(iter([1, 2, 3]), (1, 1, 1), 0.0, "MW").center == (1.0, 2.0, 3.0)
+
     @pytest.mark.parametrize("class_id", [3, None, b"MW", ("MW",)], ids=["int", "none", "bytes", "tuple"])
     def test_class_id_must_be_a_string(self, class_id):
         with pytest.raises(InvalidInputError, match=f"class_id must be a string, got {type(class_id).__name__}"):
@@ -282,6 +291,39 @@ class TestOnePassConstructors:
         ]
         for value in values:
             assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+@st.composite
+def _clip_pairs(draw):
+    """A box and a second one drawn against it: the same box, one nested in
+    it, one turned by quarter turns about a nearby center, one touching it
+    end to end, or any box near it."""
+    grid = st.integers(-8, 8).map(lambda k: 0.25 * k)
+    x, y = draw(st.one_of(st.tuples(grid, grid), st.tuples(coords, coords)))
+    x += draw(st.sampled_from([0.0, 1e6]))
+    yaw = draw(st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi]), angles))
+    l, w, h = draw(st.sampled_from([0.5, 1.0, 2.0]) | extents), draw(extents), draw(extents)
+    a = OrientedBox((x, y, 0.0), (l, w, h), yaw, "MSU")
+    kind = draw(st.sampled_from(["identical", "nested", "quarter-turned", "touching", "near"]))
+    if kind == "identical":
+        return a, a
+    if kind == "nested":
+        f = draw(st.sampled_from([0.5, 1.0]) | st.floats(0.1, 1.0))
+        return a, OrientedBox((x, y, 0.0), (l * f, w * f, h * f), yaw, "MSU")
+    if kind == "quarter-turned":
+        k = draw(st.integers(1, 3))
+        dx, dy = draw(grid), draw(grid)
+        return a, OrientedBox((x + dx, y + dy, 0.0), (w, l, h) if k % 2 else (l, w, h), yaw + k * math.pi / 2, "MSU")
+    if kind == "touching":
+        lb = draw(st.sampled_from([0.5, 1.0, 2.0]) | extents)
+        d = (l + lb) / 2.0
+        return a, OrientedBox((x + d * math.cos(yaw), y + d * math.sin(yaw), 0.0), (lb, w, h), yaw, "MSU")
+    return a, OrientedBox(
+        (x + draw(st.floats(-3.0, 3.0)), y + draw(st.floats(-3.0, 3.0)), draw(st.floats(-1.0, 1.0))),
+        (draw(extents), draw(extents), draw(extents)),
+        draw(angles),
+        "MSU",
+    )
 
 
 class TestIou:
@@ -356,6 +398,13 @@ class TestIou:
         a = box(l=la, w=wa, yaw=ya)
         b = box(cx=d * math.cos(heading), cy=d * math.sin(heading), l=lb, w=wb, h=0.7, yaw=yb)
         assert iou_3d(a, b) == clip_only_iou(a, b)
+
+    @given(_clip_pairs())
+    @settings(max_examples=1000)
+    def test_equals_full_pass_clip_bit_for_bit(self, pair):
+        a, b = pair
+        assert iou_3d(a, b).hex() == reference_iou_3d(a, b).hex()
+        assert iou_3d(b, a).hex() == reference_iou_3d(b, a).hex()
 
     def test_matches_axis_aligned_closed_form(self):
         rng = np.random.default_rng(7)

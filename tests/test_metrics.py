@@ -17,6 +17,7 @@ from obbtrack import metrics
 from obbtrack.errors import AlignmentError, InvalidInputError, UndefinedMetricError
 from obbtrack.geometry import OrientedBox, PlanarPose
 from obbtrack.metrics import (
+    ALPHA_SWEEP,
     FramePairing,
     det_a,
     evaluate_streams,
@@ -304,12 +305,13 @@ class TestEvaluateStreams:
         # unit footprints 2 m apart: circumscribed circles (radius 0.71 m) never meet
         row = [box(cx=2.0 * k, cy=0.3 * (k % 3)) for k in range(30)]
         near = box(cx=10.2, cy=0.6)
-        iou = metrics.iou_matrix(row, [near])
+        pairs = metrics.overlapping_pairs(row, [near])
         assert tested == [(row[5], near)]
-        assert np.count_nonzero(iou) == 1 and iou[5, 0] > 0.0
+        assert [(i, j) for i, j, _ in pairs] == [(5, 0)] and pairs[0][2] > 0.0
         tested.clear()
-        iou = metrics.iou_matrix(row, row)
-        assert np.count_nonzero(iou) == np.count_nonzero(np.diag(iou)) == 30
+        pairs = metrics.overlapping_pairs(row, row)
+        assert [(i, j) for i, j, _ in pairs] == [(k, k) for k in range(30)]
+        assert all(v > 0.0 for _, _, v in pairs)
         assert tested == [(b, b) for b in row]
 
 
@@ -414,10 +416,14 @@ class TestPairFilteredIou:
     def test_equals_dense_matrix_bit_for_bit(self, gt, pred, rims):
         gt = gt + [a for a, _ in rims]
         pred = pred + [b for _, b in rims]
-        got = metrics.iou_matrix(gt, pred)
+        got = metrics.overlapping_pairs(gt, pred)
         expected = oracles.reference_dense_iou(gt, pred)
-        assert got.shape == expected.shape == (len(gt), len(pred))
-        assert got.tobytes() == expected.tobytes()
+        listed = [(i, j) for i, j, _ in got]
+        assert listed == sorted(set(listed))  # row-major, no duplicates
+        assert all(0 <= i < len(gt) and 0 <= j < len(pred) for i, j in listed)
+        assert all(type(v) is float and v.hex() == float(expected[i, j]).hex() for i, j, v in got)
+        rows, cols = np.nonzero(expected)
+        assert set(zip(rows.tolist(), cols.tolist())) <= set(listed)
 
     def test_tangent_circles_reach_iou_3d(self, monkeypatch):
         tested = []
@@ -425,10 +431,24 @@ class TestPairFilteredIou:
         monkeypatch.setattr(metrics, "iou_3d", lambda a, b: tested.append((a, b)) or iou_3d(a, b))
         a = box(l=0.6, w=0.8)
         b = box(cx=0.75, l=0.3, w=0.4)  # radii 0.5 and 0.25, centers 0.75 apart
-        assert metrics.iou_matrix([a], [b]).tolist() == [[0.0]]
+        assert metrics.overlapping_pairs([a], [b]) == [(0, 0, 0.0)]
         assert tested == [(a, b)]
-        assert metrics.iou_matrix([a], [box(cx=0.7500000001, l=0.3, w=0.4)]).tolist() == [[0.0]]
+        assert metrics.overlapping_pairs([a], [box(cx=0.7500000001, l=0.3, w=0.4)]) == []
         assert len(tested) == 1
+
+
+    @given(_labeled_frame())
+    @settings(max_examples=300)
+    def test_class_block_pairs_equal_the_class_list(self, frame):
+        (gt_rec,), (pred_rec,) = frames_to_records([frame])
+        whole = metrics._whole_frame(gt_rec, pred_rec)
+        for c in CLASSES:
+            gt = [b for b in gt_rec.boxes if b.class_id == c]
+            pred = [b for b in pred_rec.boxes if b.class_id == c]
+            block = metrics._class_block(whole, c)
+            assert list(block.gt) == gt and list(block.pred) == pred
+            expected = metrics.overlapping_pairs(gt, pred)
+            assert [(i, j, v.hex()) for i, j, v in block.overlaps] == [(i, j, v.hex()) for i, j, v in expected]
 
 
 # Unit boxes on a 0.25 m grid: a 0.25 m offset gives IoU 0.6, a 0.5 m offset
@@ -471,7 +491,7 @@ class TestConflictOnlySolver:
         got = match_frame(gt, pred, alpha, 2.5)
         assert got == expected
         assert all(type(i) is int and type(j) is int and type(v) is float for i, j, v in got.tp_pairs)
-        assert match_frame(gt, pred, alpha, 2.5, metrics.iou_matrix(gt, pred)) == expected
+        assert match_frame(gt, pred, alpha, 2.5, metrics.overlapping_pairs(gt, pred)) == expected
 
     def test_only_conflicting_frames_reach_the_solver(self, monkeypatch):
         solved = []
@@ -490,6 +510,52 @@ class TestConflictOnlySolver:
         assert pairing.fn_indices == (1,)
         assert match_frame(*TIED).tp == 2
         assert solved == [(2, 1), (2, 2)]
+
+
+class TestPerFrameHook:
+    """`evaluate_streams` scores each frame view once per threshold, through
+    the module's `match_frame`, which does all of the matching."""
+
+    # frame 0 has one class, so its class block is the frame; frame 1 has
+    # two classes, so it has two blocks besides the frame; frame 2 is empty
+    FRAMES = [
+        ([box()], [1], [box(cx=0.1)], [7]),
+        ([box(), box(cx=3.0, cls="MW")], [1, 2], [box(cx=3.1, cls="MW"), box(cx=9.0)], [8, 9]),
+        ([], [], [], []),
+    ]
+
+    @pytest.mark.parametrize(
+        "mode, sweep, alphas",
+        [("detection", False, {0.5, 0.0}), ("tracklet", False, {0.5, 0.0}), ("tracklet", True, {0.0, *ALPHA_SWEEP})],
+    )
+    def test_match_frame_called_once_per_view_and_threshold(self, monkeypatch, mode, sweep, alphas):
+        calls = []
+        real = metrics.match_frame
+
+        def counting(gt, pred, alpha, timestamp, overlaps):
+            calls.append((timestamp, alpha, len(gt), len(pred)))
+            assert overlaps is not None
+            return real(gt, pred, alpha, timestamp, overlaps)
+
+        gt, pred = frames_to_records(self.FRAMES)
+        expected = evaluate_streams(gt, pred, mode, 0.5, sweep)
+        monkeypatch.setattr(metrics, "match_frame", counting)
+        assert evaluate_streams(gt, pred, mode, 0.5, sweep) == expected
+        views = [(0.0, 1, 1), (1.0, 2, 2), (1.0, 1, 1), (1.0, 1, 1), (2.0, 0, 0)]
+        assert sorted(calls) == sorted((t, a, n_gt, n_pred) for t, n_gt, n_pred in views for a in alphas)
+
+    def test_conflict_free_scoring_uses_no_numpy(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy used: np.{name}")
+
+        gt, pred = frames_to_records(self.FRAMES)
+        runs = [(mode, 0.5, sweep) for mode in ("detection", "tracklet") for sweep in (False, True)]
+        expected = [evaluate_streams(gt, pred, *r) for r in runs]
+        monkeypatch.setattr(metrics, "np", NoNumpy())
+        assert [evaluate_streams(gt, pred, *r) for r in runs] == expected
+        with pytest.raises(AssertionError, match="numpy used"):
+            match_frame(*CONFLICT)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
