@@ -7,18 +7,19 @@ explodes with the flip rate while the tracklet side stays near the noise
 floor set by yaw averaging.
 """
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from obbtrack.campaign import track_stream
+from obbtrack.campaign import simulate, track_stream
 from obbtrack.config import load_config
 from obbtrack.doe import TrialSpec
 from obbtrack.errors import UndefinedMetricError
 from obbtrack.metrics import yaw_rmse
-from obbtrack.simulate import NoiseModel, simulate_trial
+from obbtrack.simulate import NoiseModel
 from obbtrack.streams import detections_to_map
 
 
@@ -35,14 +36,12 @@ def run(flip_prob, seeds, config, frames):
         pos_sigma=0.02, yaw_sigma=math.radians(3.0), flip_prob=flip_prob,
         dropout_none=0.0, fp_rate=0.0,
     )
+    config = dataclasses.replace(config, noise=noise, duration=frames / 10.0, rate=10.0)
     det_pairs, trk_pairs = [], []
     for seed in range(seeds):
-        gt, det = simulate_trial(
-            stationary_trial(), config.classes, noise,
-            duration=frames / 10.0, rate=10.0, seed=seed,
-        )
+        gt, det = simulate(stationary_trial(), seed, config)
         trk = track_stream(det, config)
-        det_map = detections_to_map(det)
+        det_map = detections_to_map(det, config.sensor_offset)
         for g, d in zip(gt, det_map):
             if d.boxes:
                 det_pairs.append((g.boxes[0], d.boxes[0]))

@@ -15,14 +15,13 @@ nearby pairs rather than with the product of the two sides.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidInputError
-from .geometry import OrientedBox, center_distance
+from .geometry import OrientedBox, center_distance, footprint_radius
 
 # Relative slack on the sweep window, so that rounding in `x ± reach` can
 # only widen it, never drop a pair that the exact test keeps.
@@ -42,11 +41,7 @@ def gate_threshold(det: OrientedBox, track_box: OrientedBox, scale: float = 1.0)
     A same-object center cannot plausibly move further than this between
     frames, so anything beyond it is treated as a different object.
     """
-    return max(_half_diagonal(det), _half_diagonal(track_box)) * scale
-
-
-def _half_diagonal(box: OrientedBox) -> float:
-    return 0.5 * math.hypot(box.extent[0], box.extent[1])
+    return max(footprint_radius(det), footprint_radius(track_box)) * scale
 
 
 def gated_pairs(
@@ -59,13 +54,13 @@ def gated_pairs(
     `i` indexes `left` and `j` indexes `right`; with `right` omitted the
     pairs are drawn from `left` itself, with i < j. A pair is kept iff
     ``center_distance(left[i], right[j]) <= gate_threshold(left[i], right[j], scale)``.
-    Each box's half diagonal is computed once per call.
+    Each box's `footprint_radius` is computed once per call.
     """
     upper = right is None
     if upper:
         right = left
-    radii_left = [_half_diagonal(b) for b in left]
-    radii_right = radii_left if upper else [_half_diagonal(b) for b in right]
+    radii_left = [footprint_radius(b) for b in left]
+    radii_right = radii_left if upper else [footprint_radius(b) for b in right]
     lanes: dict[str, list[tuple[float, int]]] = {}
     for j, b in enumerate(right):
         lanes.setdefault(b.class_id, []).append((b.center[0], j))

@@ -1,5 +1,9 @@
 """End-to-end campaign runner: simulate, track, and evaluate every trial.
 
+The per-trial entry points `simulate`, `track_stream` and `score` are the
+one place a `RunConfig` is unpacked for the simulator, the tracker and the
+evaluator; `run_trial`, the CLI and the scripts all go through them.
+
 Produces detection-side and tracklet-side metric rows per trial, pooled
 per-class rows, and a three-class average row. Everything is seeded, trials
 run in a fixed order, and the report dict serializes byte-identically for a
@@ -11,9 +15,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import RunConfig
 from .doe import Block, DEFAULT_BLOCKS, TrialSpec, campaign as design_campaign
-from .metrics import evaluate_streams
+from .metrics import MetricsReport, evaluate_streams
 from .simulate import simulate_trial
-from .streams import FrameRecord, detections_to_map
+from .streams import KIND_DETECTIONS, KIND_TRACKLETS, FrameRecord, detections_to_map
 from .tracker import Tracker
 
 REPORT_SCHEMA = "obbtrack/campaign-report/v1"
@@ -42,20 +46,9 @@ def track_stream(detections: Iterable[FrameRecord], config: RunConfig) -> list[F
     return list(iter_tracklets(detections, config))
 
 
-def evaluate_trial(
-    gt: Sequence[FrameRecord],
-    detections: Sequence[FrameRecord],
-    tracklets: Sequence[FrameRecord],
-    config: RunConfig,
-) -> dict:
-    det_map = detections_to_map(detections, config.sensor_offset)
-    det_report = evaluate_streams(gt, det_map, "detection", config.alpha, config.alpha_sweep)
-    trk_report = evaluate_streams(gt, tracklets, "tracklet", config.alpha, config.alpha_sweep)
-    return {"detection": det_report, "tracklet": trk_report}
-
-
-def run_trial(trial: TrialSpec, seed: int, config: RunConfig) -> dict:
-    gt, det = simulate_trial(
+def simulate(trial: TrialSpec, seed: int, config: RunConfig) -> tuple[list[FrameRecord], list[FrameRecord]]:
+    """Ground truth and sensor-frame detections of `trial` under `config`."""
+    return simulate_trial(
         trial,
         config.classes,
         config.noise,
@@ -66,8 +59,25 @@ def run_trial(trial: TrialSpec, seed: int, config: RunConfig) -> dict:
         config.object_speed,
         config.object_spin,
     )
+
+
+def score(
+    gt: Sequence[FrameRecord], pred: Sequence[FrameRecord], kind: str, config: RunConfig, mode: str | None = None
+) -> MetricsReport:
+    """Score a stream of kind `kind` against ground truth. Detections are
+    first mapped through the sensor offset; the mode follows the kind
+    ("detection" or "tracklet") unless `mode` names one."""
+    if kind == KIND_DETECTIONS:
+        pred = detections_to_map(pred, config.sensor_offset)
+    if mode is None:
+        mode = "detection" if kind == KIND_DETECTIONS else "tracklet"
+    return evaluate_streams(gt, pred, mode, config.alpha, config.alpha_sweep)
+
+
+def run_trial(trial: TrialSpec, seed: int, config: RunConfig) -> dict:
+    gt, det = simulate(trial, seed, config)
     trk = track_stream(det, config)
-    return evaluate_trial(gt, det, trk, config)
+    return {"detection": score(gt, det, KIND_DETECTIONS, config), "tracklet": score(gt, trk, KIND_TRACKLETS, config)}
 
 
 def _mean(values: list[float]) -> float | None:

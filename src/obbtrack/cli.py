@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/configuration, 2 data or parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -26,17 +27,9 @@ from .errors import (
     UndefinedMeanError,
     UndefinedMetricError,
 )
-from .metrics import MetricsReport, evaluate_streams
-from .simulate import NoiseModel, simulate_trial
-from .streams import (
-    KIND_DETECTIONS,
-    KIND_GROUND_TRUTH,
-    KIND_TRACKLETS,
-    detections_to_map,
-    iter_stream,
-    read_stream,
-    write_stream,
-)
+from .metrics import MetricsReport
+from .simulate import NoiseModel
+from .streams import KIND_DETECTIONS, KIND_GROUND_TRUTH, KIND_TRACKLETS, iter_stream, read_stream, write_stream
 
 TRIALS_SCHEMA = "obbtrack/trials/v1"
 
@@ -138,18 +131,12 @@ def cmd_simulate(args) -> int:
     if not matching:
         raise UsageError(f"trial id {args.trial} not present in {args.trials}")
     trial = matching[0]
-    noise = NoiseModel.silent() if args.no_noise else config.noise
-    gt, det = simulate_trial(
-        trial,
-        config.classes,
-        noise,
-        args.duration if args.duration is not None else config.duration,
-        config.rate,
-        args.seed,
-        config.sensor_offset,
-        config.object_speed,
-        config.object_spin,
+    config = dataclasses.replace(
+        config,
+        noise=NoiseModel.silent() if args.no_noise else config.noise,
+        duration=config.duration if args.duration is None else args.duration,
     )
+    gt, det = campaign_mod.simulate(trial, args.seed, config)
     out_gt = args.out_gt or f"trial{trial.trial_id:02d}_gt.jsonl"
     out_det = args.out_det or f"trial{trial.trial_id:02d}_det.jsonl"
     write_stream(out_gt, gt, KIND_GROUND_TRUTH)
@@ -176,12 +163,7 @@ def cmd_evaluate(args) -> int:
     if gt_kind == KIND_DETECTIONS:
         raise InvalidInputError("ground-truth stream must carry ids (kind ground_truth)")
     pred_kind, pred = read_stream(args.pred)
-    mode = args.mode
-    if mode == "auto":
-        mode = "detection" if pred_kind == KIND_DETECTIONS else "tracklet"
-    if pred_kind == KIND_DETECTIONS:
-        pred = detections_to_map(pred, config.sensor_offset)
-    report = evaluate_streams(gt, pred, mode, config.alpha, config.alpha_sweep)
+    report = campaign_mod.score(gt, pred, pred_kind, config, None if args.mode == "auto" else args.mode)
     print(render_table(_report_rows(report)))
     if args.json:
         Path(args.json).write_text(

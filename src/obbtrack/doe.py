@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .classes import DEFAULT_CLASS_SPECS
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, json_member
 
 MOTION_STATIONARY = "Stationary - NL - NA"
 MOTION_PL = "Stationary - PL - NA"
@@ -169,28 +169,19 @@ class TrialSpec:
         its column's levels; the derived fields are not read."""
         if not isinstance(obj, dict):
             raise ParseError(f"expected an object, got {type(obj).__name__}")
-        trial_id = _sheet_field(obj, "trial_id", int)
-        block = _sheet_field(obj, "block", str)
-        row = _sheet_field(obj, "row", int)
-        classes = _sheet_field(obj, "classes", list)
+        trial_id = json_member(obj, "trial_id", int)
+        block = json_member(obj, "block", str)
+        row = json_member(obj, "row", int)
+        classes = json_member(obj, "classes", list)
         if not all(isinstance(c, str) for c in classes):
             raise ParseError("field 'classes' must be a list of strings")
         cells = {}
         for name, levels in _COLUMNS:
-            cells[name] = _sheet_field(obj, name, str)
+            cells[name] = json_member(obj, name, str)
             if cells[name] not in levels:
                 raise ParseError(f"unknown {name} level {cells[name]!r}")
-        collapsed = _sheet_field(obj, "motion_collapsed", bool) if "motion_collapsed" in obj else False
+        collapsed = json_member(obj, "motion_collapsed", bool) if "motion_collapsed" in obj else False
         return cls(trial_id, block, row, tuple(classes), **cells, motion_collapsed=collapsed)
-
-
-def _sheet_field(obj: dict, key: str, typ: type):
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}")
-    val = obj[key]
-    if not isinstance(val, typ) or (typ is int and isinstance(val, bool)):
-        raise ParseError(f"field {key!r} has wrong type {type(val).__name__}")
-    return val
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the readers' JSON member check."""
 
 
 class TrackingError(Exception):
@@ -41,3 +41,15 @@ class ParseError(TrackingError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
+
+
+def json_member(obj: dict, key: str, kinds: type | tuple[type, ...] = (int, float), line: int | None = None):
+    """`obj[key]`, checked for presence and JSON type (by default a number), else a
+    `ParseError` naming `line`. A JSON `true`/`false` is a bool and never an int,
+    so a bool passes only where `kinds` is `bool` itself."""
+    if key not in obj:
+        raise ParseError(f"missing field {key!r}", line)
+    val = obj[key]
+    if not isinstance(val, kinds) or (isinstance(val, bool) and kinds is not bool):
+        raise ParseError(f"field {key!r} has wrong type {type(val).__name__}", line)
+    return val

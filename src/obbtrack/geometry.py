@@ -317,6 +317,12 @@ def footprint_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     return area if area >= DEGENERATE_AREA else 0.0
 
 
+def footprint_radius(box: OrientedBox) -> float:
+    """Half the footprint diagonal: the radius of the smallest circle about
+    the center that holds the footprint."""
+    return math.hypot(box.extent[0], box.extent[1]) / 2.0
+
+
 def iou_3d(a: OrientedBox, b: OrientedBox) -> float:
     """Volumetric intersection-over-union of two yaw-oriented boxes.
 
@@ -330,7 +336,7 @@ def iou_3d(a: OrientedBox, b: OrientedBox) -> float:
         return 0.0
     # footprints lie inside their circumscribed circles: disjoint circles,
     # disjoint footprints, so skip the clip
-    reach = math.hypot(a.extent[0], a.extent[1]) / 2.0 + math.hypot(b.extent[0], b.extent[1]) / 2.0
+    reach = footprint_radius(a) + footprint_radius(b)
     if math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1]) > reach:
         return 0.0
     inter = footprint_intersection_area(a, b) * dz

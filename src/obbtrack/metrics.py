@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlignmentError, InvalidInputError, UndefinedMetricError
-from .geometry import OrientedBox, center_distance, iou_3d, yaw_difference
+from .geometry import OrientedBox, center_distance, footprint_radius, iou_3d, yaw_difference
 from .streams import FrameRecord
 
 # Dominates any achievable IoU total, so assignment maximizes pair count first.
@@ -73,7 +73,7 @@ def _check_alpha(alpha: float) -> None:
 def _circles(boxes: Sequence[OrientedBox]) -> list[tuple[str, float, float, float]]:
     """Class, BEV center and circumscribed radius of each box, as `iou_3d`'s
     early-out computes them."""
-    return [(b.class_id, b.center[0], b.center[1], math.hypot(b.extent[0], b.extent[1]) / 2.0) for b in boxes]
+    return [(b.class_id, b.center[0], b.center[1], footprint_radius(b)) for b in boxes]
 
 
 def overlapping_pairs(gt: Sequence[OrientedBox], pred: Sequence[OrientedBox]) -> list[tuple[int, int, float]]:

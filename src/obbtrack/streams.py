@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import BinaryIO, Callable, Generator, Iterable, Iterator, NoReturn, Sequence
 
-from .errors import InvalidInputError, ParseError, StreamOrderError
+from .errors import InvalidInputError, ParseError, StreamOrderError, json_member
 from .geometry import IDENTITY_POSE, OrientedBox, PlanarPose, _require_finite, compose, transform_box
 
 SCHEMA = "obbtrack/v1"
@@ -170,29 +170,21 @@ def write_stream(path: str | Path, records: Iterable[FrameRecord], kind: str) ->
     return count
 
 
-def _pick(obj: dict, key: str, line: int, kinds=(int, float)):
-    """`obj[key]`, checked only for what JSON can get wrong: presence and type.
-    The value types the record is built from convert it and check its range."""
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}", line)
-    val = obj[key]
-    if not isinstance(val, kinds) or isinstance(val, bool):
-        raise ParseError(f"field {key!r} has wrong type {type(val).__name__}", line)
-    return val
-
-
 # JSON numbers: json.loads makes exactly these types, and true and false are bools
 _NUMBERS = frozenset((int, float))
 _box_fields = operator.itemgetter("class", "cx", "cy", "cz", "l", "w", "h", "yaw")
 
 
 def _parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
-    t = _pick(obj, "t", line)
+    # only presence and JSON type are checked here: the value types the record
+    # is built from convert each value and check its range
+    t = json_member(obj, "t", line=line)
     robot_obj = obj.get("robot")
     if not isinstance(robot_obj, dict):
         raise ParseError("missing or malformed field 'robot'", line)
     robot = PlanarPose(
-        _pick(robot_obj, "x", line), _pick(robot_obj, "y", line), _pick(robot_obj, "heading", line), t
+        json_member(robot_obj, "x", line=line), json_member(robot_obj, "y", line=line),
+        json_member(robot_obj, "heading", line=line), t,
     )
     boxes_obj = obj.get("boxes")
     if not isinstance(boxes_obj, list):
@@ -230,11 +222,11 @@ def _raise_box_error(b, labeled: bool, line: int) -> NoReturn:
     cls = b.get("class")
     if not isinstance(cls, str):
         raise ParseError("missing or malformed field 'class'", line)
-    score = _pick(b, "score", line) if "score" in b else 1.0
-    cx, cy, cz, l, w, h, yaw = (_pick(b, key, line) for key in ("cx", "cy", "cz", "l", "w", "h", "yaw"))
+    score = json_member(b, "score", line=line) if "score" in b else 1.0
+    cx, cy, cz, l, w, h, yaw = (json_member(b, key, line=line) for key in ("cx", "cy", "cz", "l", "w", "h", "yaw"))
     OrientedBox((cx, cy, cz), (l, w, h), yaw, cls, confidence=score)
     if labeled:
-        _pick(b, "id", line, kinds=(int,))
+        json_member(b, "id", int, line)
     raise AssertionError(f"line {line}: box entry failed the one-pass check but no field check")
 
 

@@ -3,7 +3,12 @@
 Pipeline per frame: transform detections to the map frame, associate them to
 existing tracklets, stabilize matched tracklets (orientation resolution plus
 position/orientation averaging while stationary), spawn tentative tracklets
-for the leftovers, then confirm/prune and export a snapshot.
+for the leftovers, then suppress duplicates, prune and export a snapshot.
+
+Lifecycle: a tracklet is born Tentative and confirms itself on the match
+(spawn or update) that completes a run of `confirm_count` matches within
+`confirm_window`; only a match changes its match times. It is dropped once
+its newest match is older than its lifecycle's prune threshold.
 
 Orientation handling for symmetric classes: each incoming yaw is snapped to
 the symmetry hypothesis nearest the tracklet's current estimate, and the raw
@@ -28,7 +33,7 @@ the number of live tracklets or the square of the scene:
   `association.gated_pairs`, which computes each box's gate radius once;
 - the sensor pose is composed once per frame;
 - each tracklet keeps its frozen `SnapshotEntry` and rebuilds it only when
-  one of its fields changes (an update or a confirmation), so a snapshot
+  one of its fields changes (on a match), so a snapshot
   is a tuple of the live tracklets' entries, in the registry's id order;
 - an update resolves the symmetric yaw once, and again only when its
   orientation vote re-committed the hypothesis and rotated the tracklet;
@@ -61,6 +66,7 @@ from .geometry import (
     OrientedBox,
     PlanarPose,
     _derived_box,
+    _require_finite,
     _unchecked_box,
     center_distance,
     compose,
@@ -104,7 +110,11 @@ class TrackerConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name != "confirm_count" and not getattr(self, f.name) > 0:  # NaN fails too
+            value = getattr(self, f.name)
+            # a count sizes a window or a slice: a float or a bool is no count
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            if f.name != "confirm_count" and not value > 0:  # NaN fails too
                 raise ConfigurationError(f"{f.name} must be strictly positive")
         if not self.confirm_count >= 1:
             raise ConfigurationError("confirm_count must be >= 1")
@@ -157,6 +167,7 @@ class Tracklet:
         self.orientation_len = 1
         self._orientation_mean = self._yaw_mean(1)
         self.lifecycle = Lifecycle.TENTATIVE
+        self._confirm_if_due()
         self.motion_state = MotionState.STATIONARY
         self.output_pose = obs
         self.match_count = 1
@@ -294,21 +305,18 @@ class Tracklet:
         else:
             # published stationary pose: averaged center, short-window yaw
             self.output_pose = _with_yaw(self._predicted, self._orientation_mean)
+        if self.lifecycle is Lifecycle.TENTATIVE:
+            self._confirm_if_due()
         self.refresh_entry()
 
-    def confirm(self) -> None:
-        self.lifecycle = Lifecycle.CONFIRMED
-        self.refresh_entry()
-
-    def confirmation_due(self) -> bool:
-        """The newest `confirm_count` matches span at most `confirm_window`.
-
-        The tracker asks after every frame, so every run of `confirm_count`
-        consecutive matches is tested while it is the newest one.
-        """
+    def _confirm_if_due(self) -> None:
+        """Confirm if the newest `confirm_count` matches span at most
+        `confirm_window`. Called on each match of a tentative tracklet, so each
+        run of `confirm_count` consecutive matches is tested while newest."""
         window = self.window
         c = self.config.confirm_count
-        return len(window) >= c and window[-1][0] - window[-c][0] <= self.config.confirm_window
+        if len(window) >= c and window[-1][0] - window[-c][0] <= self.config.confirm_window:
+            self.lifecycle = Lifecycle.CONFIRMED
 
 
 @dataclass(frozen=True)
@@ -349,6 +357,7 @@ class Tracker:
     def ingest_frame(self, t: float, robot: PlanarPose, boxes: Sequence[OrientedBox]) -> TrackerSnapshot:
         """Process one detection frame (boxes in the sensor frame) and return
         the post-update snapshot."""
+        _require_finite("Tracker.ingest_frame", t=t)
         if self._last_t is not None and t <= self._last_t:
             raise StreamOrderError(f"frame at t={t} after t={self._last_t}")
         self._last_t = t
@@ -398,14 +407,11 @@ class Tracker:
             self._drop(tid)
 
     def manage(self, now: float) -> None:
-        """Suppress duplicates, confirm tentative tracklets with dense-enough
-        matches, and prune stale ones."""
+        """Suppress duplicates and prune tracklets not matched within their
+        lifecycle's prune threshold."""
         cfg = self.config
         self._suppress_duplicates()
-        for tid in list(self.registry):
-            trk = self.registry[tid]
-            if trk.lifecycle is Lifecycle.TENTATIVE and trk.confirmation_due():
-                trk.confirm()
+        for tid, trk in list(self.registry.items()):
             if now - trk.last_match_time > (
                 cfg.prune_confirmed if trk.lifecycle is Lifecycle.CONFIRMED else cfg.prune_tentative
             ):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import tracemalloc
 
@@ -22,6 +23,35 @@ def trial_sheet(tmp_path):
     path = tmp_path / "trials.json"
     assert main(["doe", "gen", "--out", str(path)]) == 0
     return path
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestWorkflowBytes:
+    """The README's workflow writes the same bytes as before its steps were
+    routed through `campaign.simulate` and `campaign.score`."""
+
+    def test_pinned_digests(self, tmp_path, trial_sheet):
+        p = {name: tmp_path / name for name in ("gt", "det", "trk", "rep_t", "rep_d", "gt3", "det3")}
+        sim = ["simulate", "--trials", str(trial_sheet), "--trial", "19", "--seed", "5"]
+        assert main([*sim, "--out-gt", str(p["gt"]), "--out-det", str(p["det"])]) == 0
+        assert main(["track", "--input", str(p["det"]), "--output", str(p["trk"])]) == 0
+        assert main(["evaluate", "--gt", str(p["gt"]), "--pred", str(p["trk"]), "--json", str(p["rep_t"])]) == 0
+        assert main(["evaluate", "--gt", str(p["gt"]), "--pred", str(p["det"]), "--json", str(p["rep_d"])]) == 0
+        assert main([*sim, "--no-noise", "--duration", "3",
+                     "--out-gt", str(p["gt3"]), "--out-det", str(p["det3"])]) == 0
+        assert sha256(trial_sheet) == "789bcc1d8371fcc4f2a5783c618b924666c383495b0cfff955b6d9cda5431df9"
+        assert {name: sha256(path) for name, path in p.items()} == {
+            "gt": "556037fac088db7726665d88ec7de84a1e1a0f21bd821e096b436f56b819365f",
+            "det": "5992f678f9bb4687d7eaa7cded146569834fc1d962a284b93082ee20e4cd65d4",
+            "trk": "50d8834b9eb1a40d54c888971685fb56ec4e957b22b3625e312954f5fcae3e48",
+            "rep_t": "d98178bb675fee819a739260f677d3cf756b66d0ad60292c2c2b25c556697f49",
+            "rep_d": "8cee591f57a5646fb6404041867439fadfd5c0febc567f9217a63cf44a2697dc",
+            "gt3": "b609bac3909f3a9519aec47c25cb1657189e52a3599c4ead0c9fadc91d7b93f8",
+            "det3": "0337f9ed96d19972de8b46bb43ef77aee1b9544e68513f15f3a7bc85dc4c0ce2",
+        }
 
 
 class TestDoeGen:

@@ -92,6 +92,45 @@ class TestIngest:
         snap = trk.ingest_frame(0.1, ORIGIN, [])
         assert snap.entries[0].output_pose.center[0] == pytest.approx(2.0)
 
+    def test_completing_match_shows_confirmed_in_its_own_snapshot(self):
+        trk = make_tracker()
+        for t in (0.0, 0.5):
+            snap = trk.ingest_frame(t, ORIGIN, [box()])
+            assert snap.entries[0].lifecycle is Lifecycle.TENTATIVE
+            assert snap.published() == ()
+        snap = trk.ingest_frame(1.0, ORIGIN, [box()])
+        assert snap.entries[0].lifecycle is Lifecycle.CONFIRMED
+        assert [e.id for e in snap.published()] == [1]
+        # with one match to a run, the spawn itself completes it
+        snap = make_tracker(confirm_count=1).ingest_frame(0.0, ORIGIN, [box()])
+        assert snap.entries[0].lifecycle is Lifecycle.CONFIRMED
+        assert [e.id for e in snap.published()] == [1]
+
+    def test_unmatched_tentative_stays_tentative_until_pruned(self):
+        trk = make_tracker()
+        trk.ingest_frame(0.0, ORIGIN, [box()])
+        trk.ingest_frame(0.5, ORIGIN, [box()])
+        for t in (0.6, 1.0, 2.0, 3.0, 3.5):
+            snap = trk.ingest_frame(t, ORIGIN, [])
+            assert [e.lifecycle for e in snap.entries] == [Lifecycle.TENTATIVE]
+        snap = trk.ingest_frame(3.6, ORIGIN, [])
+        assert snap.entries == ()
+        assert trk.dropped == 1
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "1.0"])
+    def test_bad_frame_time_rejected_before_any_change(self, t):
+        trk = make_tracker()
+        trk.ingest_frame(0.0, ORIGIN, [box()])
+        registry, last_t, entry = dict(trk.registry), trk._last_t, trk.registry[1].entry
+        with pytest.raises(InvalidInputError, match="Tracker.ingest_frame"):
+            trk.ingest_frame(t, ORIGIN, [box(), box(cx=5.0)])
+        assert trk.registry == registry
+        assert trk.registry[1].entry is entry
+        assert trk._last_t == last_t
+        # the id counter did not move: the next spawn takes id 2
+        snap = trk.ingest_frame(0.1, ORIGIN, [box(), box(cx=5.0)])
+        assert [e.id for e in snap.entries] == [1, 2]
+
     def test_monotone_timestamps_enforced(self):
         trk = make_tracker()
         trk.ingest_frame(1.0, ORIGIN, [])
@@ -129,6 +168,25 @@ class TestIngest:
         confirmed = snap.published()
         assert len(confirmed) == 2
         assert all(e.lifecycle is Lifecycle.CONFIRMED for e in confirmed)
+
+
+COUNT_FIELDS = (
+    "motion_min_history",
+    "confirm_count",
+    "history_capacity",
+    "orientation_window",
+    "stationary_reentry_frames",
+    "orientation_outlier_frames",
+    "orientation_commit_margin",
+)
+
+
+class TestTrackerConfig:
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    @pytest.mark.parametrize("name", COUNT_FIELDS)
+    def test_count_must_be_an_integer(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            TrackerConfig(**{name: value})
 
 
 class TestMotion:
@@ -258,14 +316,14 @@ class TestStabilize:
 
 
 def confirm_index(times, cfg):
-    """Index of the match after which the tracker confirms: the tracklet is
-    asked after every match, as `Tracker.manage` does after every frame."""
+    """Index of the match on which the tracklet confirms itself: its
+    lifecycle is read after the spawn and after every update."""
     trk = Tracklet(1, box(), times[0], PLAIN, cfg)
-    if trk.confirmation_due():
+    if trk.lifecycle is Lifecycle.CONFIRMED:
         return 0
     for k, t in enumerate(times[1:], start=1):
         trk.update(box(), t)
-        if trk.confirmation_due():
+        if trk.lifecycle is Lifecycle.CONFIRMED:
             return k
     return None
 
