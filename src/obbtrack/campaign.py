@@ -61,16 +61,13 @@ def simulate(trial: TrialSpec, seed: int, config: RunConfig) -> tuple[list[Frame
     )
 
 
-def score(
-    gt: Sequence[FrameRecord], pred: Sequence[FrameRecord], kind: str, config: RunConfig, mode: str | None = None
-) -> MetricsReport:
+def score(gt: Sequence[FrameRecord], pred: Sequence[FrameRecord], kind: str, config: RunConfig) -> MetricsReport:
     """Score a stream of kind `kind` against ground truth. Detections are
-    first mapped through the sensor offset; the mode follows the kind
-    ("detection" or "tracklet") unless `mode` names one."""
+    mapped through the sensor offset and scored in "detection" mode; every
+    other kind is scored in "tracklet" mode."""
+    mode = "tracklet"
     if kind == KIND_DETECTIONS:
-        pred = detections_to_map(pred, config.sensor_offset)
-    if mode is None:
-        mode = "detection" if kind == KIND_DETECTIONS else "tracklet"
+        pred, mode = detections_to_map(pred, config.sensor_offset), "detection"
     return evaluate_streams(gt, pred, mode, config.alpha, config.alpha_sweep)
 
 

@@ -17,16 +17,7 @@ from pathlib import Path
 from . import campaign as campaign_mod
 from .config import ENV_CONFIG, load_config
 from .doe import DEFAULT_BLOCKS, TrialSpec, balance_check, campaign as design_campaign, oa_matrix
-from .errors import (
-    AlignmentError,
-    ConfigurationError,
-    InternalStateError,
-    InvalidInputError,
-    ParseError,
-    StreamOrderError,
-    UndefinedMeanError,
-    UndefinedMetricError,
-)
+from .errors import ConfigurationError, InternalStateError, InvalidInputError, ParseError, TrackingError, json_member
 from .metrics import MetricsReport
 from .simulate import NoiseModel
 from .streams import KIND_DETECTIONS, KIND_GROUND_TRUTH, KIND_TRACKLETS, iter_stream, read_stream, write_stream
@@ -89,9 +80,10 @@ def _load_trials(path: str) -> list[TrialSpec]:
         raise ParseError(f"trial sheet {path}: invalid UTF-8: {exc.reason}") from exc
     if not isinstance(obj, dict) or obj.get("schema") != TRIALS_SCHEMA:
         raise ParseError(f"{path} is not a trial sheet (schema {TRIALS_SCHEMA})")
-    entries = obj.get("trials", [])
-    if not isinstance(entries, list):
-        raise ParseError(f"trial sheet {path}: field 'trials' has wrong type {type(entries).__name__}")
+    try:
+        entries = json_member(obj, "trials", list)
+    except ParseError as exc:
+        raise ParseError(f"trial sheet {path}: {exc}") from None
     trials = []
     for i, entry in enumerate(entries, start=1):
         try:
@@ -163,7 +155,7 @@ def cmd_evaluate(args) -> int:
     if gt_kind == KIND_DETECTIONS:
         raise InvalidInputError("ground-truth stream must carry ids (kind ground_truth)")
     pred_kind, pred = read_stream(args.pred)
-    report = campaign_mod.score(gt, pred, pred_kind, config, None if args.mode == "auto" else args.mode)
+    report = campaign_mod.score(gt, pred, pred_kind, config)
     print(render_table(_report_rows(report)))
     if args.json:
         Path(args.json).write_text(
@@ -224,7 +216,6 @@ def build_parser() -> _Parser:
     ev = sub.add_parser("evaluate", help="score a prediction stream against ground truth")
     ev.add_argument("--gt", required=True)
     ev.add_argument("--pred", required=True)
-    ev.add_argument("--mode", choices=("auto", "detection", "tracklet"), default="auto")
     ev.add_argument("--json", default=None, help="also write the report as JSON")
     ev.set_defaults(func=cmd_evaluate)
 
@@ -250,20 +241,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (
-        ParseError,
-        StreamOrderError,
-        AlignmentError,
-        InvalidInputError,
-        UndefinedMeanError,
-        UndefinedMetricError,
-        OSError,
-    ) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
     except (InternalStateError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
+    except (TrackingError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return DATA_EXIT
 
 
 if __name__ == "__main__":

@@ -80,9 +80,9 @@ def _settings(cfg: RunConfig) -> dict[str, dict]:
 _TYPES = {section: {k: type(v) for k, v in kv.items()} for section, kv in _settings(RunConfig()).items()}
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse a flat key-value config document on top of `base` (defaults)."""
-    cfg = base or RunConfig()
+def parse_config(text: str) -> RunConfig:
+    """Parse a flat key-value config document on top of the defaults."""
+    cfg = RunConfig()
     settings = _settings(cfg)
     classes: dict[str, dict] = {
         cid: {"extent": spec.nominal_extent, "symmetry_planes": spec.symmetry_planes}
@@ -149,4 +149,6 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config file {path}: invalid UTF-8: {exc.reason}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"config file {path}: {exc.strerror}") from None
     return parse_config(text)

@@ -6,14 +6,21 @@ maximizes the TP count first and total IoU second. Average IoU is computed
 threshold-free and normalized by the ground-truth box count, so both misses
 and bad localization pull it down.
 
-HOTA follows Luiten et al. (2021) with one deviation from TrackEval: each
-frame is matched by that rule (maximum cardinality, then maximum total IoU),
-not with each pair's IoU weighted by its global association score.
+HOTA follows Luiten et al. (2021) in TrackEval's count form. Each gt id's
+and each prediction id's box count is taken once, since no threshold changes
+it; at each threshold only the TP `(gt id, pred id)` list is built, DetA is
+TP / (gt boxes + pred boxes - TP), and each TP adds TPA / (gt id boxes +
+pred id boxes - TPA) to AssA's sum, where TPA is its id pair's TP count. The
+id-switch count walks the same TP list at `alpha`. One deviation from
+TrackEval stays: each frame is matched by the rule above (maximum
+cardinality, then maximum total IoU), not with each pair's IoU weighted by
+its global association score.
 
-`evaluate_streams` lists each frame's overlapping pairs once: every report
-row matches on that list (or its per-class share), and HOTA and the id-switch
-count reuse the row's pairings at `alpha`. The cost follows the overlapping
-pairs, not the gt x pred product, and no dense matrix is built:
+`hota` and `evaluate_streams` check their streams through one function,
+`_views`. `evaluate_streams` lists each frame's overlapping pairs once: every
+report row matches on that list (or its per-class share), and HOTA and the
+id-switch count reuse the row's pairings at `alpha`. The cost follows the
+overlapping pairs, not the gt x pred product, and no dense matrix is built:
 - `overlapping_pairs` computes each box's circumscribed circle once and
   calls `iou_3d` only on same-class pairs whose circles meet; every pair it
   leaves out has the IoU 0.0 that `iou_3d`'s own early-out would return.
@@ -165,16 +172,6 @@ def yaw_rmse(pairs: Iterable[tuple[OrientedBox, OrientedBox]]) -> float:
     return math.sqrt(sum(sq) / len(sq))
 
 
-def _check_frame_alignment(gt_frames: Sequence[FrameRecord], pred_frames: Sequence[FrameRecord]):
-    if len(gt_frames) != len(pred_frames):
-        raise AlignmentError(
-            f"stream lengths differ: {len(gt_frames)} ground-truth vs {len(pred_frames)} predicted frames"
-        )
-    for g, p in zip(gt_frames, pred_frames):
-        if g.t != p.t:
-            raise AlignmentError(f"timestamp mismatch: {g.t} vs {p.t}")
-
-
 def _require_ids(frames: Sequence[FrameRecord], label: str) -> None:
     for f in frames:
         if f.ids is None:
@@ -221,39 +218,52 @@ def _match_all(views: Sequence[_FrameView], alpha: float) -> list[FramePairing]:
     return [v.pairings[alpha] for v in views]
 
 
-def _hota_single(views: Sequence[_FrameView], pairings: Sequence[FramePairing]) -> float:
-    """HOTA at one IoU threshold, from each frame's pairing at that threshold."""
-    tp_instances: list[tuple[int, int]] = []
-    gt_fn: Counter = Counter()
-    pred_fp: Counter = Counter()
-    for view, pairing in zip(views, pairings):
-        tp_instances.extend((view.gt_ids[gi], view.pred_ids[pi]) for gi, pi, _ in pairing.tp_pairs)
-        gt_fn.update(view.gt_ids[gi] for gi in pairing.fn_indices)
-        pred_fp.update(view.pred_ids[pi] for pi in pairing.fp_indices)
-
-    tp = len(tp_instances)
-    denom = tp + sum(pred_fp.values()) + sum(gt_fn.values())
-    if denom == 0:
-        raise UndefinedMetricError("no ground truth and no predictions anywhere")
-    deta = tp / denom
-
-    co = Counter(tp_instances)
-    gt_tp = Counter(gid for gid, _ in tp_instances)
-    pred_tp = Counter(pid for _, pid in tp_instances)
-    acc = 0.0
-    for gid, pid in tp_instances:
-        tpa = co[(gid, pid)]
-        fna = gt_tp[gid] - tpa + gt_fn[gid]
-        fpa = pred_tp[pid] - tpa + pred_fp[pid]
-        acc += tpa / (tpa + fna + fpa)
-    assa = acc / tp if tp else 0.0
-    return math.sqrt(deta * assa)
+def _tp_ids(views: Sequence[_FrameView], pairings: Sequence[FramePairing]) -> list[tuple[int, int]]:
+    """`(gt id, pred id)` of each TP pair, in frame order."""
+    return [(v.gt_ids[gi], v.pred_ids[pi]) for v, p in zip(views, pairings) for gi, pi, _ in p.tp_pairs]
 
 
 def _hota(views: Sequence[_FrameView], alpha: float, alpha_sweep: bool) -> float:
-    alphas = ALPHA_SWEEP if alpha_sweep else (alpha,)
-    scores = [_hota_single(views, _match_all(views, a)) for a in alphas]
+    """HOTA over id-labeled views, at `alpha` or averaged over `ALPHA_SWEEP`."""
+    # an id's box count is its TP + FN (gt) or TP + FP (pred) count at every
+    # threshold, since each box is in exactly one of the three
+    gt_count = Counter(gid for v in views for gid in v.gt_ids)
+    pred_count = Counter(pid for v in views for pid in v.pred_ids)
+    boxes = gt_count.total() + pred_count.total()
+    if boxes == 0:
+        raise UndefinedMetricError("no ground truth and no predictions anywhere")
+    scores = []
+    for a in ALPHA_SWEEP if alpha_sweep else (alpha,):
+        tp_ids = _tp_ids(views, _match_all(views, a))
+        tp = len(tp_ids)
+        deta = tp / (boxes - tp)
+        tpa = Counter(tp_ids)
+        acc = 0.0
+        for gid, pid in tp_ids:
+            n = tpa[gid, pid]
+            acc += n / (gt_count[gid] + pred_count[pid] - n)
+        assa = acc / tp if tp else 0.0
+        scores.append(math.sqrt(deta * assa))
     return sum(scores) / len(scores)
+
+
+def _views(
+    gt_frames: Sequence[FrameRecord], pred_frames: Sequence[FrameRecord], alpha: float, pred_ids: bool
+) -> list[_FrameView]:
+    """Whole-frame views of two aligned streams, after checking `alpha`, the
+    alignment and the ids (the predictions' only when `pred_ids`)."""
+    _check_alpha(alpha)
+    if len(gt_frames) != len(pred_frames):
+        raise AlignmentError(
+            f"stream lengths differ: {len(gt_frames)} ground-truth vs {len(pred_frames)} predicted frames"
+        )
+    for g, p in zip(gt_frames, pred_frames):
+        if g.t != p.t:
+            raise AlignmentError(f"timestamp mismatch: {g.t} vs {p.t}")
+    _require_ids(gt_frames, "ground truth")
+    if pred_ids:
+        _require_ids(pred_frames, "prediction")
+    return [_whole_frame(g, p) for g, p in zip(gt_frames, pred_frames)]
 
 
 def hota(
@@ -267,12 +277,7 @@ def hota(
     With `alpha_sweep` the score is averaged over IoU thresholds
     0.05, 0.10, ..., 0.95 instead of using the single `alpha`.
     """
-    _check_alpha(alpha)
-    _check_frame_alignment(gt_frames, pred_frames)
-    _require_ids(gt_frames, "ground truth")
-    _require_ids(pred_frames, "prediction")
-    views = [_whole_frame(g, p) for g, p in zip(gt_frames, pred_frames)]
-    return _hota(views, alpha, alpha_sweep)
+    return _hota(_views(gt_frames, pred_frames, alpha, True), alpha, alpha_sweep)
 
 
 @dataclass(frozen=True)
@@ -305,15 +310,13 @@ class MetricsReport:
         }
 
 
-def _id_switches(views: Sequence[_FrameView], pairings: Sequence[FramePairing]) -> int:
+def _id_switches(tp_ids: Iterable[tuple[int, int]]) -> int:
     last_pred: dict[int, int] = {}
     switches = 0
-    for view, pairing in zip(views, pairings):
-        for gi, pi, _ in pairing.tp_pairs:
-            gid, pid = view.gt_ids[gi], view.pred_ids[pi]
-            if gid in last_pred and last_pred[gid] != pid:
-                switches += 1
-            last_pred[gid] = pid
+    for gid, pid in tp_ids:
+        if last_pred.get(gid, pid) != pid:
+            switches += 1
+        last_pred[gid] = pid
     return switches
 
 
@@ -343,7 +346,7 @@ def _row_metrics(views: Sequence[_FrameView], mode: str, alpha: float, alpha_swe
             hota_score = _hota(views, alpha, alpha_sweep)
         except UndefinedMetricError:
             hota_score = None
-        switches = _id_switches(views, pairings)
+        switches = _id_switches(_tp_ids(views, pairings))
 
     return ClassMetrics(
         avg_iou=(iou_total / gt_total) if gt_total else None,
@@ -372,13 +375,7 @@ def evaluate_streams(
     """
     if mode not in ("detection", "tracklet"):
         raise InvalidInputError(f"unknown evaluation mode {mode!r}")
-    _check_alpha(alpha)
-    _check_frame_alignment(gt_frames, pred_frames)
-    _require_ids(gt_frames, "ground truth")
-    if mode == "tracklet":
-        _require_ids(pred_frames, "prediction")
-
-    overall = [_whole_frame(g, p) for g, p in zip(gt_frames, pred_frames)]
+    overall = _views(gt_frames, pred_frames, alpha, mode == "tracklet")
     per_class: dict[str, list[_FrameView]] = {}
     for frame in overall:
         # a class absent from both sides of a frame adds nothing to its row

@@ -360,13 +360,14 @@ class Tracker:
         _require_finite("Tracker.ingest_frame", t=t)
         if self._last_t is not None and t <= self._last_t:
             raise StreamOrderError(f"frame at t={t} after t={self._last_t}")
-        self._last_t = t
 
         sensor = compose(robot, self.sensor_offset)
         det_map = [transform_box(sensor, b) for b in boxes]
         for det in det_map:
             if det.class_id not in self.class_specs:
                 raise ConfigurationError(f"unknown object class {det.class_id!r}")
+        # a frame rejected above leaves the tracker as it was, clock included
+        self._last_t = t
 
         result = associate(
             det_map,

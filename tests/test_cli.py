@@ -5,7 +5,10 @@ import tracemalloc
 
 import pytest
 
+from obbtrack import cli
 from obbtrack.cli import main
+from obbtrack.config import ENV_CONFIG
+from obbtrack.errors import ConfigurationError, InternalStateError, TrackingError
 from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, transform_to_map, yaw_difference
 from obbtrack.streams import (
     FrameRecord,
@@ -148,8 +151,9 @@ class TestTrialSheetChecks:
         [
             (b'{"schema":"obbtrack/trials/v1","trials":5}', "field 'trials' has wrong type int"),
             (b'\xff{"schema":"obbtrack/trials/v1","trials":[]}', "invalid UTF-8: invalid start byte"),
+            (b'{"schema":"obbtrack/trials/v1"}', "missing field 'trials'"),
         ],
-        ids=["trials-not-a-list", "not-utf8"],
+        ids=["trials-not-a-list", "not-utf8", "trials-missing"],
     )
     def test_bad_sheet_is_data_error(self, tmp_path, capsys, data, message):
         sheet = tmp_path / "trials.json"
@@ -291,12 +295,41 @@ class TestTrackAndEvaluate:
         assert str(cfg) in err and "invalid UTF-8" in err
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_unreadable_config_is_configuration_error(self, tmp_path, monkeypatch, capsys, directory, via_env):
+        cfg = tmp_path / "obbtrack.cfg"
+        if directory:
+            cfg.mkdir()
+        argv = ["doe", "gen", "--out", str(tmp_path / "t.json")]
+        if via_env:
+            monkeypatch.setenv(ENV_CONFIG, str(cfg))
+        else:
+            argv = ["--config", str(cfg), *argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: config file {cfg}: ")
+        assert not (tmp_path / "t.json").exists()
+
     def test_config_alpha_out_of_range_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("metrics.alpha = -0.1\n")
         gt = tmp_path / "gt.jsonl"
         gt.write_text(dumps_stream([], KIND_GROUND_TRUTH))
         assert main(["--config", str(cfg), "evaluate", "--gt", str(gt), "--pred", str(gt)]) == 1
+
+
+class TestExitCodes:
+    # the README's exit codes; every other package error is a data error
+    DOCUMENTED = {ConfigurationError: 1, InternalStateError: 3}
+
+    @pytest.mark.parametrize("error", TrackingError.__subclasses__(), ids=lambda e: e.__name__)
+    def test_each_package_error_exits_with_its_documented_code(self, tmp_path, monkeypatch, capsys, error):
+        def fail(path):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "load_config", fail)
+        assert main(["doe", "gen", "--out", str(tmp_path / "t.json")]) == self.DOCUMENTED.get(error, 2)
+        assert capsys.readouterr().err.endswith(": boom\n")
 
 
 def one_object_detections(frames: int) -> list[FrameRecord]:

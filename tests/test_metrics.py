@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -13,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from obbtrack import metrics
+from obbtrack import campaign, metrics
+from obbtrack.config import RunConfig
+from obbtrack.doe import MOTION_PL_PA, TrialSpec
 from obbtrack.errors import AlignmentError, InvalidInputError, UndefinedMetricError
 from obbtrack.geometry import OrientedBox, PlanarPose
 from obbtrack.metrics import (
@@ -26,7 +30,7 @@ from obbtrack.metrics import (
     pos_rmse,
     yaw_rmse,
 )
-from obbtrack.streams import FrameRecord
+from obbtrack.streams import KIND_TRACKLETS, FrameRecord
 
 ORIGIN = PlanarPose(0.0, 0.0, 0.0)
 
@@ -595,3 +599,38 @@ def test_track_and_simulate_never_load_the_solver(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
+
+
+class TestCrowdAlphaSweep:
+    """The α sweep on a long stream: 100 frames of 20 same-class objects
+    under heavy occlusion, tracked with the default config. Every report
+    value is pinned through the digest of its JSON form."""
+
+    @pytest.fixture(scope="class")
+    def streams(self):
+        trial = TrialSpec(
+            trial_id=1,
+            block="crowd",
+            row=1,
+            classes=("MSU",) * 20,
+            motion=MOTION_PL_PA,
+            robot_angular="0.25 rad/s",
+            occlusion="> 40%",
+            initial_distance="3.5 m",
+        )
+        config = RunConfig(duration=10.0)
+        gt, det = campaign.simulate(trial, 1, config)
+        return gt, campaign.track_stream(det, config)
+
+    @pytest.mark.parametrize(
+        "sweep, digest",
+        [
+            (False, "b6908e349e454fd15b0003e30db40d2f0724a971754d3c10d1c551220f96dd5a"),
+            (True, "788bf4ff3ebf5442e3d13fc0764a3b5955addcc3e4b73024e0f8da2fa174c4a6"),
+        ],
+        ids=["alpha", "sweep"],
+    )
+    def test_report_digest_pinned(self, streams, sweep, digest):
+        gt, trk = streams
+        report = campaign.score(gt, trk, KIND_TRACKLETS, RunConfig(duration=10.0, alpha_sweep=sweep))
+        assert hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest() == digest

@@ -131,6 +131,27 @@ class TestIngest:
         snap = trk.ingest_frame(0.1, ORIGIN, [box(), box(cx=5.0)])
         assert [e.id for e in snap.entries] == [1, 2]
 
+    @pytest.mark.parametrize(
+        "robot, bad, error",
+        [
+            (ORIGIN, OrientedBox((0, 0, 0), (1, 1, 1), 0.0, "UFO"), ConfigurationError),
+            (PlanarPose(1.7e308, 0.0, 0.0), box(cx=1.7e308), InvalidInputError),
+        ],
+        ids=["unknown-class", "overflowing-center"],
+    )
+    def test_rejected_frame_leaves_the_clock(self, robot, bad, error):
+        trk = make_tracker()
+        trk.ingest_frame(0.0, ORIGIN, [box()])
+        registry, last_t, entry = dict(trk.registry), trk._last_t, trk.registry[1].entry
+        with pytest.raises(error):
+            trk.ingest_frame(1.0, robot, [box(), bad])
+        assert trk.registry == registry
+        assert trk.registry[1].entry is entry
+        assert trk._last_t == last_t
+        # the corrected frame at the same t is accepted; the id counter did not move
+        snap = trk.ingest_frame(1.0, ORIGIN, [box(), box(cx=5.0)])
+        assert [e.id for e in snap.entries] == [1, 2]
+
     def test_monotone_timestamps_enforced(self):
         trk = make_tracker()
         trk.ingest_frame(1.0, ORIGIN, [])
