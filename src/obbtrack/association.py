@@ -32,7 +32,6 @@ SWEEP_SLACK = 1e-9
 class AssociationResult:
     matches: list[tuple[int, int, float]] = field(default_factory=list)
     unmatched_detections: list[int] = field(default_factory=list)
-    unmatched_tracklets: list[int] = field(default_factory=list)
 
 
 def gate_threshold(det: OrientedBox, track_box: OrientedBox, scale: float = 1.0) -> float:
@@ -126,5 +125,4 @@ def associate(
     return AssociationResult(
         matches=matches,
         unmatched_detections=[i for i in range(len(detections)) if i not in matched_d],
-        unmatched_tracklets=[tid for tid in tids if tid not in matched_t],
     )

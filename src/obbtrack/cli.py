@@ -85,11 +85,18 @@ def _load_trials(path: str) -> list[TrialSpec]:
     except ParseError as exc:
         raise ParseError(f"trial sheet {path}: {exc}") from None
     trials = []
+    entry_of: dict[int, int] = {}
     for i, entry in enumerate(entries, start=1):
         try:
-            trials.append(TrialSpec.from_dict(entry))
+            trial = TrialSpec.from_dict(entry)
         except ParseError as exc:
             raise ParseError(f"trial sheet {path}: entry {i}: {exc}") from None
+        if trial.trial_id in entry_of:
+            raise ParseError(
+                f"trial sheet {path}: entry {i}: trial_id {trial.trial_id} repeats entry {entry_of[trial.trial_id]}"
+            )
+        entry_of[trial.trial_id] = i
+        trials.append(trial)
     return trials
 
 

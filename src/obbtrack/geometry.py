@@ -280,8 +280,7 @@ def _clip_polygon(
 
     Edges and vertex pairs are walked by the indices -n..-1, so the index
     after the last one is 0: the pairs and their order of a walk from index
-    0 with a modulo. A pass whose vertices all lie inside its edge would
-    return its input, so it is skipped.
+    0 with a modulo.
     """
     output = subject
     for i in range(-len(clip), 0):
@@ -291,9 +290,6 @@ def _clip_polygon(
         bx, by = clip[i + 1]
         ex, ey = bx - ax, by - ay
         sides = [ex * (py - ay) - ey * (px - ax) for px, py in output]
-        # min() can pass over a NaN side, but the sum is then NaN
-        if min(sides) >= 0.0 <= sum(sides):
-            continue
         inputs = output
         output = []
         for j in range(-len(inputs), 0):

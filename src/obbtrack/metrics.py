@@ -4,17 +4,20 @@ A prediction counts as a true positive when it overlaps a same-class ground
 truth box with IoU above the threshold (0.5 by default). Per-frame matching
 maximizes the TP count first and total IoU second. Average IoU is computed
 threshold-free and normalized by the ground-truth box count, so both misses
-and bad localization pull it down.
+and bad localization pull it down. A frame's matching, `FramePairing`, is its
+TP pairs plus the counts of its unmatched predictions (FP) and unmatched
+ground-truth boxes (FN); `det_a` is the one DetA, TP / (TP + FP + FN) summed
+over frames.
 
 HOTA follows Luiten et al. (2021) in TrackEval's count form. Each gt id's
 and each prediction id's box count is taken once, since no threshold changes
-it; at each threshold only the TP `(gt id, pred id)` list is built, DetA is
-TP / (gt boxes + pred boxes - TP), and each TP adds TPA / (gt id boxes +
-pred id boxes - TPA) to AssA's sum, where TPA is its id pair's TP count. The
-id-switch count walks the same TP list at `alpha`. One deviation from
-TrackEval stays: each frame is matched by the rule above (maximum
-cardinality, then maximum total IoU), not with each pair's IoU weighted by
-its global association score.
+it; at each threshold DetA is `det_a` over that threshold's pairings, only
+the TP `(gt id, pred id)` list is built, and each TP adds TPA / (gt id boxes
++ pred id boxes - TPA) to AssA's sum, where TPA is its id pair's TP count. A
+report row builds its TP list at `alpha` once, for HOTA and the id-switch
+count. One deviation from TrackEval stays: each frame is matched by the rule
+above (maximum cardinality, then maximum total IoU), not with each pair's IoU
+weighted by its global association score.
 
 `hota` and `evaluate_streams` check their streams through one function,
 `_views`. `evaluate_streams` lists each frame's overlapping pairs once: every
@@ -51,24 +54,17 @@ ALPHA_SWEEP = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 @dataclass(frozen=True)
 class FramePairing:
-    """Matching outcome for one frame at a fixed IoU threshold."""
+    """Matching outcome for one frame at a fixed IoU threshold: the TP
+    `(gt index, pred index, iou)` pairs in row-major order, and the counts of
+    unmatched predictions (FP) and unmatched ground-truth boxes (FN)."""
 
-    timestamp: float
     tp_pairs: tuple[tuple[int, int, float], ...]
-    fp_indices: tuple[int, ...]
-    fn_indices: tuple[int, ...]
+    fp: int
+    fn: int
 
     @property
     def tp(self) -> int:
         return len(self.tp_pairs)
-
-    @property
-    def fp(self) -> int:
-        return len(self.fp_indices)
-
-    @property
-    def fn(self) -> int:
-        return len(self.fn_indices)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -100,7 +96,6 @@ def match_frame(
     gt: Sequence[OrientedBox],
     pred: Sequence[OrientedBox],
     alpha: float = 0.5,
-    timestamp: float = 0.0,
     overlaps: Sequence[tuple[int, int, float]] | None = None,
 ) -> FramePairing:
     """Maximum-cardinality, then maximum-total-IoU one-to-one matching of
@@ -112,20 +107,11 @@ def match_frame(
     if overlaps is None:
         overlaps = overlapping_pairs(gt, pred)
     pairs = [pair for pair in overlaps if pair[2] > alpha]
-    matched_gt = {i for i, _, _ in pairs}
-    matched_pred = {j for _, j, _ in pairs}
     # a one-to-one set is the only matching of maximum cardinality, already
     # in row-major order; the solver runs only where two pairs share a box
-    if len(matched_gt) < len(pairs) or len(matched_pred) < len(pairs):
+    if len({i for i, _, _ in pairs}) < len(pairs) or len({j for _, j, _ in pairs}) < len(pairs):
         pairs = _solve_conflicts(pairs, len(gt), len(pred))
-        matched_gt = {i for i, _, _ in pairs}
-        matched_pred = {j for _, j, _ in pairs}
-    return FramePairing(
-        timestamp=timestamp,
-        tp_pairs=tuple(pairs),
-        fp_indices=tuple(j for j in range(len(pred)) if j not in matched_pred),
-        fn_indices=tuple(i for i in range(len(gt)) if i not in matched_gt),
-    )
+    return FramePairing(tuple(pairs), len(pred) - len(pairs), len(gt) - len(pairs))
 
 
 def _solve_conflicts(feasible: list[tuple[int, int, float]], n_gt: int, n_pred: int) -> list[tuple[int, int, float]]:
@@ -182,12 +168,12 @@ def _require_ids(frames: Sequence[FrameRecord], label: str) -> None:
 
 # A frame as a report row sees it: boxes, ids, overlapping pairs and pairings
 # by threshold, shared by all rows that see the same boxes.
-_FrameView = namedtuple("_FrameView", "t gt pred gt_ids pred_ids overlaps pairings")
+_FrameView = namedtuple("_FrameView", "gt pred gt_ids pred_ids overlaps pairings")
 
 
 def _whole_frame(gt_rec: FrameRecord, pred_rec: FrameRecord) -> _FrameView:
     overlaps = overlapping_pairs(gt_rec.boxes, pred_rec.boxes)
-    return _FrameView(gt_rec.t, gt_rec.boxes, pred_rec.boxes, gt_rec.ids, pred_rec.ids, overlaps, {})
+    return _FrameView(gt_rec.boxes, pred_rec.boxes, gt_rec.ids, pred_rec.ids, overlaps, {})
 
 
 def _class_block(frame: _FrameView, class_id: str) -> _FrameView:
@@ -200,7 +186,6 @@ def _class_block(frame: _FrameView, class_id: str) -> _FrameView:
     gt_pos = {i: k for k, i in enumerate(gi)}
     pred_pos = {j: k for k, j in enumerate(pj)}
     return _FrameView(
-        frame.t,
         tuple(frame.gt[i] for i in gi),
         tuple(frame.pred[j] for j in pj),
         tuple(frame.gt_ids[i] for i in gi),
@@ -214,7 +199,7 @@ def _class_block(frame: _FrameView, class_id: str) -> _FrameView:
 def _match_all(views: Sequence[_FrameView], alpha: float) -> list[FramePairing]:
     for v in views:
         if alpha not in v.pairings:
-            v.pairings[alpha] = match_frame(v.gt, v.pred, alpha, v.t, v.overlaps)
+            v.pairings[alpha] = match_frame(v.gt, v.pred, alpha, v.overlaps)
     return [v.pairings[alpha] for v in views]
 
 
@@ -223,20 +208,23 @@ def _tp_ids(views: Sequence[_FrameView], pairings: Sequence[FramePairing]) -> li
     return [(v.gt_ids[gi], v.pred_ids[pi]) for v, p in zip(views, pairings) for gi, pi, _ in p.tp_pairs]
 
 
-def _hota(views: Sequence[_FrameView], alpha: float, alpha_sweep: bool) -> float:
-    """HOTA over id-labeled views, at `alpha` or averaged over `ALPHA_SWEEP`."""
+def _hota(
+    views: Sequence[_FrameView], alpha: float, alpha_sweep: bool, known: dict[float, list[tuple[int, int]]]
+) -> float:
+    """HOTA over id-labeled views, at `alpha` or averaged over `ALPHA_SWEEP`.
+
+    `known` maps a threshold to its `_tp_ids` list where the caller has
+    already built it."""
     # an id's box count is its TP + FN (gt) or TP + FP (pred) count at every
     # threshold, since each box is in exactly one of the three
     gt_count = Counter(gid for v in views for gid in v.gt_ids)
     pred_count = Counter(pid for v in views for pid in v.pred_ids)
-    boxes = gt_count.total() + pred_count.total()
-    if boxes == 0:
-        raise UndefinedMetricError("no ground truth and no predictions anywhere")
     scores = []
     for a in ALPHA_SWEEP if alpha_sweep else (alpha,):
-        tp_ids = _tp_ids(views, _match_all(views, a))
+        pairings = _match_all(views, a)
+        deta = det_a(pairings)
+        tp_ids = known[a] if a in known else _tp_ids(views, pairings)
         tp = len(tp_ids)
-        deta = tp / (boxes - tp)
         tpa = Counter(tp_ids)
         acc = 0.0
         for gid, pid in tp_ids:
@@ -277,7 +265,7 @@ def hota(
     With `alpha_sweep` the score is averaged over IoU thresholds
     0.05, 0.10, ..., 0.95 instead of using the single `alpha`.
     """
-    return _hota(_views(gt_frames, pred_frames, alpha, True), alpha, alpha_sweep)
+    return _hota(_views(gt_frames, pred_frames, alpha, True), alpha, alpha_sweep, {})
 
 
 @dataclass(frozen=True)
@@ -342,11 +330,13 @@ def _row_metrics(views: Sequence[_FrameView], mode: str, alpha: float, alpha_swe
     hota_score: float | None = None
     switches: int | None = None
     if mode == "tracklet":
+        # HOTA at `alpha` and the id-switch count share one TP-id list
+        tp_ids = {alpha: _tp_ids(views, pairings)}
         try:
-            hota_score = _hota(views, alpha, alpha_sweep)
+            hota_score = _hota(views, alpha, alpha_sweep, tp_ids)
         except UndefinedMetricError:
             hota_score = None
-        switches = _id_switches(_tp_ids(views, pairings))
+        switches = _id_switches(tp_ids[alpha])
 
     return ClassMetrics(
         avg_iou=(iou_total / gt_total) if gt_total else None,

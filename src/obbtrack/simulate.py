@@ -259,7 +259,11 @@ def rotating_robot_stream(omega: float, r: float) -> tuple[list[FrameRecord], li
 def pose_at(poses: Sequence[PlanarPose], t: float) -> PlanarPose:
     """Robot pose at time t, linearly interpolated (shortest-arc heading).
     Times before the first sample clamp to it."""
-    times = [p.timestamp for p in poses]
+    return _pose_at(poses, [p.timestamp for p in poses], t)
+
+
+def _pose_at(poses: Sequence[PlanarPose], times: Sequence[float], t: float) -> PlanarPose:
+    """`pose_at` with the poses' sample times taken by the caller."""
     i = bisect.bisect_left(times, t)
     if i < len(times) and times[i] == t:
         return poses[i]
@@ -293,8 +297,9 @@ def apply_latency(
     span = robot_poses[-1].timestamp - robot_poses[0].timestamp
     if latency > span:
         raise ConfigurationError(f"latency {latency} s exceeds the stream span {span} s")
+    times = [p.timestamp for p in robot_poses]
     return [
-        FrameRecord(rec.t, pose_at(robot_poses, rec.t - latency), rec.boxes, rec.ids)
+        FrameRecord(rec.t, _pose_at(robot_poses, times, rec.t - latency), rec.boxes, rec.ids)
         for rec in detections
     ]
 

@@ -5,9 +5,9 @@ association-accuracy recount. `reference_dense_iou` and
 `reference_match_frame` are the dense IoU matrix and the solver run on every
 frame that the pair list of `overlapping_pairs` and `match_frame` must
 reproduce; `reference_iou_3d` is `iou_3d` on the footprint corners, the
-clip with a pass over every edge and the area walk with modulo indices
-(`reference_footprint_corners`, `reference_clip_polygon`,
-`reference_polygon_area`) that the clip that skips passes must reproduce;
+clip and the area walk with modulo indices (`reference_footprint_corners`,
+`reference_clip_polygon`, `reference_polygon_area`) that the negative-index
+walks must reproduce;
 `reference_evaluate_streams` is the direct report path, built on them, that
 the shared-matrix `evaluate_streams` must reproduce;
 `reference_associate` and `reference_surviving_ids` are the nested loops over
@@ -232,7 +232,7 @@ def reference_iou_3d(a: OrientedBox, b: OrientedBox) -> float:
     return min(1.0, max(0.0, inter / union))
 
 
-def reference_match_frame(gt, pred, alpha=0.5, timestamp=0.0) -> FramePairing:
+def reference_match_frame(gt, pred, alpha=0.5) -> FramePairing:
     """Per-frame matching with the assignment solver run on every frame, on
     the dense IoU matrix."""
     from scipy.optimize import linear_sum_assignment
@@ -244,14 +244,7 @@ def reference_match_frame(gt, pred, alpha=0.5, timestamp=0.0) -> FramePairing:
         score = np.where(feasible, iou + 1000.0, 0.0)
         rows, cols = linear_sum_assignment(score, maximize=True)
         pairs = sorted((int(i), int(j), float(iou[i, j])) for i, j in zip(rows, cols) if feasible[i, j])
-    matched_gt = {i for i, _, _ in pairs}
-    matched_pred = {j for _, j, _ in pairs}
-    return FramePairing(
-        timestamp=timestamp,
-        tp_pairs=tuple(pairs),
-        fp_indices=tuple(j for j in range(len(pred)) if j not in matched_pred),
-        fn_indices=tuple(i for i in range(len(gt)) if i not in matched_gt),
-    )
+    return FramePairing(tuple(pairs), len(pred) - len(pairs), len(gt) - len(pairs))
 
 
 def deta_oracle(frames, alpha=0.5):
@@ -308,7 +301,7 @@ def _reference_hota_single(gt_frames, pred_frames, alpha):
     co, gt_tp, pred_tp, gt_fn, pred_fp = {}, {}, {}, {}, {}
     tp_instances = []
     for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-        pairing = reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
+        pairing = reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha)
         tp += pairing.tp
         fp += pairing.fp
         fn += pairing.fn
@@ -318,10 +311,15 @@ def _reference_hota_single(gt_frames, pred_frames, alpha):
             gt_tp[gid] = gt_tp.get(gid, 0) + 1
             pred_tp[pid] = pred_tp.get(pid, 0) + 1
             tp_instances.append((gid, pid))
-        for gi in pairing.fn_indices:
-            gt_fn[gt_rec.ids[gi]] = gt_fn.get(gt_rec.ids[gi], 0) + 1
-        for pi in pairing.fp_indices:
-            pred_fp[pred_rec.ids[pi]] = pred_fp.get(pred_rec.ids[pi], 0) + 1
+        # every box outside the TP pairs is an FN (gt) or FP (prediction)
+        matched_gt = {gi for gi, _, _ in pairing.tp_pairs}
+        matched_pred = {pi for _, pi, _ in pairing.tp_pairs}
+        for gi in range(len(gt_rec.boxes)):
+            if gi not in matched_gt:
+                gt_fn[gt_rec.ids[gi]] = gt_fn.get(gt_rec.ids[gi], 0) + 1
+        for pi in range(len(pred_rec.boxes)):
+            if pi not in matched_pred:
+                pred_fp[pred_rec.ids[pi]] = pred_fp.get(pred_rec.ids[pi], 0) + 1
     denom = tp + fp + fn
     if denom == 0:
         raise UndefinedMetricError("no ground truth and no predictions anywhere")
@@ -343,11 +341,11 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
     iou_total = 0.0
     gt_total = 0
     for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-        pairing = reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t)
+        pairing = reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha)
         pairings.append(pairing)
         for gi, pi, _ in pairing.tp_pairs:
             tp_boxes.append((gt_rec.boxes[gi], pred_rec.boxes[pi]))
-        loose = reference_match_frame(gt_rec.boxes, pred_rec.boxes, 0.0, gt_rec.t)
+        loose = reference_match_frame(gt_rec.boxes, pred_rec.boxes, 0.0)
         iou_total += sum(v for _, _, v in loose.tp_pairs)
         gt_total += len(gt_rec.boxes)
     try:
@@ -371,7 +369,7 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
             hota_score = None
         last_pred, switches = {}, 0
         for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-            for gi, pi, _ in reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha, gt_rec.t).tp_pairs:
+            for gi, pi, _ in reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha).tp_pairs:
                 gid, pid = gt_rec.ids[gi], pred_rec.ids[pi]
                 if gid in last_pred and last_pred[gid] != pid:
                     switches += 1
@@ -430,7 +428,6 @@ def reference_associate(detections, tracklets, gate_scale=1.0) -> AssociationRes
     return AssociationResult(
         matches=matches,
         unmatched_detections=[i for i in range(len(detections)) if i not in matched_d],
-        unmatched_tracklets=[tid for tid, _ in tracklets if tid not in matched_t],
     )
 
 

@@ -62,18 +62,15 @@ class TestAssociate:
     def test_empty_detections(self):
         res = associate([], [(1, box()), (2, box(cx=3))])
         assert res.matches == []
-        assert res.unmatched_tracklets == [1, 2]
 
     def test_single_match_inside_gate(self):
         res = associate([box(cx=0.1)], [(7, box())])
         assert res.matches == [(7, 0, pytest.approx(0.1))]
         assert res.unmatched_detections == []
-        assert res.unmatched_tracklets == []
 
     def test_far_detection_unmatched(self):
         res = associate([box(cx=5.0)], [(1, box())])
         assert res.unmatched_detections == [0]
-        assert res.unmatched_tracklets == [1]
 
     def test_cross_class_never_matches(self):
         res = associate([box(cls="MW")], [(1, box(cls="MSU"))])

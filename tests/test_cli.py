@@ -132,9 +132,10 @@ class TestTrialSheetChecks:
             (lambda e: {**e, "occlusion": "> 60%"}, "unknown occlusion level '> 60%'"),
             (lambda e: {**e, "initial_distance": "far"}, "unknown initial_distance level 'far'"),
             (lambda e: {**e, "motion_collapsed": "false"}, "field 'motion_collapsed' has wrong type str"),
+            (lambda e: {**e, "trial_id": 1}, "trial_id 1 repeats entry 1"),  # was simulated as entry 1
         ],
         ids=["missing-key", "not-an-object", "string-id", "fractional-id", "bool-row", "string-classes",
-             "non-string-class", "unknown-occlusion", "unknown-distance", "string-flag"],
+             "non-string-class", "unknown-occlusion", "unknown-distance", "string-flag", "repeated-id"],
     )
     def test_bad_entry_is_data_error(self, tmp_path, trial_sheet, capsys, edit, message):
         payload = json.loads(trial_sheet.read_text())

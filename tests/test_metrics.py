@@ -56,13 +56,13 @@ class TestMatchFrame:
         pairing = match_frame(boxes, list(boxes))
         assert pairing.tp == 2
         assert all(v == pytest.approx(1.0) for _, _, v in pairing.tp_pairs)
-        assert pairing.fp_indices == () and pairing.fn_indices == ()
+        assert pairing.fp == 0 and pairing.fn == 0
 
     def test_low_iou_is_fp_plus_fn(self):
         pairing = match_frame([box()], [box(cx=0.55)])  # IoU 0.45/1.55 < 0.5
         assert pairing.tp == 0
-        assert pairing.fp_indices == (0,)
-        assert pairing.fn_indices == (0,)
+        assert pairing.fp == 1
+        assert pairing.fn == 1
 
     def test_threshold_strict(self):
         # nested boxes with exactly half the volume: IoU is exactly 0.5,
@@ -98,31 +98,28 @@ class TestMatchFrame:
 
 class TestDetA:
     def test_perfect(self):
-        p = FramePairing(0.0, ((0, 0, 1.0),), (), ())
+        p = FramePairing(((0, 0, 1.0),), 0, 0)
         assert det_a([p, p]) == 1.0
 
     def test_hand_counts(self):
         pairings = [
-            FramePairing(0.0, tuple((i, i, 0.9) for i in range(6)), (0, 1), (0, 1)),
+            FramePairing(tuple((i, i, 0.9) for i in range(6)), 2, 2),
         ]
         assert det_a(pairings) == pytest.approx(0.6)
 
     def test_recount_oracle(self):
         for seed in range(20):
             frames = random_micro_sequence(seed)
-            pairings = [
-                match_frame(g, p, timestamp=float(i))
-                for i, (g, _, p, _) in enumerate(frames)
-            ]
+            pairings = [match_frame(g, p) for g, _, p, _ in frames]
             assert det_a(pairings) == oracles.deta_oracle(frames)
 
     def test_empty_everything_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            det_a([FramePairing(0.0, (), (), ())])
+            det_a([FramePairing((), 0, 0)])
 
     def test_fp_strictly_decreases(self):
-        base = FramePairing(0.0, ((0, 0, 1.0),) * 1, (), ())
-        worse = FramePairing(0.0, ((0, 0, 1.0),), (1,), ())
+        base = FramePairing(((0, 0, 1.0),) * 1, 0, 0)
+        worse = FramePairing(((0, 0, 1.0),), 1, 0)
         assert det_a([worse]) < det_a([base])
 
 
@@ -491,11 +488,11 @@ class TestConflictOnlySolver:
     @settings(max_examples=300, deadline=None)
     def test_equals_solver_on_every_frame(self, scene, alpha):
         gt, pred = scene
-        expected = oracles.reference_match_frame(gt, pred, alpha, 2.5)
-        got = match_frame(gt, pred, alpha, 2.5)
+        expected = oracles.reference_match_frame(gt, pred, alpha)
+        got = match_frame(gt, pred, alpha)
         assert got == expected
         assert all(type(i) is int and type(j) is int and type(v) is float for i, j, v in got.tp_pairs)
-        assert match_frame(gt, pred, alpha, 2.5, metrics.overlapping_pairs(gt, pred)) == expected
+        assert match_frame(gt, pred, alpha, metrics.overlapping_pairs(gt, pred)) == expected
 
     def test_only_conflicting_frames_reach_the_solver(self, monkeypatch):
         solved = []
@@ -507,11 +504,11 @@ class TestConflictOnlySolver:
 
         monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting_solver)
         assert match_frame(*ONE_TO_ONE).tp_pairs == ((0, 1, 0.6), (1, 0, 0.6))
-        assert match_frame([], [box()]).fp_indices == (0,)
+        assert match_frame([], [box()]).fp == 1
         assert solved == []
         pairing = match_frame(*CONFLICT)
         assert pairing.tp_pairs == ((0, 0, metrics.iou_3d(box(), box(cx=0.1))),)
-        assert pairing.fn_indices == (1,)
+        assert pairing.fn == 1
         assert match_frame(*TIED).tp == 2
         assert solved == [(2, 1), (2, 2)]
 
@@ -536,17 +533,32 @@ class TestPerFrameHook:
         calls = []
         real = metrics.match_frame
 
-        def counting(gt, pred, alpha, timestamp, overlaps):
-            calls.append((timestamp, alpha, len(gt), len(pred)))
+        def counting(gt, pred, alpha, overlaps):
+            calls.append((alpha, len(gt), len(pred)))
             assert overlaps is not None
-            return real(gt, pred, alpha, timestamp, overlaps)
+            return real(gt, pred, alpha, overlaps)
 
         gt, pred = frames_to_records(self.FRAMES)
         expected = evaluate_streams(gt, pred, mode, 0.5, sweep)
         monkeypatch.setattr(metrics, "match_frame", counting)
         assert evaluate_streams(gt, pred, mode, 0.5, sweep) == expected
-        views = [(0.0, 1, 1), (1.0, 2, 2), (1.0, 1, 1), (1.0, 1, 1), (2.0, 0, 0)]
-        assert sorted(calls) == sorted((t, a, n_gt, n_pred) for t, n_gt, n_pred in views for a in alphas)
+        views = [(1, 1), (2, 2), (1, 1), (1, 1), (0, 0)]
+        assert sorted(calls) == sorted((a, n_gt, n_pred) for n_gt, n_pred in views for a in alphas)
+
+    @pytest.mark.parametrize("sweep, per_row", [(False, 1), (True, len(ALPHA_SWEEP))])
+    def test_tp_id_list_built_once_per_row_and_threshold(self, monkeypatch, sweep, per_row):
+        calls = []
+        real = metrics._tp_ids
+
+        def counting(views, pairings):
+            calls.append(len(views))
+            return real(views, pairings)
+
+        # one class, so two rows: the overall row and the class row
+        gt, pred = frames_to_records(self.FRAMES[:1])
+        monkeypatch.setattr(metrics, "_tp_ids", counting)
+        evaluate_streams(gt, pred, "tracklet", 0.5, sweep)
+        assert len(calls) == 2 * per_row
 
     def test_conflict_free_scoring_uses_no_numpy(self, monkeypatch):
         class NoNumpy:
@@ -589,7 +601,7 @@ def test_track_and_simulate_never_load_the_solver(tmp_path):
         pred = [OrientedBox((0.1, 0, 0), (1, 1, 1), 0, "MSU")]
         pairing = match_frame(gt, pred)
         assert pairing.tp_pairs == ((0, 0, iou_3d(gt[0], pred[0])),), pairing
-        assert pairing.fn_indices == (1,) and pairing.fp_indices == ()
+        assert pairing.fn == 1 and pairing.fp == 0
         assert "scipy.optimize" in sys.modules
         print("ok")
         """

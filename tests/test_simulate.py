@@ -19,7 +19,7 @@ from obbtrack.simulate import (
     robot_pose_at,
     simulate_trial,
 )
-from obbtrack.streams import detections_to_map
+from obbtrack.streams import FrameRecord, detections_to_map
 
 TRIALS = campaign()
 
@@ -169,8 +169,6 @@ class TestLatency:
         )
         gt = generate_ground_truth(trial, duration=duration, rate=rate, seed=0)
         # swap in a rotating robot; objects stay where they are
-        from obbtrack.streams import FrameRecord
-
         gt = [
             FrameRecord(
                 rec.t, robot_pose_at(0.0, omega, rec.t), rec.boxes, rec.ids
@@ -208,6 +206,24 @@ class TestLatency:
         gt, det = self.rotating_setup(0.5, 0.0, duration=2.0)
         with pytest.raises(ConfigurationError):
             apply_latency(det, [r.robot for r in gt], 5.0)
+
+    def test_sample_times_taken_once_per_stream(self):
+        class CountingPoses(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        latency, counts = 0.3, []
+        for duration in (2.0, 8.0):
+            gt, det = self.rotating_setup(0.5, 0.0, duration=duration)
+            poses = CountingPoses(r.robot for r in gt)
+            lagged = apply_latency(det, poses, latency)
+            counts.append(poses.iterations)
+            assert lagged == [FrameRecord(r.t, pose_at(poses, r.t - latency), r.boxes, r.ids) for r in det]
+        # not once per record, which would be 20 and 80 walks
+        assert counts[0] == counts[1] <= 2
 
     def test_pose_interpolation_hits_samples(self):
         poses = [robot_pose_at(0.25, 0.5, k / 10.0) for k in range(50)]
