@@ -32,10 +32,9 @@ def main():
     print(header)
     for omega in omegas:
         gt, det = rotating_robot_stream(omega, args.r)
-        poses = [rec.robot for rec in gt]
         cells = []
         for latency in latencies:
-            mapped = detections_to_map(apply_latency(det, poses, latency))
+            mapped = detections_to_map(apply_latency(det, latency))
             errs = [
                 center_distance(g.boxes[0], d.boxes[0])
                 for g, d in zip(gt, mapped)

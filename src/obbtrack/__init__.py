@@ -5,7 +5,6 @@ from .geometry import (
     OrientedBox,
     PlanarPose,
     center_distance,
-    circular_mean,
     iou_3d,
     symmetry_hypotheses,
     transform_to_map,
@@ -19,7 +18,6 @@ __all__ = [
     "OrientedBox",
     "PlanarPose",
     "center_distance",
-    "circular_mean",
     "iou_3d",
     "symmetry_hypotheses",
     "transform_to_map",

@@ -73,29 +73,26 @@ def _require_finite(owner: str, **fields) -> None:
 
 @dataclass(frozen=True, slots=True, init=False)
 class PlanarPose:
-    """Robot pose on the ground plane: position, heading, stream timestamp."""
+    """Robot pose on the ground plane: position and heading. Its time is the
+    time of the frame that holds it (`FrameRecord.t`)."""
 
     x: float
     y: float
     heading: float
-    timestamp: float = 0.0
 
-    def __init__(self, x: float, y: float, heading: float, timestamp: float = 0.0):
+    def __init__(self, x: float, y: float, heading: float):
         try:
-            finite = isfinite(x) and isfinite(y) and isfinite(heading) and isfinite(timestamp)
+            finite = isfinite(x) and isfinite(y) and isfinite(heading)
         except (TypeError, OverflowError):
             finite = False
         if not finite:
-            _require_finite("PlanarPose", x=x, y=y, heading=heading, timestamp=timestamp)
+            _require_finite("PlanarPose", x=x, y=y, heading=heading)
         _set_x(self, float(x))
         _set_y(self, float(y))
         _set_heading(self, wrap_angle(float(heading)))
-        _set_timestamp(self, float(timestamp))
 
 
-_set_x, _set_y, _set_heading, _set_timestamp = (
-    PlanarPose.x.__set__, PlanarPose.y.__set__, PlanarPose.heading.__set__, PlanarPose.timestamp.__set__
-)
+_set_x, _set_y, _set_heading = PlanarPose.x.__set__, PlanarPose.y.__set__, PlanarPose.heading.__set__
 
 IDENTITY_POSE = PlanarPose(0.0, 0.0, 0.0)
 
@@ -107,14 +104,13 @@ def compose(a: PlanarPose, b: PlanarPose) -> PlanarPose:
         a.x + c * b.x - s * b.y,
         a.y + s * b.x + c * b.y,
         a.heading + b.heading,
-        timestamp=a.timestamp,
     )
 
 
 def invert(p: PlanarPose) -> PlanarPose:
     """Inverse SE(2) transform of p."""
     c, s = math.cos(p.heading), math.sin(p.heading)
-    return PlanarPose(-(c * p.x + s * p.y), s * p.x - c * p.y, -p.heading, timestamp=p.timestamp)
+    return PlanarPose(-(c * p.x + s * p.y), s * p.x - c * p.y, -p.heading)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -385,23 +381,6 @@ def resolve_symmetric_yaw(yaw: float, reference: float, spec: ClassSpec) -> tupl
     hyps = symmetry_hypotheses(yaw, spec)
     best = min(range(len(hyps)), key=lambda j: yaw_difference(hyps[j], reference))
     return hyps[best], best
-
-
-def circular_mean(angles: Sequence[float]) -> float:
-    """Circular mean of angles via the resultant vector, wrapped to (-pi, pi].
-
-    Raises UndefinedMeanError when the resultant magnitude collapses
-    (antipodal cancellation leaves no meaningful direction).
-    """
-    if len(angles) == 0:
-        raise InvalidInputError("circular_mean of an empty angle list")
-    # left-to-right sums, as the tracker's: sum() of floats is compensated
-    # from Python 3.12
-    s = c = 0.0
-    for a in angles:
-        s += math.sin(a)
-        c += math.cos(a)
-    return resultant_direction(s, c, float(len(angles)))
 
 
 def resultant_direction(s: float, c: float, total: float) -> float:

@@ -5,7 +5,8 @@ The detector stand-in applies per-axis Gaussian center noise, yaw noise,
 symmetry flips, occlusion-dependent dropouts and noise inflation, Poisson
 false positives, and an ego-pose latency distortion (map-frame boxes are
 emitted in the sensor frame; consumers reconstruct them with the robot pose
-recorded alongside, which `apply_latency` deliberately makes stale).
+recorded alongside, which `apply_latency` deliberately makes stale: each
+record gets the stream's own pose at `t - latency`).
 """
 from __future__ import annotations
 
@@ -101,12 +102,11 @@ class NoiseModel:
 def robot_pose_at(v: float, omega: float, t: float) -> PlanarPose:
     """Closed-form unicycle pose from the origin at constant (v, omega)."""
     if omega == 0.0:
-        return PlanarPose(v * t, 0.0, 0.0, timestamp=t)
+        return PlanarPose(v * t, 0.0, 0.0)
     return PlanarPose(
         (v / omega) * math.sin(omega * t),
         (v / omega) * (1.0 - math.cos(omega * t)),
         wrap_angle(omega * t),
-        timestamp=t,
     )
 
 
@@ -238,7 +238,7 @@ def emulate_detector(
         out.append(FrameRecord(rec.t, rec.robot, tuple(boxes), None))
 
     if noise.latency > 0.0:
-        out = apply_latency(out, [rec.robot for rec in gt], noise.latency)
+        out = apply_latency(out, noise.latency)
     return out
 
 
@@ -256,52 +256,42 @@ def rotating_robot_stream(omega: float, r: float) -> tuple[list[FrameRecord], li
     return gt, emulate_detector(gt, noise=NoiseModel.silent())
 
 
-def pose_at(poses: Sequence[PlanarPose], t: float) -> PlanarPose:
-    """Robot pose at time t, linearly interpolated (shortest-arc heading).
-    Times before the first sample clamp to it."""
-    return _pose_at(poses, [p.timestamp for p in poses], t)
-
-
-def _pose_at(poses: Sequence[PlanarPose], times: Sequence[float], t: float) -> PlanarPose:
-    """`pose_at` with the poses' sample times taken by the caller."""
+def pose_at(times: Sequence[float], poses: Sequence[PlanarPose], t: float) -> PlanarPose:
+    """Robot pose at time t from poses sampled at the ascending `times`,
+    linearly interpolated (shortest-arc heading). A time at or outside an
+    end of the samples gives that end's sample."""
     i = bisect.bisect_left(times, t)
     if i < len(times) and times[i] == t:
         return poses[i]
     if i == 0:
-        return PlanarPose(poses[0].x, poses[0].y, poses[0].heading, timestamp=t)
+        return poses[0]
     if i == len(times):
-        return PlanarPose(poses[-1].x, poses[-1].y, poses[-1].heading, timestamp=t)
+        return poses[-1]
     a, b = poses[i - 1], poses[i]
-    u = (t - a.timestamp) / (b.timestamp - a.timestamp)
+    u = (t - times[i - 1]) / (times[i] - times[i - 1])
     heading = a.heading + u * wrap_angle(b.heading - a.heading)
-    return PlanarPose(
-        a.x + u * (b.x - a.x), a.y + u * (b.y - a.y), wrap_angle(heading), timestamp=t
-    )
+    return PlanarPose(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y), wrap_angle(heading))
 
 
-def apply_latency(
-    detections: Sequence[FrameRecord], robot_poses: Sequence[PlanarPose], latency: float
-) -> list[FrameRecord]:
-    """Replace each record's robot pose with the pose at (t - latency).
+def apply_latency(detections: Sequence[FrameRecord], latency: float) -> list[FrameRecord]:
+    """Replace each record's robot pose with the stream's own pose at
+    (t - latency), interpolated between its records' (t, robot) samples.
 
     This reproduces the stale ego-pose error mode: the sensor-frame boxes are
     untouched, so any consumer reconstructing map-frame boxes now uses the
-    wrong transform. Zero latency is the identity.
+    wrong transform. Zero latency is the identity; a latency longer than the
+    stream's span (0 for an empty stream) is rejected.
     """
     if latency < 0.0:
         raise ConfigurationError("latency must be non-negative")
     if latency == 0.0:
         return list(detections)
-    if not robot_poses:
-        raise ConfigurationError("apply_latency needs the robot pose trajectory")
-    span = robot_poses[-1].timestamp - robot_poses[0].timestamp
+    times = [rec.t for rec in detections]
+    poses = [rec.robot for rec in detections]
+    span = times[-1] - times[0] if times else 0.0
     if latency > span:
         raise ConfigurationError(f"latency {latency} s exceeds the stream span {span} s")
-    times = [p.timestamp for p in robot_poses]
-    return [
-        FrameRecord(rec.t, _pose_at(robot_poses, times, rec.t - latency), rec.boxes, rec.ids)
-        for rec in detections
-    ]
+    return [FrameRecord(rec.t, pose_at(times, poses, rec.t - latency), rec.boxes, rec.ids) for rec in detections]
 
 
 def simulate_trial(

@@ -184,7 +184,7 @@ def _parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
         raise ParseError("missing or malformed field 'robot'", line)
     robot = PlanarPose(
         json_member(robot_obj, "x", line=line), json_member(robot_obj, "y", line=line),
-        json_member(robot_obj, "heading", line=line), t,
+        json_member(robot_obj, "heading", line=line),
     )
     boxes_obj = obj.get("boxes")
     if not isinstance(boxes_obj, list):

@@ -200,9 +200,8 @@ class Tracklet:
         return self._predicted
 
     def _yaw_mean(self, n: int) -> float:
-        """`circular_mean` of the newest `n` resolved yaws bit for bit (the
-        same unit-weight sums in the same order); the newest yaw when they
-        cancel antipodally."""
+        """Circular mean of the newest `n` resolved yaws, their unit vectors
+        summed left to right; the newest yaw when they cancel antipodally."""
         window = self.window
         s = c = 0.0
         for _, _, _, _, _, sin, cos in itertools.islice(window, len(window) - n, None):
@@ -321,7 +320,8 @@ class Tracklet:
 
 @dataclass(frozen=True)
 class TrackerSnapshot:
-    timestamp: float
+    """Every live tracklet's entry after a frame, in id order."""
+
     entries: tuple[SnapshotEntry, ...]
 
     def published(self) -> tuple[SnapshotEntry, ...]:
@@ -356,7 +356,8 @@ class Tracker:
 
     def ingest_frame(self, t: float, robot: PlanarPose, boxes: Sequence[OrientedBox]) -> TrackerSnapshot:
         """Process one detection frame (boxes in the sensor frame) and return
-        the post-update snapshot."""
+        the post-update snapshot: every live tracklet in id order, of which
+        `TrackerSnapshot.published()` filters the ones ready for consumers."""
         _require_finite("Tracker.ingest_frame", t=t)
         if self._last_t is not None and t <= self._last_t:
             raise StreamOrderError(f"frame at t={t} after t={self._last_t}")
@@ -369,20 +370,27 @@ class Tracker:
         # a frame rejected above leaves the tracker as it was, clock included
         self._last_t = t
 
+        cfg = self.config
         result = associate(
             det_map,
             [(tid, trk.predicted_pose()) for tid, trk in self.registry.items()],
-            self.config.gate_scale,
+            cfg.gate_scale,
         )
         for tid, di, _ in result.matches:
             self.registry[tid].update(det_map[di], t)
         for di in result.unmatched_detections:
             obs = det_map[di]
             tid = next(self._ids)
-            self.registry[tid] = Tracklet(tid, obs, t, self.class_specs[obs.class_id], self.config)
+            self.registry[tid] = Tracklet(tid, obs, t, self.class_specs[obs.class_id], cfg)
 
-        self.manage(t)
-        return self.snapshot(t)
+        self._suppress_duplicates()
+        # prune the tracklets not matched within their lifecycle's threshold
+        for tid, trk in list(self.registry.items()):
+            if t - trk.last_match_time > (
+                cfg.prune_confirmed if trk.lifecycle is Lifecycle.CONFIRMED else cfg.prune_tentative
+            ):
+                self._drop(tid)
+        return TrackerSnapshot(tuple(trk.entry for trk in self.registry.values()))
 
     def _drop(self, tid: int) -> None:
         del self.registry[tid]
@@ -406,19 +414,3 @@ class Tracker:
             doomed.add(victim.id)
         for tid in doomed:
             self._drop(tid)
-
-    def manage(self, now: float) -> None:
-        """Suppress duplicates and prune tracklets not matched within their
-        lifecycle's prune threshold."""
-        cfg = self.config
-        self._suppress_duplicates()
-        for tid, trk in list(self.registry.items()):
-            if now - trk.last_match_time > (
-                cfg.prune_confirmed if trk.lifecycle is Lifecycle.CONFIRMED else cfg.prune_tentative
-            ):
-                self._drop(tid)
-
-    def snapshot(self, now: float) -> TrackerSnapshot:
-        """Every live tracklet in id order; `TrackerSnapshot.published()`
-        filters the ones ready for consumers."""
-        return TrackerSnapshot(now, tuple(trk.entry for trk in self.registry.values()))

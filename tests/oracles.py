@@ -11,8 +11,9 @@ walks must reproduce;
 `reference_evaluate_streams` is the direct report path, built on them, that
 the shared-matrix `evaluate_streams` must reproduce;
 `reference_associate` and `reference_surviving_ids` are the nested loops over
-every pair that the swept gate must reproduce, `reference_yaw_estimate`
-is the window yaw recomputed from the angles themselves,
+every pair that the swept gate must reproduce, `circular_mean` is the
+resultant-vector mean of a list of angles, `reference_yaw_estimate`
+is the window yaw recomputed from the angles themselves with it,
 `reference_window_center` is the predicted center recomputed from every
 matched center, `reference_dumps_stream` / `reference_loads_stream` are
 the whole-text stream writer (a dict per box, `json.dumps` per record) and
@@ -39,7 +40,6 @@ from obbtrack.geometry import (
     OrientedBox,
     PlanarPose,
     center_distance,
-    circular_mean,
     iou_3d,
     wrap_angle,
 )
@@ -447,6 +447,25 @@ def reference_surviving_ids(tracklets, scale=1.0) -> list[int]:
     return [tid for tid, _, _ in alive if tid not in doomed]
 
 
+def circular_mean(angles) -> float:
+    """Circular mean of angles via the resultant vector, wrapped to (-pi, pi].
+
+    Raises UndefinedMeanError when the resultant magnitude collapses
+    (antipodal cancellation leaves no meaningful direction).
+    """
+    if len(angles) == 0:
+        raise InvalidInputError("circular_mean of an empty angle list")
+    # left-to-right sums, as the tracker's: sum() of floats is compensated
+    # from Python 3.12
+    s = c = 0.0
+    for a in angles:
+        s += math.sin(a)
+        c += math.cos(a)
+    if math.hypot(s, c) / len(angles) < 1e-9:
+        raise UndefinedMeanError("angles cancel antipodally; mean direction undefined")
+    return wrap_angle(math.atan2(s, c))
+
+
 def reference_yaw_estimate(yaws) -> float:
     """Circular mean of a yaw window, the newest yaw when it is undefined."""
     yaws = list(yaws)
@@ -535,7 +554,6 @@ def reference_parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
         _reference_pick(robot_obj, "x", line),
         _reference_pick(robot_obj, "y", line),
         _reference_pick(robot_obj, "heading", line),
-        timestamp=t,
     )
     boxes_obj = obj.get("boxes")
     if not isinstance(boxes_obj, list):
@@ -659,12 +677,12 @@ def reference_box_fields(center, extent, yaw, class_id, confidence=1.0) -> tuple
     return center, extent, wrap_angle(yaw_f), class_id, conf
 
 
-def reference_pose_fields(x, y, heading, timestamp=0.0) -> tuple:
-    """The fields of `PlanarPose(x, y, heading, timestamp)` as checked and
-    converted in `__post_init__`, or its error, with each value required to
-    be a real number where it is checked."""
-    _reference_require_finite("PlanarPose", x=x, y=y, heading=heading, timestamp=timestamp)
-    return float(x), float(y), wrap_angle(float(heading)), float(timestamp)
+def reference_pose_fields(x, y, heading) -> tuple:
+    """The fields of `PlanarPose(x, y, heading)` as checked and converted in
+    `__post_init__`, or its error, with each value required to be a real
+    number where it is checked."""
+    _reference_require_finite("PlanarPose", x=x, y=y, heading=heading)
+    return float(x), float(y), wrap_angle(float(heading))
 
 
 def reference_record_fields(t, robot, boxes=(), ids=None) -> tuple:

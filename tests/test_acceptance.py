@@ -277,7 +277,7 @@ def test_criterion_7_latency_mechanism():
     worst = 0.0
     for omega, latency in combos:
         gt, det = rotating_robot_stream(omega, r)
-        lagged = apply_latency(det, [rec.robot for rec in gt], latency)
+        lagged = apply_latency(det, latency)
         mapped = detections_to_map(lagged)
         expected = 2.0 * r * math.sin(omega * latency / 2.0)
         for g, d in zip(gt, mapped):
@@ -289,9 +289,8 @@ def test_criterion_7_latency_mechanism():
     mean_err = {}
     for omega in grid:
         gt, det = rotating_robot_stream(omega, r)
-        poses = [rec.robot for rec in gt]
         for latency in grid:
-            mapped = detections_to_map(apply_latency(det, poses, latency))
+            mapped = detections_to_map(apply_latency(det, latency))
             errs = [
                 center_distance(g.boxes[0], d.boxes[0])
                 for g, d in zip(gt, mapped)
@@ -333,7 +332,7 @@ def test_criterion_8_performance(campaign_runs):
     tracker = Tracker(cfg.tracker, cfg.classes)
     t0 = time.perf_counter()
     for t, boxes in frames:
-        tracker.ingest_frame(t, PlanarPose(0, 0, 0, timestamp=t), boxes)
+        tracker.ingest_frame(t, PlanarPose(0, 0, 0), boxes)
     track_time = time.perf_counter() - t0
     campaign_time = campaign_runs[2]
     check(

@@ -19,7 +19,9 @@ from obbtrack.simulate import (
     robot_pose_at,
     simulate_trial,
 )
-from obbtrack.streams import FrameRecord, detections_to_map
+from obbtrack.campaign import simulate as campaign_simulate
+from obbtrack.config import RunConfig
+from obbtrack.streams import KIND_DETECTIONS, FrameRecord, detections_to_map, dumps_stream, loads_stream
 
 TRIALS = campaign()
 
@@ -176,18 +178,18 @@ class TestLatency:
             for rec in gt
         ]
         det = emulate_detector(gt, noise=NoiseModel.silent())
-        lagged = apply_latency(det, [rec.robot for rec in gt], latency)
+        lagged = apply_latency(det, latency)
         return gt, lagged
 
     def test_zero_latency_identity(self):
         gt, det = self.rotating_setup(0.5, 0.0)
-        assert apply_latency(det, [r.robot for r in gt], 0.0) == det
+        assert apply_latency(det, 0.0) == det
 
     def test_stationary_robot_immune(self):
         trial = trial_by("single-msu", 1)
         gt = generate_ground_truth(trial, seed=3)
         det = emulate_detector(gt, noise=NoiseModel.silent())
-        lagged = apply_latency(det, [r.robot for r in gt], 0.4)
+        lagged = apply_latency(det, 0.4)
         mapped = detections_to_map(lagged)
         for g, d in zip(gt, mapped):
             assert center_distance(g.boxes[0], d.boxes[0]) < 1e-9
@@ -204,11 +206,15 @@ class TestLatency:
 
     def test_latency_exceeding_span_rejected(self):
         gt, det = self.rotating_setup(0.5, 0.0, duration=2.0)
-        with pytest.raises(ConfigurationError):
-            apply_latency(det, [r.robot for r in gt], 5.0)
+        with pytest.raises(ConfigurationError, match="exceeds the stream span 1.9 s"):
+            apply_latency(det, 5.0)
+        # an empty stream spans nothing
+        with pytest.raises(ConfigurationError, match="exceeds the stream span 0.0 s"):
+            apply_latency([], 0.1)
+        assert apply_latency([], 0.0) == []
 
     def test_sample_times_taken_once_per_stream(self):
-        class CountingPoses(list):
+        class CountingRecords(list):
             iterations = 0
 
             def __iter__(self):
@@ -218,15 +224,32 @@ class TestLatency:
         latency, counts = 0.3, []
         for duration in (2.0, 8.0):
             gt, det = self.rotating_setup(0.5, 0.0, duration=duration)
-            poses = CountingPoses(r.robot for r in gt)
-            lagged = apply_latency(det, poses, latency)
-            counts.append(poses.iterations)
-            assert lagged == [FrameRecord(r.t, pose_at(poses, r.t - latency), r.boxes, r.ids) for r in det]
-        # not once per record, which would be 20 and 80 walks
-        assert counts[0] == counts[1] <= 2
+            records = CountingRecords(det)
+            lagged = apply_latency(records, latency)
+            counts.append(records.iterations)
+            times, poses = [r.t for r in gt], [r.robot for r in gt]
+            assert lagged == [FrameRecord(r.t, pose_at(times, poses, r.t - latency), r.boxes, r.ids) for r in det]
+        # a fixed number of walks, not one per record (20 and 80 walks)
+        assert counts[0] == counts[1] <= 3
 
     def test_pose_interpolation_hits_samples(self):
-        poses = [robot_pose_at(0.25, 0.5, k / 10.0) for k in range(50)]
-        assert pose_at(poses, 1.2) == poses[12]
-        mid = pose_at(poses, 1.25)
+        times = [k / 10.0 for k in range(50)]
+        poses = [robot_pose_at(0.25, 0.5, t) for t in times]
+        assert pose_at(times, poses, 1.2) is poses[12]
+        mid = pose_at(times, poses, 1.25)
         assert poses[12].x < mid.x < poses[13].x
+        # a clamp gives the end sample itself
+        assert pose_at(times, poses, -0.5) is poses[0]
+        assert pose_at(times, poses, 7.0) is poses[-1]
+
+    @pytest.mark.parametrize("trial_id", [19, 2], ids=["still-robot", "turning-robot"])
+    def test_latency_stream_equals_its_round_trip(self, trial_id):
+        # the lagged pose is the record's only pose: no second time rides on it
+        trial = next(t for t in TRIALS if t.trial_id == trial_id)
+        _, det = campaign_simulate(trial, 7, RunConfig(noise=NoiseModel(latency=0.2)))
+        kind, back = loads_stream(dumps_stream(det, KIND_DETECTIONS))
+        assert kind == KIND_DETECTIONS
+        assert back == det
+        prompt = campaign_simulate(trial, 7, RunConfig())[1]
+        lagged = sum(a.robot != b.robot for a, b in zip(det, prompt))
+        assert lagged == (0 if trial.robot_angular == "Stationary" else len(det) - 1)

@@ -35,7 +35,7 @@ def record(t=0.0, with_ids=True, yaw=0.3):
         OrientedBox((1.0, 2.0, 0.35), (1.2, 0.8, 0.7), yaw, "MW", confidence=0.9),
         OrientedBox((-0.5, 0.25, 0.9), (0.8, 0.6, 1.8), -1.1, "MSU", confidence=0.8),
     )
-    return FrameRecord(t, PlanarPose(0.1, -0.2, 0.05, timestamp=t), boxes, (4, 9) if with_ids else None)
+    return FrameRecord(t, PlanarPose(0.1, -0.2, 0.05), boxes, (4, 9) if with_ids else None)
 
 
 class TestRoundTrip:
@@ -107,7 +107,7 @@ def frame_records(draw):
             )
         )
         ids = draw(st.lists(IDS, min_size=len(boxes), max_size=len(boxes)))
-        robot = PlanarPose(draw(FINITE), draw(FINITE), draw(ANGLES), timestamp=t)
+        robot = PlanarPose(draw(FINITE), draw(FINITE), draw(ANGLES))
         records.append(FrameRecord(t, robot, tuple(boxes), tuple(ids)))
     return records
 
@@ -232,7 +232,7 @@ def republishing_records(draw):
                 old = draw(st.sampled_from(earlier))
                 boxes.append(old if how == "same" else negated_zeros(old))
         ids = draw(st.none() | st.lists(IDS, min_size=len(boxes), max_size=len(boxes)))
-        records.append(FrameRecord(float(n), PlanarPose(draw(ZEROS), 0.0, 0.0, timestamp=float(n)), boxes, ids))
+        records.append(FrameRecord(float(n), PlanarPose(draw(ZEROS), 0.0, 0.0), boxes, ids))
     return records
 
 
@@ -502,14 +502,14 @@ class TestParseErrors:
                 '{"t":0.0,"robot":{"x":0,"y":0,"heading":NaN},"boxes":[]}',
                 "line 2: PlanarPose contains a non-finite value: nan",
             ),
-            # the time is the robot pose's timestamp, so the pose reports it
+            # the time is the record's alone, so the record reports it
             (
                 '{"t":-Infinity,"robot":{"x":0,"y":0,"heading":0},"boxes":[]}',
-                "line 2: PlanarPose contains a non-finite value: -inf",
+                "line 2: FrameRecord contains a non-finite value: -inf",
             ),
             (
                 '{"t":1%s,"robot":{"x":0,"y":0,"heading":0},"boxes":[]}' % ("0" * 400),
-                "line 2: PlanarPose contains a number too large for a float",
+                "line 2: FrameRecord contains a number too large for a float",
             ),
         ],
         ids=["box", "robot", "time", "401-digit-time"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obbtrack.errors import ConfigurationError, InvalidInputError, StreamOrderError, UndefinedMeanError
-from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose, circular_mean, yaw_difference
+from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose, yaw_difference
 from obbtrack.tracker import (
     DEG,
     Lifecycle,
@@ -22,6 +22,7 @@ from obbtrack.tracker import (
 
 from oracles import (
     assert_public_box,
+    circular_mean,
     reference_surviving_ids,
     reference_window_center,
     reference_yaw_estimate,
