@@ -8,7 +8,10 @@ for the leftovers, then suppress duplicates, prune and export a snapshot.
 Lifecycle: a tracklet is born Tentative and confirms itself on the match
 (spawn or update) that completes a run of `confirm_count` matches within
 `confirm_window`; only a match changes its match times. It is dropped once
-its newest match is older than its lifecycle's prune threshold.
+its newest match is older than its lifecycle's prune threshold, so one last
+matched exactly `prune_confirmed` ago stays live. Both rules compare times
+with a slack of `TIME_TOLERANCE`, which makes the lifecycle independent of
+the time origin: adding a constant to every frame time changes no output.
 
 Orientation handling for symmetric classes: each incoming yaw is snapped to
 the symmetry hypothesis nearest the tracklet's current estimate, and the raw
@@ -78,6 +81,12 @@ from .geometry import (
 )
 
 DEG = 0.017453292519943295
+
+# Slack on the lifecycle's time comparisons. Frame times are sums on a grid,
+# so a span that is exactly a threshold on paper can land a rounding error
+# either side of it; without the slack, whether a tracklet confirms or is
+# pruned would depend on where the stream's clock starts.
+TIME_TOLERANCE = 1e-6
 
 
 class Lifecycle(enum.Enum):
@@ -314,7 +323,7 @@ class Tracklet:
         run of `confirm_count` consecutive matches is tested while newest."""
         window = self.window
         c = self.config.confirm_count
-        if len(window) >= c and window[-1][0] - window[-c][0] <= self.config.confirm_window:
+        if len(window) >= c and window[-1][0] - window[-c][0] <= self.config.confirm_window + TIME_TOLERANCE:
             self.lifecycle = Lifecycle.CONFIRMED
 
 
@@ -386,7 +395,7 @@ class Tracker:
         self._suppress_duplicates()
         # prune the tracklets not matched within their lifecycle's threshold
         for tid, trk in list(self.registry.items()):
-            if t - trk.last_match_time > (
+            if t - trk.last_match_time > TIME_TOLERANCE + (
                 cfg.prune_confirmed if trk.lifecycle is Lifecycle.CONFIRMED else cfg.prune_tentative
             ):
                 self._drop(tid)

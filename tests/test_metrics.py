@@ -637,8 +637,8 @@ class TestCrowdAlphaSweep:
     @pytest.mark.parametrize(
         "sweep, digest",
         [
-            (False, "b6908e349e454fd15b0003e30db40d2f0724a971754d3c10d1c551220f96dd5a"),
-            (True, "788bf4ff3ebf5442e3d13fc0764a3b5955addcc3e4b73024e0f8da2fa174c4a6"),
+            (False, "7baf15e9ba5aff15baabd31d0e65f37ca07d55de427519be07b5e1a3c96aabf2"),
+            (True, "8ddad9ac40b77aa1512512b15ad70f558364fedf05ff7417f5a4729666bc3bb7"),
         ],
         ids=["alpha", "sweep"],
     )

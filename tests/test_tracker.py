@@ -87,6 +87,27 @@ class TestIngest:
         snap = trk.ingest_frame(5.5, ORIGIN, [])
         assert snap.entries == ()
 
+    @pytest.mark.parametrize("origin", [0.0, 7.7, 123.456, 1000.0, 1e6])
+    def test_spans_of_exactly_a_threshold_at_any_time_origin(self, origin):
+        # frame k at origin + 0.1 k: the spans on the grid round either side
+        # of the thresholds, by an amount that depends on the origin
+        def at(k):
+            return origin + 0.1 * k
+
+        trk = make_tracker()
+        for k in (0, 10, 20):  # a run spanning exactly confirm_window
+            snap = trk.ingest_frame(at(k), ORIGIN, [box()])
+        assert snap.entries[0].lifecycle is Lifecycle.CONFIRMED
+        for k in range(21, 71):  # last matched exactly prune_confirmed ago at k = 70
+            snap = trk.ingest_frame(at(k), ORIGIN, [])
+        assert [e.id for e in snap.entries] == [1]
+        assert trk.ingest_frame(at(71), ORIGIN, []).entries == ()
+
+        trk = make_tracker()
+        trk.ingest_frame(at(0), ORIGIN, [box()])
+        assert [e.id for e in trk.ingest_frame(at(30), ORIGIN, []).entries] == [1]
+        assert trk.ingest_frame(at(31), ORIGIN, []).entries == ()
+
     def test_coasting_keeps_last_output(self):
         trk = make_tracker()
         trk.ingest_frame(0.0, ORIGIN, [box(cx=2.0)])
