@@ -375,7 +375,7 @@ class Tracker:
         det_map = [transform_box(sensor, b) for b in boxes]
         for det in det_map:
             if det.class_id not in self.class_specs:
-                raise ConfigurationError(f"unknown object class {det.class_id!r}")
+                raise ConfigurationError(f"unknown object class {det.class_id!r} in the frame at t={t}")
         # a frame rejected above leaves the tracker as it was, clock included
         self._last_t = t
 

@@ -365,6 +365,16 @@ class TestStreamingTrack:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "trk.jsonl").exists()
 
+    def test_unknown_class_names_its_frame(self, tmp_path, capsys):
+        records = one_object_detections(3)
+        ufo = OrientedBox((5.0, 0.0, 0.9), (0.8, 0.6, 1.8), 0.0, "XX", confidence=0.9)
+        records[2] = FrameRecord(records[2].t, records[2].robot, (*records[2].boxes, ufo))
+        write_stream(tmp_path / "det.jsonl", records, KIND_DETECTIONS)
+        assert self.track(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: unknown object class 'XX' in the frame at t={records[2].t}" in err
+        assert not (tmp_path / "trk.jsonl").exists()
+
     def test_wrong_kind_rejected_before_tracking(self, tmp_path, capsys):
         write_stream(tmp_path / "det.jsonl", [], KIND_GROUND_TRUTH)
         assert self.track(tmp_path) == 2
