@@ -82,10 +82,10 @@ from .geometry import (
 
 DEG = 0.017453292519943295
 
-# Slack on the lifecycle's time comparisons. Frame times are sums on a grid,
-# so a span that is exactly a threshold on paper can land a rounding error
-# either side of it; without the slack, whether a tracklet confirms or is
-# pruned would depend on where the stream's clock starts.
+# Slack on the lifecycle's time comparisons. The thresholds sit on the frame
+# grid, so a span that is exactly a threshold on paper can round to either
+# side of it; without the slack, whether a tracklet confirms or is pruned
+# would depend on where the stream's clock starts.
 TIME_TOLERANCE = 1e-6
 
 
