@@ -28,10 +28,15 @@ overlapping pairs, not the gt x pred product, and no dense matrix is built:
   calls `iou_3d` only on same-class pairs whose circles meet; every pair it
   leaves out has the IoU 0.0 that `iou_3d`'s own early-out would return.
 - `match_frame` keeps the listed pairs with IoU above the threshold. When
-  they are one-to-one they are the matching, found with two sets; only a
-  frame where two feasible pairs share a box builds the dense score matrix
-  for the assignment solver. numpy runs only there, and `scipy.optimize` is
-  imported on that first use, so tracking and simulation never load it.
+  they are one-to-one they are the matching, found with two sets. Otherwise
+  each connected component of the feasible pairs (pairs linked by a shared
+  gt or pred box) is solved on its own small score matrix, by a port of
+  SciPy's `linear_sum_assignment` (`_linear_sum_assignment`) or by one of
+  its proven fast paths: a lone pair, a star (`_star`) and two rows or two
+  columns (`_two_rows`). A component holds boxes of one class, so the
+  overall row and each class row match a class's boxes alike, and a tie
+  never depends on boxes outside the component. The module uses neither
+  NumPy nor SciPy.
 """
 from __future__ import annotations
 
@@ -39,8 +44,6 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import AlignmentError, InvalidInputError, UndefinedMetricError
 from .geometry import OrientedBox, center_distance, footprint_radius, iou_3d, yaw_difference
@@ -110,22 +113,187 @@ def match_frame(
     # a one-to-one set is the only matching of maximum cardinality, already
     # in row-major order; the solver runs only where two pairs share a box
     if len({i for i, _, _ in pairs}) < len(pairs) or len({j for _, j, _ in pairs}) < len(pairs):
-        pairs = _solve_conflicts(pairs, len(gt), len(pred))
+        pairs = _solve_conflicts(pairs)
     return FramePairing(tuple(pairs), len(pred) - len(pairs), len(gt) - len(pairs))
 
 
-def _solve_conflicts(feasible: list[tuple[int, int, float]], n_gt: int, n_pred: int) -> list[tuple[int, int, float]]:
-    """Optimal assignment over the whole frame, for frames where feasible
-    pairs share a box. The score is the bonus-lifted IoU on feasible pairs
-    and 0 elsewhere."""
-    from scipy.optimize import linear_sum_assignment
+def _solve_conflicts(feasible: list[tuple[int, int, float]]) -> list[tuple[int, int, float]]:
+    """Optimal assignment of a frame whose feasible pairs share boxes, solved
+    per connected component: two pairs are linked when they share a gt or a
+    pred index. A component's score is the bonus-lifted IoU on its feasible
+    pairs and 0 elsewhere, with rows and columns in frame order, and it is
+    matched as `_linear_sum_assignment` matches that matrix."""
+    matched = []
+    for comp in _components(feasible):
+        first = comp[0]
+        if len(comp) == 1:
+            matched.append(first)
+            continue
+        # a star, one gt or one pred; the gt test needs no column set
+        if first[0] == comp[-1][0]:
+            matched.append(_star(comp))
+            continue
+        cols = sorted({j for _, j, _ in comp})
+        n = len(cols)
+        if n == 1:
+            matched.append(_star(comp))
+            continue
+        # the component's cells and scores, one row per gt index
+        cells, score, row = [], [], None
+        for p in comp:
+            if p[0] != row:
+                row = p[0]
+                cell_row, score_row = [None] * n, [0.0] * n
+                cells.append(cell_row)
+                score.append(score_row)
+            k = cols.index(p[1])
+            cell_row[k] = p
+            score_row[k] = p[2] + _CARDINALITY_BONUS
+        if len(score) == 2:
+            assigned = enumerate(_two_rows(*score))
+        elif n == 2:
+            # the solver transposes a tall matrix
+            assigned = ((r, c) for c, r in enumerate(_two_rows(*zip(*score))))
+        else:
+            assigned = _linear_sum_assignment(score)
+        matched += (cells[r][c] for r, c in assigned if cells[r][c] is not None)
+    return sorted(matched)
 
-    rows, cols, values = zip(*feasible)
-    score = np.zeros((n_gt, n_pred))
-    score[rows, cols] = np.array(values) + _CARDINALITY_BONUS
-    iou = {(i, j): v for i, j, v in feasible}
-    assigned = zip(*(a.tolist() for a in linear_sum_assignment(score, maximize=True)))
-    return sorted((i, j, iou[i, j]) for i, j in assigned if (i, j) in iou)
+
+def _star(comp: list[tuple[int, int, float]]) -> tuple[int, int, float]:
+    """The pair `_linear_sum_assignment` keeps from a component with one gt
+    or one pred: the highest lifted score, the lowest index on a tie, which
+    comes first in row-major order."""
+    best, top = comp[0], comp[0][2] + _CARDINALITY_BONUS
+    for p in comp:
+        if p[2] + _CARDINALITY_BONUS > top:
+            best, top = p, p[2] + _CARDINALITY_BONUS
+    return best
+
+
+def _components(pairs: list[tuple[int, int, float]]) -> list[list[tuple[int, int, float]]]:
+    """Row-major `pairs` grouped by connected component, each group in
+    row-major order."""
+    owner: dict[int, list] = {}  # pred index -> its group
+    groups = []
+    row = group = None
+    for p in pairs:
+        linked = owner.get(p[1])
+        if p[0] != row:
+            # a new gt row joins the group of its first pred, if any
+            row = p[0]
+            if linked is None:
+                group = [p]
+                groups.append(group)
+            else:
+                group = linked
+                group.append(p)
+        elif linked is None or linked is group:
+            group.append(p)
+        else:
+            # the row links two groups: fold them into one, emptying the other
+            for q in linked:
+                owner[q[1]] = group
+            group += linked
+            group.sort()
+            linked.clear()
+            group.append(p)
+        owner[p[1]] = group
+    return [g for g in groups if g]
+
+
+def _two_rows(s0: Sequence[float], s1: Sequence[float]) -> tuple[int, int]:
+    """The columns of rows 0 and 1 in `_linear_sum_assignment([s0, s1])`,
+    for two or more columns: its two augmenting paths unrolled, with the
+    same comparisons and sums."""
+    # row 0 takes its best column, the lowest on a tie
+    top = max(s0)
+    a = s0.index(top)
+    # row 1 takes its best free column, the lowest on a tie
+    best = max(s1)
+    for j, v in enumerate(s1):
+        if v == best and j != a:
+            return a, j
+    # Only column a scores best for row 1. Row 1 takes column j itself, or
+    # takes a and moves row 0 to j; the columns left are scanned in the
+    # solver's order (a's slot refilled by column 0), and the last of the
+    # best wins.
+    order = list(range(len(s0) - 1, 0, -1))
+    if a:
+        order[-a] = 0
+    best_j, best_score, moved = -1, -math.inf, False
+    for j in order:
+        via_a = (best + s0[j]) - top
+        score = via_a if via_a > s1[j] else s1[j]
+        if score >= best_score:
+            best_j, best_score, moved = j, score, via_a > s1[j]
+    return (best_j, a) if moved else (a, best_j)
+
+
+def _linear_sum_assignment(score: list[list[float]]) -> list[tuple[int, int]]:
+    """`(row, column)` pairs of a maximum-score assignment of a rectangular
+    matrix: the pairs SciPy's `linear_sum_assignment(score, maximize=True)`
+    returns.
+
+    A port of SciPy's `rectangular_lsap`, the shortest augmenting path
+    algorithm of Crouse (2016), that keeps its ties: the score is negated
+    into a cost, a tall matrix is transposed, each row scans the columns in
+    reverse order, and among equally short paths a free column wins."""
+    transpose = len(score[0]) < len(score)
+    if transpose:
+        score = list(zip(*score))
+    nr, nc = len(score), len(score[0])
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    path = [-1] * nc
+    for cur in range(nr):
+        min_val = 0.0
+        remaining = list(range(nc - 1, -1, -1))
+        shortest = [math.inf] * nc
+        visited = []  # the columns the path search takes, in order
+        i = cur
+        while True:
+            row, ui = score[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                # the reduced cost; adding the negated score is subtracting it
+                r = min_val - row[j] - ui - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            # every score is finite, so some column is always reached
+            min_val = lowest
+            j = remaining[index]
+            visited.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            i = row4col[j]
+            if i == -1:
+                break
+        # the dual update: each visited row but `cur` is the row of a
+        # visited column
+        u[cur] += min_val
+        for j in visited:
+            step = min_val - shortest[j]
+            v[j] -= step
+            if row4col[j] != -1:
+                u[row4col[j]] += step
+        # augment along the path back from the sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        return [(c, r) for r, c in enumerate(col4row)]
+    return list(enumerate(col4row))
 
 
 def det_a(pairings: Iterable[FramePairing]) -> float:

@@ -1,13 +1,15 @@
 """Brute-force oracles, written independently of the package's code paths:
 Monte-Carlo volume sampling instead of polygon clipping, exhaustive matching
 enumeration instead of the Hungarian solver, and a from-scratch
-association-accuracy recount. `reference_dense_iou` and
-`reference_match_frame` are the dense IoU matrix and the solver run on every
-frame that the pair list of `overlapping_pairs` and `match_frame` must
-reproduce; `reference_iou_3d` is `iou_3d` on the footprint corners, the
-clip and the area walk with modulo indices (`reference_footprint_corners`,
-`reference_clip_polygon`, `reference_polygon_area`) that the negative-index
-walks must reproduce;
+association-accuracy recount. `reference_dense_iou` is the dense IoU matrix
+that the pair list of `overlapping_pairs` must reproduce;
+`reference_component_match` is scipy's solver run on each connected component
+of a frame's feasible pairs (`feasible_components`), which `match_frame` must
+reproduce, and `reference_match_frame` the solver run on the whole frame,
+whose pair count and total IoU it must reach; `reference_iou_3d` is `iou_3d`
+on the footprint corners, the clip and the area walk with modulo indices
+(`reference_footprint_corners`, `reference_clip_polygon`,
+`reference_polygon_area`) that the negative-index walks must reproduce;
 `reference_evaluate_streams` is the direct report path, built on them, that
 the shared-matrix `evaluate_streams` must reproduce;
 `reference_associate` and `reference_surviving_ids` are the nested loops over
@@ -247,6 +249,47 @@ def reference_match_frame(gt, pred, alpha=0.5) -> FramePairing:
     return FramePairing(tuple(pairs), len(pred) - len(pairs), len(gt) - len(pairs))
 
 
+def feasible_components(feasible) -> list[tuple[list[int], list[int]]]:
+    """`(gt rows, pred columns)` of each connected component of a boolean
+    gt x pred matrix, where two feasible cells are linked when they share a
+    row or a column; rows and columns in frame order, components by their
+    first row. A breadth-first search over the dense matrix."""
+    n_gt, n_pred = feasible.shape
+    seen_rows, components = set(), []
+    for start in range(n_gt):
+        if start in seen_rows or not feasible[start].any():
+            continue
+        rows, cols, frontier = {start}, set(), [start]
+        while frontier:
+            new_cols = {j for i in frontier for j in range(n_pred) if feasible[i, j]} - cols
+            cols |= new_cols
+            frontier = sorted({i for j in new_cols for i in range(n_gt) if feasible[i, j]} - rows)
+            rows.update(frontier)
+        seen_rows |= rows
+        components.append((sorted(rows), sorted(cols)))
+    return components
+
+
+def reference_component_match(gt, pred, alpha=0.5) -> FramePairing:
+    """Per-frame matching as `match_frame` states its tie rule: the solver run
+    on the bonus-lifted score sub-matrix of each connected component of the
+    feasible pairs of the dense IoU matrix, rows and columns in frame order."""
+    from scipy.optimize import linear_sum_assignment
+
+    pairs = []
+    if gt and pred:
+        iou = reference_dense_iou(gt, pred)
+        feasible = iou > alpha
+        score = np.where(feasible, iou + 1000.0, 0.0)
+        for rows, cols in feasible_components(feasible):
+            r, c = linear_sum_assignment(score[np.ix_(rows, cols)], maximize=True)
+            for i, j in zip((rows[k] for k in r), (cols[k] for k in c)):
+                if feasible[i, j]:
+                    pairs.append((i, j, float(iou[i, j])))
+    pairs.sort()
+    return FramePairing(tuple(pairs), len(pred) - len(pairs), len(gt) - len(pairs))
+
+
 def deta_oracle(frames, alpha=0.5):
     """frames: list of (gt_boxes, gt_ids, pred_boxes, pred_ids)."""
     tp = fp = fn = 0
@@ -301,7 +344,7 @@ def _reference_hota_single(gt_frames, pred_frames, alpha):
     co, gt_tp, pred_tp, gt_fn, pred_fp = {}, {}, {}, {}, {}
     tp_instances = []
     for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-        pairing = reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha)
+        pairing = reference_component_match(gt_rec.boxes, pred_rec.boxes, alpha)
         tp += pairing.tp
         fp += pairing.fp
         fn += pairing.fn
@@ -341,11 +384,11 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
     iou_total = 0.0
     gt_total = 0
     for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-        pairing = reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha)
+        pairing = reference_component_match(gt_rec.boxes, pred_rec.boxes, alpha)
         pairings.append(pairing)
         for gi, pi, _ in pairing.tp_pairs:
             tp_boxes.append((gt_rec.boxes[gi], pred_rec.boxes[pi]))
-        loose = reference_match_frame(gt_rec.boxes, pred_rec.boxes, 0.0)
+        loose = reference_component_match(gt_rec.boxes, pred_rec.boxes, 0.0)
         iou_total += sum(v for _, _, v in loose.tp_pairs)
         gt_total += len(gt_rec.boxes)
     try:
@@ -369,7 +412,7 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
             hota_score = None
         last_pred, switches = {}, 0
         for gt_rec, pred_rec in zip(gt_frames, pred_frames):
-            for gi, pi, _ in reference_match_frame(gt_rec.boxes, pred_rec.boxes, alpha).tp_pairs:
+            for gi, pi, _ in reference_component_match(gt_rec.boxes, pred_rec.boxes, alpha).tp_pairs:
                 gid, pid = gt_rec.ids[gi], pred_rec.ids[pi]
                 if gid in last_pred and last_pred[gid] != pid:
                     switches += 1
@@ -390,7 +433,7 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
 
 def reference_evaluate_streams(gt_frames, pred_frames, mode="tracklet", alpha=0.5, alpha_sweep=False):
     """Reference report for valid inputs: every row, every threshold, every
-    HOTA pass and the id-switch count run `reference_match_frame` on the
+    HOTA pass and the id-switch count run `reference_component_match` on the
     row's own boxes, so each computes its dense IoU matrix from scratch and
     solves the assignment."""
     classes = sorted(

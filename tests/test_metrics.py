@@ -7,6 +7,7 @@ import textwrap
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -476,6 +477,23 @@ def _match_scene(draw):
 ONE_TO_ONE = ([box(), box(cx=3.0)], [box(cx=3.25), box(cx=0.25)])
 CONFLICT = ([box(), box(cx=0.3)], [box(cx=0.1)])
 TIED = ([box(), box()], [box(), box()])
+# Six identical MSU gt boxes against MSU, MSU, MSU, MW, MSU predictions: at
+# alpha 0 one solve over the whole frame matches prediction 4 to gt 4, and
+# one over the MSU boxes alone matches it to gt 3.
+MIXED_TIES = ([box()] * 6, [box(), box(), box(), box(cls="MW"), box()])
+# One component of each shape, 10 m apart, each matched on its own path: a
+# lone pair, a star (one gt), two gt rows, two pred columns (a tall block,
+# which the solver transposes) and a 3 x 3 block.
+SHAPES = (
+    [box(cx=10.0), box(cx=20.0), box(cx=30.0), box(cx=30.2), *(box(cx=40.0 + d) for d in (0.0, 0.1, 0.2)),
+     *(box(cx=50.0 + d) for d in (0.0, 0.1, 0.2))],
+    [box(cx=10.1), box(cx=19.9), box(cx=20.1), box(cx=30.1), box(cx=30.3), box(cx=40.05), box(cx=40.15),
+     *(box(cx=50.05 + d) for d in (0.0, 0.1, 0.2))],
+)
+
+
+def total_iou(pairing):
+    return math.fsum(v for _, _, v in pairing.tp_pairs)
 
 
 class TestConflictOnlySolver:
@@ -483,26 +501,32 @@ class TestConflictOnlySolver:
     @example(ONE_TO_ONE, 0.5)
     @example(CONFLICT, 0.5)
     @example(TIED, 0.0)
+    @example(MIXED_TIES, 0.0)
+    @example(SHAPES, 0.5)
     @example(([], [box()]), 0.0)
     @example(([box()], []), 0.5)
     @settings(max_examples=300, deadline=None)
-    def test_equals_solver_on_every_frame(self, scene, alpha):
+    def test_equals_solver_on_every_component(self, scene, alpha):
         gt, pred = scene
-        expected = oracles.reference_match_frame(gt, pred, alpha)
+        expected = oracles.reference_component_match(gt, pred, alpha)
         got = match_frame(gt, pred, alpha)
         assert got == expected
         assert all(type(i) is int and type(j) is int and type(v) is float for i, j, v in got.tp_pairs)
         assert match_frame(gt, pred, alpha, metrics.overlapping_pairs(gt, pred)) == expected
+        # the optimum of one solve over the whole frame
+        whole = oracles.reference_match_frame(gt, pred, alpha)
+        assert got.tp == whole.tp
+        assert total_iou(got) == pytest.approx(total_iou(whole), rel=0, abs=1e-9)
 
     def test_only_conflicting_frames_reach_the_solver(self, monkeypatch):
         solved = []
-        solver = scipy.optimize.linear_sum_assignment
+        real = metrics._solve_conflicts
 
-        def counting_solver(score, maximize=False):
-            solved.append(score.shape)
-            return solver(score, maximize=maximize)
+        def counting(feasible):
+            solved.append(len(feasible))
+            return real(feasible)
 
-        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting_solver)
+        monkeypatch.setattr(metrics, "_solve_conflicts", counting)
         assert match_frame(*ONE_TO_ONE).tp_pairs == ((0, 1, 0.6), (1, 0, 0.6))
         assert match_frame([], [box()]).fp == 1
         assert solved == []
@@ -510,7 +534,97 @@ class TestConflictOnlySolver:
         assert pairing.tp_pairs == ((0, 0, metrics.iou_3d(box(), box(cx=0.1))),)
         assert pairing.fn == 1
         assert match_frame(*TIED).tp == 2
-        assert solved == [(2, 1), (2, 2)]
+        assert solved == [2, 4]
+
+    def test_each_component_takes_one_path(self, monkeypatch):
+        calls = []
+        for name in ("_star", "_two_rows", "_linear_sum_assignment"):
+            real = getattr(metrics, name)
+
+            def counting(*args, name=name, real=real):
+                calls.append((name, [len(a) for a in args]))
+                return real(*args)
+
+            monkeypatch.setattr(metrics, name, counting)
+        got = match_frame(*SHAPES)
+        # argument lengths: a star's pairs, two rows' columns, the port's rows
+        assert sorted(calls) == [
+            ("_linear_sum_assignment", [3]),
+            ("_star", [2]),
+            ("_two_rows", [2, 2]),
+            ("_two_rows", [3, 3]),
+        ]
+        assert got == oracles.reference_component_match(*SHAPES)
+        assert (got.tp, got.fp, got.fn) == (9, 1, 1)
+
+
+# Bonus-lifted scores from a small set, so that ties are common: 0.0 is an
+# infeasible cell, and 1000 + 1e-13 rounds to a neighbour of 1000.
+_LIFTED = st.sampled_from([0.0, 1000.0, 1000.0 + 1e-13, 1000.0 + 1 / 3, 1000.25, 1000.5, 1000.75, 1001.0])
+_IOUS = st.sampled_from([1e-13, 0.25, 1 / 3, 0.6, 0.6 + 1e-14, 1.0]) | st.floats(0.01, 1.0)
+
+
+@st.composite
+def _score_matrix(draw, rows=st.integers(1, 7), cols=st.integers(1, 7)):
+    n_cols = draw(cols)
+    return [draw(st.lists(_LIFTED, min_size=n_cols, max_size=n_cols)) for _ in range(draw(rows))]
+
+
+def scipy_assignment(score) -> list[tuple[int, int]]:
+    rows, cols = scipy.optimize.linear_sum_assignment(np.array(score), maximize=True)
+    return sorted(zip(rows.tolist(), cols.tolist()))
+
+
+class TestAssignmentPort:
+    """The in-package solver and its fast paths pick the very pairs that
+    `scipy.optimize.linear_sum_assignment(score, maximize=True)` picks."""
+
+    @given(_score_matrix())
+    @example([[1000.0, 1000.0], [1000.0, 1000.0], [1000.0, 1000.0]])
+    @example([[0.0, 1000.5, 1000.5], [1000.5, 1000.5, 0.0], [1000.5, 0.0, 1000.5]])
+    @settings(max_examples=1000, deadline=None)
+    def test_port_equals_scipy(self, score):
+        assert sorted(metrics._linear_sum_assignment(score)) == scipy_assignment(score)
+
+    @given(_score_matrix(rows=st.just(2), cols=st.integers(2, 7)))
+    @example([[1000.5, 1000.5], [1000.5, 1000.5]])
+    @example([[1000.5, 1000.25], [1000.75, 1000.5]])
+    @example([[1000.25, 1000.5, 0.0], [0.0, 1000.75, 1000.5]])
+    @settings(max_examples=1000, deadline=None)
+    def test_two_rows_equal_scipy(self, score):
+        assert list(enumerate(metrics._two_rows(*score))) == scipy_assignment(score)
+        if len(score[0]) > 2:
+            # the tall transpose, which the solver transposes back
+            tall = [list(col) for col in zip(*score)]
+            assert sorted((r, c) for c, r in enumerate(metrics._two_rows(*zip(*tall)))) == scipy_assignment(tall)
+
+    @given(st.lists(_IOUS, min_size=1, max_size=7), st.booleans())
+    @example([0.6, 0.6 + 1e-14], False)
+    @example([0.5, 0.75, 0.75], True)
+    @settings(max_examples=500, deadline=None)
+    def test_star_equals_scipy(self, ious, one_pred):
+        comp = [(k, 0, v) if one_pred else (0, k, v) for k, v in enumerate(ious)]
+        lifted = [v + 1000.0 for v in ious]
+        score = [[v] for v in lifted] if one_pred else [lifted]
+        i, j, _ = metrics._star(comp)
+        assert [(i, j)] == scipy_assignment(score)
+
+
+class TestClassRowsAgree:
+    """A component holds one class, so the overall row matches each class's
+    boxes as that class's own row does."""
+
+    @given(_match_scene(), st.sampled_from([0.0, 0.5]))
+    @example(MIXED_TIES, 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_overall_pairs_of_a_class_equal_its_block(self, scene, alpha):
+        gt, pred = scene
+        overall = match_frame(gt, pred, alpha).tp_pairs
+        for c in ("MSU", "MW"):
+            gi = [i for i, b in enumerate(gt) if b.class_id == c]
+            pj = [j for j, b in enumerate(pred) if b.class_id == c]
+            block = match_frame([gt[i] for i in gi], [pred[j] for j in pj], alpha).tp_pairs
+            assert [(gi.index(i), pj.index(j), v) for i, j, v in overall if gt[i].class_id == c] == list(block)
 
 
 class TestPerFrameHook:
@@ -560,49 +674,44 @@ class TestPerFrameHook:
         evaluate_streams(gt, pred, "tracklet", 0.5, sweep)
         assert len(calls) == 2 * per_row
 
-    def test_conflict_free_scoring_uses_no_numpy(self, monkeypatch):
-        class NoNumpy:
-            def __getattr__(self, name):
-                raise AssertionError(f"numpy used: np.{name}")
-
-        gt, pred = frames_to_records(self.FRAMES)
-        runs = [(mode, 0.5, sweep) for mode in ("detection", "tracklet") for sweep in (False, True)]
-        expected = [evaluate_streams(gt, pred, *r) for r in runs]
-        monkeypatch.setattr(metrics, "np", NoNumpy())
-        assert [evaluate_streams(gt, pred, *r) for r in runs] == expected
-        with pytest.raises(AssertionError, match="numpy used"):
-            match_frame(*CONFLICT)
+    def test_scoring_loads_neither_numpy_nor_scipy(self):
+        assert not hasattr(metrics, "np")
+        loaded = {v.__name__.split(".")[0] for v in vars(metrics).values() if isinstance(v, ModuleType)}
+        assert not loaded & {"numpy", "scipy"}
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_track_and_simulate_never_load_the_solver(tmp_path):
-    """`doe gen`, `simulate` and `track` run without importing scipy; a
-    conflicting frame scored afterwards imports it and is matched optimally."""
+def test_cli_workflow_never_loads_scipy(tmp_path):
+    """`doe gen`, `simulate`, `track` and `evaluate` on a stream whose frames
+    reach the conflict solver, and `campaign run` on one block, run without
+    importing any scipy module."""
     code = textwrap.dedent(
         """
         import sys
         sys.path.insert(0, sys.argv[1])
+        from obbtrack import metrics
         from obbtrack.cli import main
-        from obbtrack.geometry import OrientedBox, iou_3d
-        from obbtrack.metrics import match_frame
 
-        def loaded():
-            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        solved = []
+        real = metrics._solve_conflicts
 
+        def counting(feasible):
+            solved.append(len(feasible))
+            return real(feasible)
+
+        metrics._solve_conflicts = counting
         d = sys.argv[2]
         assert main(["doe", "gen", "--out", d + "/trials.json"]) == 0
-        assert main(["simulate", "--trials", d + "/trials.json", "--trial", "19", "--seed", "5",
+        assert main(["simulate", "--trials", d + "/trials.json", "--trial", "28", "--seed", "5",
                      "--out-gt", d + "/gt.jsonl", "--out-det", d + "/det.jsonl"]) == 0
         assert main(["track", "--input", d + "/det.jsonl", "--output", d + "/trk.jsonl"]) == 0
-        assert loaded() == [], loaded()
-        gt = [OrientedBox((0, 0, 0), (1, 1, 1), 0, "MSU"), OrientedBox((0.3, 0, 0), (1, 1, 1), 0, "MSU")]
-        pred = [OrientedBox((0.1, 0, 0), (1, 1, 1), 0, "MSU")]
-        pairing = match_frame(gt, pred)
-        assert pairing.tp_pairs == ((0, 0, iou_3d(gt[0], pred[0])),), pairing
-        assert pairing.fn == 1 and pairing.fp == 0
-        assert "scipy.optimize" in sys.modules
+        assert main(["evaluate", "--gt", d + "/gt.jsonl", "--pred", d + "/trk.jsonl"]) == 0
+        assert solved, "no frame reached the conflict solver"
+        assert main(["campaign", "run", "--seed", "7", "--block", "single-sw", "--out", d + "/c.json"]) == 0
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert loaded == [], loaded
         print("ok")
         """
     )
