@@ -1,6 +1,5 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
-import hashlib
 import json
 import math
 import time
@@ -8,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import golden_reports
 import oracles
 from obbtrack.campaign import track_stream
 from obbtrack.cli import main
@@ -20,9 +20,9 @@ from obbtrack.streams import FrameRecord, detections_to_map
 from obbtrack.tracker import DEG, Lifecycle, MotionState, Tracker, TrackerConfig, detect_motion
 
 
-# sha256 of the `campaign run --seed 7` report. A change that alters the report
-# bytes on purpose re-pins it and says why in CHANGES.md.
-SEED_7_REPORT_SHA256 = "99d45b9b69dcdecace69916074191775d185b12ccd9cdfff74fe80cf68ece376"
+# The `campaign run --seed 7` report. A change that alters the report bytes on
+# purpose re-pins this file and says why in CHANGES.md.
+SEED_7_REPORT = "campaign_seed7.json"
 
 
 def check(n: int, desc: str, ok: bool) -> None:
@@ -349,5 +349,5 @@ def test_criterion_9_determinism(campaign_runs):
 
 
 def test_criterion_9_report_bytes_pinned(campaign_runs):
-    digest = hashlib.sha256(campaign_runs[0]).hexdigest()
-    check(9, f"`campaign run --seed 7` report sha256 {digest} is the pinned one", digest == SEED_7_REPORT_SHA256)
+    diff = golden_reports.mismatch(SEED_7_REPORT, campaign_runs[0])
+    check(9, f"`campaign run --seed 7` report equals tests/golden/{SEED_7_REPORT}: {diff or 'byte for byte'}", diff is None)

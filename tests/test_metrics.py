@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import subprocess
@@ -15,6 +14,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golden_reports
 import oracles
 from obbtrack import campaign, metrics
 from obbtrack.config import RunConfig
@@ -725,7 +725,7 @@ def test_cli_workflow_never_loads_scipy(tmp_path):
 class TestCrowdAlphaSweep:
     """The α sweep on a long stream: 100 frames of 20 same-class objects
     under heavy occlusion, tracked with the default config. Every report
-    value is pinned through the digest of its JSON form."""
+    value is pinned by a golden file of its `sort_keys` JSON form."""
 
     @pytest.fixture(scope="class")
     def streams(self):
@@ -744,14 +744,11 @@ class TestCrowdAlphaSweep:
         return gt, campaign.track_stream(det, config)
 
     @pytest.mark.parametrize(
-        "sweep, digest",
-        [
-            (False, "7baf15e9ba5aff15baabd31d0e65f37ca07d55de427519be07b5e1a3c96aabf2"),
-            (True, "8ddad9ac40b77aa1512512b15ad70f558364fedf05ff7417f5a4729666bc3bb7"),
-        ],
+        "sweep, golden",
+        [(False, "crowd_alpha.json"), (True, "crowd_sweep.json")],
         ids=["alpha", "sweep"],
     )
-    def test_report_digest_pinned(self, streams, sweep, digest):
+    def test_report_digest_pinned(self, streams, sweep, golden):
         gt, trk = streams
         report = campaign.score(gt, trk, KIND_TRACKLETS, RunConfig(duration=10.0, alpha_sweep=sweep))
-        assert hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest() == digest
+        assert golden_reports.mismatch(golden, json.dumps(report.to_dict(), sort_keys=True).encode()) is None
