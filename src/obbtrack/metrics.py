@@ -20,10 +20,11 @@ above (maximum cardinality, then maximum total IoU), not with each pair's IoU
 weighted by its global association score.
 
 `hota` and `evaluate_streams` check their streams through one function,
-`_views`. `evaluate_streams` lists each frame's overlapping pairs once: every
-report row matches on that list (or its per-class share), and HOTA and the
-id-switch count reuse the row's pairings at `alpha`. The cost follows the
-overlapping pairs, not the gt x pred product, and no dense matrix is built:
+`_frames`, which lists each frame's overlapping pairs once. Each frame is
+matched once per threshold (`_Frame.pairing`) and every report row reads that
+matching: a class row keeps the TP pairs of its class's gt boxes, in the
+frame's indices, and counts its class's other boxes as FP and FN. The cost
+follows the overlapping pairs, not the gt x pred product; no matrix is built:
 - `overlapping_pairs` computes each box's circumscribed circle once and
   calls `iou_3d` only on same-class pairs whose circles meet; every pair it
   leaves out has the IoU 0.0 that `iou_3d`'s own early-out would return.
@@ -33,15 +34,15 @@ overlapping pairs, not the gt x pred product, and no dense matrix is built:
   gt or pred box) is solved on its own small score matrix, by a port of
   SciPy's `linear_sum_assignment` (`_linear_sum_assignment`) or by one of
   its proven fast paths: a lone pair, a star (`_star`) and two rows or two
-  columns (`_two_rows`). A component holds boxes of one class, so the
-  overall row and each class row match a class's boxes alike, and a tie
+  columns (`_two_rows`). A component holds boxes of one class, so a frame's
+  matching restricted to a class is that class's own matching, and a tie
   never depends on boxes outside the component. The module uses neither
   NumPy nor SciPy.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -334,79 +335,70 @@ def _require_ids(frames: Sequence[FrameRecord], label: str) -> None:
             raise InvalidInputError(f"duplicate {label} ids within frame t={f.t}")
 
 
-# A frame as a report row sees it: boxes, ids, overlapping pairs and pairings
-# by threshold, shared by all rows that see the same boxes.
-_FrameView = namedtuple("_FrameView", "gt pred gt_ids pred_ids overlaps pairings")
+class _Frame:
+    """A frame of two aligned streams, read by every report row: its records,
+    overlapping pairs and classes, and its pairings by threshold and class."""
+
+    __slots__ = ("gt", "pred", "overlaps", "classes", "pairings")
+
+    def __init__(self, gt: FrameRecord, pred: FrameRecord) -> None:
+        self.gt, self.pred = gt, pred
+        self.overlaps = overlapping_pairs(gt.boxes, pred.boxes)
+        self.classes = {b.class_id for b in gt.boxes + pred.boxes}
+        self.pairings: dict[tuple[float, str | None], FramePairing] = {}
+
+    def pairing(self, alpha: float, class_id: str | None = None) -> FramePairing:
+        """The frame's one matching at `alpha`, or its restriction to the boxes
+        of `class_id`, which is that class's own matching in frame indices."""
+        if len(self.classes) < 2:
+            class_id = None
+        found = self.pairings.get((alpha, class_id))
+        if found is None:
+            gt, pred = self.gt.boxes, self.pred.boxes
+            if class_id is None:
+                found = match_frame(gt, pred, alpha, self.overlaps)
+            else:
+                tp = tuple(p for p in self.pairing(alpha).tp_pairs if gt[p[0]].class_id == class_id)
+                n_gt = sum(b.class_id == class_id for b in gt)
+                n_pred = sum(b.class_id == class_id for b in pred)
+                found = FramePairing(tp, n_pred - len(tp), n_gt - len(tp))
+            self.pairings[alpha, class_id] = found
+        return found
 
 
-def _whole_frame(gt_rec: FrameRecord, pred_rec: FrameRecord) -> _FrameView:
-    overlaps = overlapping_pairs(gt_rec.boxes, pred_rec.boxes)
-    return _FrameView(gt_rec.boxes, pred_rec.boxes, gt_rec.ids, pred_rec.ids, overlaps, {})
+def _pairings(frames: Sequence[_Frame], class_id: str | None, alpha: float) -> list[FramePairing]:
+    return [f.pairing(alpha, class_id) for f in frames]
 
 
-def _class_block(frame: _FrameView, class_id: str) -> _FrameView:
-    gi = [i for i, b in enumerate(frame.gt) if b.class_id == class_id]
-    pj = [j for j, b in enumerate(frame.pred) if b.class_id == class_id]
-    if len(gi) == len(frame.gt) and len(pj) == len(frame.pred):
-        return frame
-    # positions within the block; both maps keep the frame's order, so the
-    # re-indexed pairs stay row-major
-    gt_pos = {i: k for k, i in enumerate(gi)}
-    pred_pos = {j: k for k, j in enumerate(pj)}
-    return _FrameView(
-        tuple(frame.gt[i] for i in gi),
-        tuple(frame.pred[j] for j in pj),
-        tuple(frame.gt_ids[i] for i in gi),
-        None if frame.pred_ids is None else tuple(frame.pred_ids[j] for j in pj),
-        # a listed pair is same-class, so its gt box names the block
-        [(gt_pos[i], pred_pos[j], v) for i, j, v in frame.overlaps if i in gt_pos],
-        {},
-    )
-
-
-def _match_all(views: Sequence[_FrameView], alpha: float) -> list[FramePairing]:
-    for v in views:
-        if alpha not in v.pairings:
-            v.pairings[alpha] = match_frame(v.gt, v.pred, alpha, v.overlaps)
-    return [v.pairings[alpha] for v in views]
-
-
-def _tp_ids(views: Sequence[_FrameView], pairings: Sequence[FramePairing]) -> list[tuple[int, int]]:
+def _tp_ids(frames: Sequence[_Frame], pairings: Sequence[FramePairing]) -> list[tuple[int, int]]:
     """`(gt id, pred id)` of each TP pair, in frame order."""
-    return [(v.gt_ids[gi], v.pred_ids[pi]) for v, p in zip(views, pairings) for gi, pi, _ in p.tp_pairs]
+    return [(f.gt.ids[gi], f.pred.ids[pi]) for f, p in zip(frames, pairings) for gi, pi, _ in p.tp_pairs]
 
 
-def _hota(
-    views: Sequence[_FrameView], alpha: float, alpha_sweep: bool, known: dict[float, list[tuple[int, int]]]
-) -> float:
-    """HOTA over id-labeled views, at `alpha` or averaged over `ALPHA_SWEEP`.
-
-    `known` maps a threshold to its `_tp_ids` list where the caller has
-    already built it."""
+def _hota(frames: Sequence[_Frame], class_id: str | None, tp_ids: dict[float, list[tuple[int, int]]]) -> float:
+    """HOTA over a row of id-labeled frames (all boxes, or `class_id`'s),
+    averaged over the thresholds of `tp_ids`, each with its `_tp_ids` list."""
     # an id's box count is its TP + FN (gt) or TP + FP (pred) count at every
     # threshold, since each box is in exactly one of the three
-    gt_count = Counter(gid for v in views for gid in v.gt_ids)
-    pred_count = Counter(pid for v in views for pid in v.pred_ids)
+    gt_count = Counter(i for f in frames for i, b in zip(f.gt.ids, f.gt.boxes) if class_id in (None, b.class_id))
+    pred_count = Counter(i for f in frames for i, b in zip(f.pred.ids, f.pred.boxes) if class_id in (None, b.class_id))
     scores = []
-    for a in ALPHA_SWEEP if alpha_sweep else (alpha,):
-        pairings = _match_all(views, a)
-        deta = det_a(pairings)
-        tp_ids = known[a] if a in known else _tp_ids(views, pairings)
-        tp = len(tp_ids)
-        tpa = Counter(tp_ids)
+    for a, ids in tp_ids.items():
+        deta = det_a(_pairings(frames, class_id, a))
+        tpa = Counter(ids)
         acc = 0.0
-        for gid, pid in tp_ids:
+        for gid, pid in ids:
             n = tpa[gid, pid]
             acc += n / (gt_count[gid] + pred_count[pid] - n)
-        assa = acc / tp if tp else 0.0
+        assa = acc / len(ids) if ids else 0.0
         scores.append(math.sqrt(deta * assa))
     return sum(scores) / len(scores)
 
 
-def _views(
+def _frames(
     gt_frames: Sequence[FrameRecord], pred_frames: Sequence[FrameRecord], alpha: float, pred_ids: bool
-) -> list[_FrameView]:
-    """Whole-frame views of two aligned streams, after checking `alpha`, the
+) -> list[_Frame]:
+    """The frames of two aligned streams, after checking `alpha`, the
     alignment and the ids (the predictions' only when `pred_ids`)."""
     _check_alpha(alpha)
     if len(gt_frames) != len(pred_frames):
@@ -419,7 +411,7 @@ def _views(
     _require_ids(gt_frames, "ground truth")
     if pred_ids:
         _require_ids(pred_frames, "prediction")
-    return [_whole_frame(g, p) for g, p in zip(gt_frames, pred_frames)]
+    return [_Frame(g, p) for g, p in zip(gt_frames, pred_frames)]
 
 
 def hota(
@@ -433,7 +425,9 @@ def hota(
     With `alpha_sweep` the score is averaged over IoU thresholds
     0.05, 0.10, ..., 0.95 instead of using the single `alpha`.
     """
-    return _hota(_views(gt_frames, pred_frames, alpha, True), alpha, alpha_sweep, {})
+    frames = _frames(gt_frames, pred_frames, alpha, True)
+    thresholds = ALPHA_SWEEP if alpha_sweep else (alpha,)
+    return _hota(frames, None, {a: _tp_ids(frames, _pairings(frames, None, a)) for a in thresholds})
 
 
 @dataclass(frozen=True)
@@ -476,14 +470,18 @@ def _id_switches(tp_ids: Iterable[tuple[int, int]]) -> int:
     return switches
 
 
-def _row_metrics(views: Sequence[_FrameView], mode: str, alpha: float, alpha_sweep: bool) -> ClassMetrics:
-    pairings = _match_all(views, alpha)
-    tp_boxes = [(v.gt[gi], v.pred[pi]) for v, p in zip(views, pairings) for gi, pi, _ in p.tp_pairs]
+def _row_metrics(
+    frames: Sequence[_Frame], class_id: str | None, mode: str, alpha: float, alpha_sweep: bool
+) -> ClassMetrics:
+    """The report row of `frames`' boxes of `class_id`, or of all their boxes."""
+    pairings = _pairings(frames, class_id, alpha)
+    tp_boxes = [(f.gt.boxes[gi], f.pred.boxes[pi]) for f, p in zip(frames, pairings) for gi, pi, _ in p.tp_pairs]
     # threshold-free coverage matching for the average IoU column
     iou_total = 0.0
-    for loose in _match_all(views, 0.0):
+    for loose in _pairings(frames, class_id, 0.0):
         iou_total += sum(v for _, _, v in loose.tp_pairs)
-    gt_total = sum(len(v.gt) for v in views)
+    tp, fp, fn = sum(p.tp for p in pairings), sum(p.fp for p in pairings), sum(p.fn for p in pairings)
+    gt_total = tp + fn
 
     try:
         deta = det_a(pairings)
@@ -498,13 +496,14 @@ def _row_metrics(views: Sequence[_FrameView], mode: str, alpha: float, alpha_swe
     hota_score: float | None = None
     switches: int | None = None
     if mode == "tracklet":
-        # HOTA at `alpha` and the id-switch count share one TP-id list
-        tp_ids = {alpha: _tp_ids(views, pairings)}
+        # HOTA and the id-switch count share the TP-id list at `alpha`
+        thresholds = ALPHA_SWEEP if alpha_sweep else (alpha,)
+        tp_ids = {a: _tp_ids(frames, _pairings(frames, class_id, a)) for a in thresholds}
         try:
-            hota_score = _hota(views, alpha, alpha_sweep, tp_ids)
+            hota_score = _hota(frames, class_id, tp_ids)
         except UndefinedMetricError:
             hota_score = None
-        switches = _id_switches(tp_ids[alpha])
+        switches = _id_switches(tp_ids[alpha] if alpha in tp_ids else _tp_ids(frames, pairings))
 
     return ClassMetrics(
         avg_iou=(iou_total / gt_total) if gt_total else None,
@@ -512,9 +511,9 @@ def _row_metrics(views: Sequence[_FrameView], mode: str, alpha: float, alpha_swe
         yaw_rmse=yrmse,
         det_a=deta,
         hota=hota_score,
-        tp=sum(p.tp for p in pairings),
-        fp=sum(p.fp for p in pairings),
-        fn=sum(p.fn for p in pairings),
+        tp=tp,
+        fp=fp,
+        fn=fn,
         id_switches=switches,
     )
 
@@ -533,14 +532,14 @@ def evaluate_streams(
     """
     if mode not in ("detection", "tracklet"):
         raise InvalidInputError(f"unknown evaluation mode {mode!r}")
-    overall = _views(gt_frames, pred_frames, alpha, mode == "tracklet")
-    per_class: dict[str, list[_FrameView]] = {}
-    for frame in overall:
+    frames = _frames(gt_frames, pred_frames, alpha, mode == "tracklet")
+    per_class: dict[str, list[_Frame]] = {}
+    for frame in frames:
         # a class absent from both sides of a frame adds nothing to its row
-        for c in {b.class_id for b in frame.gt + frame.pred}:
-            per_class.setdefault(c, []).append(_class_block(frame, c))
+        for c in frame.classes:
+            per_class.setdefault(c, []).append(frame)
     return MetricsReport(
         mode=mode,
-        overall=_row_metrics(overall, mode, alpha, alpha_sweep),
-        per_class={c: _row_metrics(per_class[c], mode, alpha, alpha_sweep) for c in sorted(per_class)},
+        overall=_row_metrics(frames, None, mode, alpha, alpha_sweep),
+        per_class={c: _row_metrics(per_class[c], c, mode, alpha, alpha_sweep) for c in sorted(per_class)},
     )

@@ -439,20 +439,6 @@ class TestPairFilteredIou:
         assert len(tested) == 1
 
 
-    @given(_labeled_frame())
-    @settings(max_examples=300)
-    def test_class_block_pairs_equal_the_class_list(self, frame):
-        (gt_rec,), (pred_rec,) = frames_to_records([frame])
-        whole = metrics._whole_frame(gt_rec, pred_rec)
-        for c in CLASSES:
-            gt = [b for b in gt_rec.boxes if b.class_id == c]
-            pred = [b for b in pred_rec.boxes if b.class_id == c]
-            block = metrics._class_block(whole, c)
-            assert list(block.gt) == gt and list(block.pred) == pred
-            expected = metrics.overlapping_pairs(gt, pred)
-            assert [(i, j, v.hex()) for i, j, v in block.overlaps] == [(i, j, v.hex()) for i, j, v in expected]
-
-
 # Unit boxes on a 0.25 m grid: a 0.25 m offset gives IoU 0.6, a 0.5 m offset
 # 1/3, so frames at alpha 0.5 and 0.0 often have several feasible pairs per box.
 _grid_boxes = st.builds(
@@ -628,11 +614,12 @@ class TestClassRowsAgree:
 
 
 class TestPerFrameHook:
-    """`evaluate_streams` scores each frame view once per threshold, through
-    the module's `match_frame`, which does all of the matching."""
+    """`evaluate_streams` matches each frame once per threshold, through the
+    module's `match_frame`, which does all of the matching; every report row
+    reads that one matching."""
 
-    # frame 0 has one class, so its class block is the frame; frame 1 has
-    # two classes, so it has two blocks besides the frame; frame 2 is empty
+    # frame 0 has one class; frame 1 has two classes, so three rows read it;
+    # frame 2 is empty
     FRAMES = [
         ([box()], [1], [box(cx=0.1)], [7]),
         ([box(), box(cx=3.0, cls="MW")], [1, 2], [box(cx=3.1, cls="MW"), box(cx=9.0)], [8, 9]),
@@ -643,7 +630,7 @@ class TestPerFrameHook:
         "mode, sweep, alphas",
         [("detection", False, {0.5, 0.0}), ("tracklet", False, {0.5, 0.0}), ("tracklet", True, {0.0, *ALPHA_SWEEP})],
     )
-    def test_match_frame_called_once_per_view_and_threshold(self, monkeypatch, mode, sweep, alphas):
+    def test_match_frame_called_once_per_frame_and_threshold(self, monkeypatch, mode, sweep, alphas):
         calls = []
         real = metrics.match_frame
 
@@ -656,17 +643,17 @@ class TestPerFrameHook:
         expected = evaluate_streams(gt, pred, mode, 0.5, sweep)
         monkeypatch.setattr(metrics, "match_frame", counting)
         assert evaluate_streams(gt, pred, mode, 0.5, sweep) == expected
-        views = [(1, 1), (2, 2), (1, 1), (1, 1), (0, 0)]
-        assert sorted(calls) == sorted((a, n_gt, n_pred) for n_gt, n_pred in views for a in alphas)
+        frames = [(1, 1), (2, 2), (0, 0)]
+        assert sorted(calls) == sorted((a, n_gt, n_pred) for n_gt, n_pred in frames for a in alphas)
 
     @pytest.mark.parametrize("sweep, per_row", [(False, 1), (True, len(ALPHA_SWEEP))])
     def test_tp_id_list_built_once_per_row_and_threshold(self, monkeypatch, sweep, per_row):
         calls = []
         real = metrics._tp_ids
 
-        def counting(views, pairings):
-            calls.append(len(views))
-            return real(views, pairings)
+        def counting(frames, pairings):
+            calls.append(len(frames))
+            return real(frames, pairings)
 
         # one class, so two rows: the overall row and the class row
         gt, pred = frames_to_records(self.FRAMES[:1])
