@@ -39,6 +39,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value; the simulator's random generators take no negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _fmt_pct(v) -> str:
     return "-" if v is None else f"{100.0 * v:.2f}%"
 
@@ -208,7 +219,7 @@ def build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="generate ground truth and detections for one trial")
     sim.add_argument("--trials", required=True, help="trial sheet from `doe gen`")
     sim.add_argument("--trial", type=int, required=True, help="trial id")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--duration", type=float, default=None, help="override config duration (s)")
     sim.add_argument("--out-gt", default=None)
     sim.add_argument("--out-det", default=None)
@@ -229,7 +240,7 @@ def build_parser() -> _Parser:
     camp = sub.add_parser("campaign", help="full campaign pipelines")
     camp_sub = camp.add_subparsers(dest="campaign_command", required=True)
     run = camp_sub.add_parser("run", help="simulate, track and evaluate all trials")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--out", default=None, help="write the aggregate report as JSON")
     run.add_argument("--block", default=None, help="restrict to one layout block")
     run.set_defaults(func=cmd_campaign_run)

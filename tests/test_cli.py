@@ -103,6 +103,18 @@ class TestSimulate:
     def test_unknown_trial_is_usage_error(self, tmp_path, trial_sheet):
         assert main(["simulate", "--trials", str(trial_sheet), "--trial", "99"]) == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path, trial_sheet, capsys):
+        # numpy's generators reject a negative seed; the parser names it first
+        for argv, seed in (
+            (["simulate", "--trials", str(trial_sheet), "--trial", "19", "--seed", "-3"], "-3"),
+            (["campaign", "run", "--seed", "-1", "--out", str(tmp_path / "c.json")], "-1"),
+            (["campaign", "run", "--seed", "x"], "x"),
+        ):
+            assert main(argv) == 1
+            errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+            assert errors == [f"error: argument --seed: must be a non-negative integer, got '{seed}'"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.json"]
+
     def test_no_noise_round_trip(self, tmp_path, trial_sheet):
         gt_path = tmp_path / "gt.jsonl"
         det_path = tmp_path / "det.jsonl"

@@ -671,9 +671,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_cli_workflow_never_loads_scipy(tmp_path):
-    """`doe gen`, `simulate`, `track` and `evaluate` on a stream whose frames
-    reach the conflict solver, and `campaign run` on one block, run without
-    importing any scipy module."""
+    """`doe gen`, `simulate`, `track` and `evaluate`, with `evaluate` also on
+    a detection stream whose frames reach the conflict solver, and `campaign
+    run` on one block, run without importing any scipy module."""
     code = textwrap.dedent(
         """
         import sys
@@ -695,7 +695,12 @@ def test_cli_workflow_never_loads_scipy(tmp_path):
                      "--out-gt", d + "/gt.jsonl", "--out-det", d + "/det.jsonl"]) == 0
         assert main(["track", "--input", d + "/det.jsonl", "--output", d + "/trk.jsonl"]) == 0
         assert main(["evaluate", "--gt", d + "/gt.jsonl", "--pred", d + "/trk.jsonl"]) == 0
-        assert solved, "no frame reached the conflict solver"
+        # detections, whose conflicts do not depend on the tracker
+        assert main(["simulate", "--trials", d + "/trials.json", "--trial", "41", "--seed", "5",
+                     "--out-gt", d + "/gt41.jsonl", "--out-det", d + "/det41.jsonl"]) == 0
+        solved.clear()
+        assert main(["evaluate", "--gt", d + "/gt41.jsonl", "--pred", d + "/det41.jsonl"]) == 0
+        assert solved, "no frame of trial 41's detections reached the conflict solver"
         assert main(["campaign", "run", "--seed", "7", "--block", "single-sw", "--out", d + "/c.json"]) == 0
         loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
         assert loaded == [], loaded
