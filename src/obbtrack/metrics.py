@@ -480,8 +480,7 @@ def _row_metrics(
     iou_total = 0.0
     for loose in _pairings(frames, class_id, 0.0):
         iou_total += sum(v for _, _, v in loose.tp_pairs)
-    tp, fp, fn = sum(p.tp for p in pairings), sum(p.fp for p in pairings), sum(p.fn for p in pairings)
-    gt_total = tp + fn
+    gt_total = sum(p.tp + p.fn for p in pairings)
 
     try:
         deta = det_a(pairings)
@@ -511,9 +510,9 @@ def _row_metrics(
         yaw_rmse=yrmse,
         det_a=deta,
         hota=hota_score,
-        tp=tp,
-        fp=fp,
-        fn=fn,
+        tp=sum(p.tp for p in pairings),
+        fp=sum(p.fp for p in pairings),
+        fn=sum(p.fn for p in pairings),
         id_switches=switches,
     )
 

@@ -23,11 +23,11 @@ def _first_difference(expected, got, path: str) -> str:
     where = path or "the document"
     if isinstance(expected, dict) and isinstance(got, dict):
         for key in [*expected, *(k for k in got if k not in expected)]:
+            at = f"{path}.{key}" if path else key
             if key not in got or key not in expected:
-                side = "report" if key not in got else "golden file"
-                return f"{path}.{key}: missing from the {side}".lstrip(".")
+                return f"{at}: missing from the {'report' if key not in got else 'golden file'}"
             if expected[key] != got[key]:
-                return _first_difference(expected[key], got[key], f"{path}.{key}".lstrip("."))
+                return _first_difference(expected[key], got[key], at)
     if isinstance(expected, list) and isinstance(got, list):
         for k, (a, b) in enumerate(zip(expected, got)):
             if a != b:

@@ -350,4 +350,4 @@ def test_criterion_9_determinism(campaign_runs):
 
 def test_criterion_9_report_bytes_pinned(campaign_runs):
     diff = golden_reports.mismatch(SEED_7_REPORT, campaign_runs[0])
-    check(9, f"`campaign run --seed 7` report equals tests/golden/{SEED_7_REPORT}: {diff or 'byte for byte'}", diff is None)
+    check(9, f"`campaign run --seed 7` report equals its golden file: {diff or 'byte for byte'}", diff is None)
