@@ -4,10 +4,11 @@ The per-trial entry points `simulate`, `track_stream` and `score` are the
 one place a `RunConfig` is unpacked for the simulator, the tracker and the
 evaluator; `run_trial`, the CLI and the scripts all go through them.
 
-Produces detection-side and tracklet-side metric rows per trial, pooled
-per-class rows, and a three-class average row. Everything is seeded, trials
-run in a fixed order, and the report dict serializes byte-identically for a
-given seed and config.
+Produces detection- and tracklet-side metric rows per trial, per class (the
+mean of each ratio over the trials' rows, the sum of each count) and on
+average (the same over the rows of the classes the trials place). Everything
+is seeded, trials run in a fixed order, and the report dict serializes
+byte-identically for a given seed and config.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import RunConfig
 from .doe import Block, DEFAULT_BLOCKS, TrialSpec, campaign as design_campaign
-from .metrics import MetricsReport, evaluate_streams
+from .metrics import MetricsReport, evaluate_streams, ordered_sum
 from .simulate import simulate_trial
 from .streams import KIND_DETECTIONS, KIND_TRACKLETS, FrameRecord, detections_to_map
 from .tracker import Tracker
@@ -78,11 +79,11 @@ def run_trial(trial: TrialSpec, seed: int, config: RunConfig) -> dict:
 
 
 def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    return ordered_sum(values) / len(values) if values else None
 
 
 def _aggregate(rows: Sequence[dict]) -> dict:
-    """Pool metric rows: mean of each defined metric, sum of each count."""
+    """Mean of each metric over the rows that define it, sum of each count."""
     out: dict = {}
     for key in _METRIC_KEYS:
         out[key] = _mean([row[key] for row in rows if row[key] is not None])
@@ -120,10 +121,9 @@ def run_campaign(
         cls: {mode: _aggregate(rows[mode]) for mode in ("detection", "tracklet")}
         for cls, rows in sorted(class_rows.items())
     }
-    # macro average over the pooled per-class rows
-    average = {
-        mode: _aggregate([row[mode] for row in per_class.values()]) for mode in ("detection", "tracklet")
-    }
+    # macro average over the rows of the classes with ground truth
+    placed = sorted({cls for trial in trials for cls in trial.classes})
+    average = {mode: _aggregate([per_class[cls][mode] for cls in placed]) for mode in ("detection", "tracklet")}
     return {
         "schema": REPORT_SCHEMA,
         "seed": seed,

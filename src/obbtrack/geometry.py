@@ -7,12 +7,11 @@ A box is checked once, where it enters: the public `OrientedBox(...)` (stream
 parsing, the simulator, direct callers) converts every field to `float` and
 checks it. A box computed from checked boxes (`transform_box`, the tracker's
 prediction and output) comes from `_derived_box`, which checks only that
-its center did not overflow; a box that only turns a derived one to a new
-yaw keeps its checked center and comes from `_unchecked_box`.
+its center did not overflow.
 
 `OrientedBox` and `PlanarPose` are slotted frozen dataclasses with a
 hand-written `__init__` that converts and checks each field once and sets
-each slot once, through the slot's descriptor (as `_unchecked_box` does); the
+each slot once, through the slot's descriptor (as `_derived_box` does); the
 dataclass keeps their eq, hash and repr. Each takes real numbers only
 (ints, floats and numpy scalars, not numeric strings), and names a value
 that is not one as `InvalidInputError`. A box names the first of its errors
@@ -205,12 +204,6 @@ def _derived_box(center: tuple, extent: tuple, yaw: float, class_id: str, confid
     x, y, z = center
     if not (isfinite(x) and isfinite(y) and isfinite(z)):
         _require_finite("OrientedBox", x=x, y=y, z=z)
-    return _unchecked_box(center, extent, yaw, class_id, confidence)
-
-
-def _unchecked_box(center: tuple, extent: tuple, yaw: float, class_id: str, confidence: float) -> OrientedBox:
-    """`_derived_box` without even the center check: for a box whose center
-    is that of a box already checked."""
     box = object.__new__(OrientedBox)
     _set_center(box, center)
     _set_extent(box, extent)

@@ -56,6 +56,15 @@ _CARDINALITY_BONUS = 1000.0
 ALPHA_SWEEP = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """`values` added left to right: the built-in `sum` compensates float
+    rounding from Python 3.12 on, so report bytes would depend on it."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class FramePairing:
     """Matching outcome for one frame at a fixed IoU threshold: the TP
@@ -315,7 +324,7 @@ def pos_rmse(pairs: Iterable[tuple[OrientedBox, OrientedBox]]) -> float:
     sq = [center_distance(g, p) ** 2 for g, p in pairs]
     if not sq:
         raise UndefinedMetricError("position RMSE needs at least one matched pair")
-    return math.sqrt(sum(sq) / len(sq))
+    return math.sqrt(ordered_sum(sq) / len(sq))
 
 
 def yaw_rmse(pairs: Iterable[tuple[OrientedBox, OrientedBox]]) -> float:
@@ -324,7 +333,7 @@ def yaw_rmse(pairs: Iterable[tuple[OrientedBox, OrientedBox]]) -> float:
     sq = [yaw_difference(g.yaw, p.yaw) ** 2 for g, p in pairs]
     if not sq:
         raise UndefinedMetricError("yaw RMSE needs at least one matched pair")
-    return math.sqrt(sum(sq) / len(sq))
+    return math.sqrt(ordered_sum(sq) / len(sq))
 
 
 def _require_ids(frames: Sequence[FrameRecord], label: str) -> None:
@@ -392,7 +401,7 @@ def _hota(frames: Sequence[_Frame], class_id: str | None, tp_ids: dict[float, li
             acc += n / (gt_count[gid] + pred_count[pid] - n)
         assa = acc / len(ids) if ids else 0.0
         scores.append(math.sqrt(deta * assa))
-    return sum(scores) / len(scores)
+    return ordered_sum(scores) / len(scores)
 
 
 def _frames(
@@ -479,7 +488,7 @@ def _row_metrics(
     # threshold-free coverage matching for the average IoU column
     iou_total = 0.0
     for loose in _pairings(frames, class_id, 0.0):
-        iou_total += sum(v for _, _, v in loose.tp_pairs)
+        iou_total += ordered_sum(v for _, _, v in loose.tp_pairs)
     gt_total = sum(p.tp + p.fn for p in pairings)
 
     try:

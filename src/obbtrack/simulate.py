@@ -140,6 +140,7 @@ def generate_ground_truth(
         starts.append((trial.initial_distance_m, lateral[i], extent, yaw0, cls))
 
     v, omega = trial.robot_linear_mps, trial.robot_angular_rps
+    linear, angular = trial.object_linear, trial.object_angular
     frames: list[FrameRecord] = []
     for k in range(n_frames):
         t = k / rate
@@ -149,10 +150,10 @@ def generate_ground_truth(
         for oid, (x0, y0, extent, yaw0, cls) in enumerate(starts, start=1):
             x, y = x0, y0
             yaw = yaw0
-            if trial.object_linear:
+            if linear:
                 x += object_speed * t * math.cos(yaw0)
                 y += object_speed * t * math.sin(yaw0)
-            if trial.object_angular:
+            if angular:
                 yaw = wrap_angle(yaw0 + object_spin * t)
             boxes.append(OrientedBox((x, y, extent[2] / 2.0), extent, yaw, cls))
             ids.append(oid)

@@ -13,6 +13,9 @@ matched exactly `prune_confirmed` ago stays live. Both rules compare times
 with a slack of `TIME_TOLERANCE`, which makes the lifecycle independent of
 the time origin: adding a constant to every frame time changes no output.
 
+Motion state: `detect_motion` compares consecutive means of the history
+window once it holds `MOTION_WARMUP` matches, or all `history_capacity`.
+
 Orientation handling for symmetric classes: each incoming yaw is snapped to
 the symmetry hypothesis nearest the tracklet's current estimate, and the raw
 hypothesis votes feed a sequential count. A tracklet only publishes once one
@@ -46,9 +49,8 @@ the number of live tracklets or the square of the scene:
   yaw, and the orientation mean is summed once per update (or re-commit)
   and kept for the next update's outlier test.
 Boxes the tracker computes from checked detections (the prediction and the
-output) go through `geometry._derived_box`, which checks only their center;
-a box that only turns one of these to a new yaw skips even that check
-(`geometry._unchecked_box`).
+output, and either of them turned to a new yaw) go through
+`geometry._derived_box`, which checks only their center.
 """
 from __future__ import annotations
 
@@ -70,7 +72,6 @@ from .geometry import (
     PlanarPose,
     _derived_box,
     _require_finite,
-    _unchecked_box,
     center_distance,
     compose,
     resolve_symmetric_yaw,
@@ -88,6 +89,10 @@ DEG = 0.017453292519943295
 # would depend on where the stream's clock starts.
 TIME_TOLERANCE = 1e-6
 
+# Matches the history window holds (all it can, if shorter) before its
+# means drive the motion state; a mean of fewer is too noisy to trust.
+MOTION_WARMUP = 20
+
 
 class Lifecycle(enum.Enum):
     TENTATIVE = "Tentative"
@@ -103,7 +108,6 @@ class MotionState(enum.Enum):
 class TrackerConfig:
     move_pos_threshold: float = 0.05
     move_yaw_threshold: float = 2.5 * DEG
-    motion_min_history: int = 19
     confirm_count: int = 3
     confirm_window: float = 2.0
     history_capacity: int = 20
@@ -115,7 +119,6 @@ class TrackerConfig:
     orientation_outlier_frames: int = 3
     orientation_commit_margin: int = 8
     gate_scale: float = 1.0
-    duplicate_merge_scale: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -140,8 +143,8 @@ def detect_motion(prev: OrientedBox, curr: OrientedBox, config: TrackerConfig) -
 
 
 def _with_yaw(box: OrientedBox, yaw: float) -> OrientedBox:
-    """`box` turned to `yaw`, a wrapped float, without checking it again."""
-    return _unchecked_box(box.center, box.extent, yaw, box.class_id, box.confidence)
+    """`box` turned to `yaw`, a wrapped float."""
+    return _derived_box(box.center, box.extent, yaw, box.class_id, box.confidence)
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,7 +189,9 @@ class Tracklet:
         self.oriented = spec.hypothesis_count == 1
         self.quiet_streak = 0
         self.outlier_streak = 0
-        self._predicted = obs
+        # the history suffix's mean pose, refreshed on update: association
+        # anchor and motion input, robust to single-frame outliers
+        self.predicted = obs
         self.refresh_entry()
 
     def refresh_entry(self) -> None:
@@ -196,17 +201,6 @@ class Tracklet:
         self.entry = SnapshotEntry(
             self.id, self.class_id, self.lifecycle, self.motion_state, self.output_pose, self.oriented
         )
-
-    @property
-    def last_match_time(self) -> float:
-        return self.window[-1][0]
-
-    def predicted_pose(self) -> OrientedBox:
-        """Pose smoothed over the history suffix: the association anchor and
-        the pose fed to the motion predicate. Robust to single-frame
-        outliers, unlike the published output in the Moving state. Cached;
-        refreshed on update."""
-        return self._predicted
 
     def _yaw_mean(self, n: int) -> float:
         """Circular mean of the newest `n` resolved yaws, their unit vectors
@@ -230,7 +224,7 @@ class Tracklet:
         window.extend((t, x, y, z, yaw, math.sin(yaw), math.cos(yaw)) for t, x, y, z, yaw in rotated)
         self._orientation_mean = self._yaw_mean(self.orientation_len)
         self.output_pose = _with_yaw(self.output_pose, wrap_angle(self.output_pose.yaw + delta))
-        self._predicted = _with_yaw(self._predicted, wrap_angle(self._predicted.yaw + delta))
+        self.predicted = _with_yaw(self.predicted, wrap_angle(self.predicted.yaw + delta))
 
     def _vote_orientation(self, j: int) -> bool:
         """Count a vote for hypothesis `j`; True iff the vote committed a
@@ -264,7 +258,7 @@ class Tracklet:
         else:
             self.outlier_streak = 0
 
-        old_motion = self._predicted
+        old_motion = self.predicted
         window = self.window
         x, y, z = obs.center
         window.append((t, x, y, z, resolved_yaw, math.sin(resolved_yaw), math.cos(resolved_yaw)))
@@ -293,12 +287,11 @@ class Tracklet:
             yaw = resultant_direction(ss, sc, float(n))
         except UndefinedMeanError:
             yaw = resolved_yaw
-        self._predicted = _derived_box((sx / n, sy / n, sz / n), obs.extent, yaw, obs.class_id, obs.confidence)
+        self.predicted = _derived_box((sx / n, sy / n, sz / n), obs.extent, yaw, obs.class_id, obs.confidence)
 
-        # consecutive smoothed poses feed the threshold test; below
-        # motion_min_history samples the mean estimate is too noisy to trust
-        if n > min(config.motion_min_history, config.history_capacity - 1):
-            verdict = detect_motion(old_motion, self._predicted, config)
+        # consecutive smoothed poses feed the threshold test after the warm-up
+        if n >= min(MOTION_WARMUP, config.history_capacity):
+            verdict = detect_motion(old_motion, self.predicted, config)
             if verdict is MotionState.MOVING:
                 self.motion_state = MotionState.MOVING
                 self.quiet_streak = 0
@@ -312,7 +305,7 @@ class Tracklet:
             self.output_pose = _with_yaw(obs, resolved_yaw)
         else:
             # published stationary pose: averaged center, short-window yaw
-            self.output_pose = _with_yaw(self._predicted, self._orientation_mean)
+            self.output_pose = _with_yaw(self.predicted, self._orientation_mean)
         if self.lifecycle is Lifecycle.TENTATIVE:
             self._confirm_if_due()
         self.refresh_entry()
@@ -382,7 +375,7 @@ class Tracker:
         cfg = self.config
         result = associate(
             det_map,
-            [(tid, trk.predicted_pose()) for tid, trk in self.registry.items()],
+            [(tid, trk.predicted) for tid, trk in self.registry.items()],
             cfg.gate_scale,
         )
         for tid, di, _ in result.matches:
@@ -395,7 +388,7 @@ class Tracker:
         self._suppress_duplicates()
         # prune the tracklets not matched within their lifecycle's threshold
         for tid, trk in list(self.registry.items()):
-            if t - trk.last_match_time > TIME_TOLERANCE + (
+            if t - trk.window[-1][0] > TIME_TOLERANCE + (
                 cfg.prune_confirmed if trk.lifecycle is Lifecycle.CONFIRMED else cfg.prune_tentative
             ):
                 self._drop(tid)
@@ -413,9 +406,7 @@ class Tracker:
         alive = list(self.registry.values())
         doomed: set[int] = set()
         # pairs come in (id_a, id_b) order; pairs outside the gate never doom
-        for _, i, j in gated_pairs(
-            [trk.predicted_pose() for trk in alive], scale=self.config.duplicate_merge_scale
-        ):
+        for _, i, j in gated_pairs([trk.predicted for trk in alive], scale=self.config.gate_scale):
             a, b = alive[i], alive[j]
             if a.id in doomed or b.id in doomed:
                 continue

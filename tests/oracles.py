@@ -28,10 +28,12 @@ without those checks must equal, and `reference_box_fields`,
 constructors as dataclass `__init__` plus `__post_init__` (set each field,
 then convert, check and set it again), each value required to be a
 `numbers.Real`, that the one-pass `__init__`s must reproduce."""
+import functools
 import itertools
 import json
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -378,6 +380,12 @@ def _reference_hota_single(gt_frames, pred_frames, alpha):
     return math.sqrt(deta * (acc / len(tp_instances)))
 
 
+def left_sum(values) -> float:
+    """Floats added in order, rounding each step, as the package adds its
+    report floats: `sum` compensates from Python 3.12."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMetrics:
     pairings = []
     tp_boxes = []
@@ -389,7 +397,7 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
         for gi, pi, _ in pairing.tp_pairs:
             tp_boxes.append((gt_rec.boxes[gi], pred_rec.boxes[pi]))
         loose = reference_component_match(gt_rec.boxes, pred_rec.boxes, 0.0)
-        iou_total += sum(v for _, _, v in loose.tp_pairs)
+        iou_total += left_sum(v for _, _, v in loose.tp_pairs)
         gt_total += len(gt_rec.boxes)
     try:
         deta = det_a(pairings)
@@ -405,7 +413,7 @@ def _reference_row(gt_frames, pred_frames, mode, alpha, alpha_sweep) -> ClassMet
         try:
             if alpha_sweep:
                 scores = [_reference_hota_single(gt_frames, pred_frames, a) for a in ALPHA_SWEEP]
-                hota_score = sum(scores) / len(scores)
+                hota_score = left_sum(scores) / len(scores)
             else:
                 hota_score = _reference_hota_single(gt_frames, pred_frames, alpha)
         except UndefinedMetricError:

@@ -36,9 +36,10 @@ def sha256(path) -> str:
 class TestWorkflowBytes:
     """The README's workflow writes the same bytes as before its steps were
     routed through `campaign.simulate` and `campaign.score`: the streams and
-    the trial sheet by digest, the two `evaluate` reports as golden files."""
+    the trial sheet by digest, the two `evaluate` reports as golden files,
+    written under Python 3.12's compensated `sum` on any interpreter."""
 
-    def test_pinned_digests(self, tmp_path, trial_sheet):
+    def test_pinned_digests(self, tmp_path, trial_sheet, compensated_sum):
         p = {name: tmp_path / name for name in ("gt", "det", "trk", "gt3", "det3")}
         rep_t, rep_d = tmp_path / "rep_t.json", tmp_path / "rep_d.json"
         sim = ["simulate", "--trials", str(trial_sheet), "--trial", "19", "--seed", "5"]
@@ -302,6 +303,15 @@ class TestTrackAndEvaluate:
         cfg.write_text("tracker.not_a_knob = 3\n")
         assert main(["--config", str(cfg), "doe", "gen", "--out", str(tmp_path / "t.json")]) == 1
 
+    @pytest.mark.parametrize("key", ["motion_min_history", "duplicate_merge_scale"])
+    def test_config_removed_tracker_key_is_usage_error(self, tmp_path, capsys, key):
+        # the motion warm-up is a tracker constant, and duplicates merge
+        # inside the association gate
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"tracker.{key} = 1\n")
+        assert main(["--config", str(cfg), "doe", "gen", "--out", str(tmp_path / "t.json")]) == 1
+        assert f"unknown config key 'tracker.{key}'" in capsys.readouterr().err
+
     def test_config_not_utf8_is_configuration_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"sim.rate = 1\xff\n")
@@ -473,3 +483,24 @@ class TestCampaign:
         sw = payload["per_class"]["SW"]
         assert sw["tracklet"]["avg_iou"] > sw["detection"]["avg_iou"]
         assert sw["detection"]["hota"] is None
+
+    def test_single_block_report_does_not_depend_on_float_sum(self, tmp_path, request):
+        """Python 3.12's compensated `sum` writes the same campaign report."""
+        out = tmp_path / "rep.json"
+        argv = ["campaign", "run", "--seed", "7", "--block", "single-sw", "--out", str(out)]
+        assert main(argv) == 0
+        plain = out.read_bytes()
+        request.getfixturevalue("compensated_sum")
+        assert main(argv) == 0
+        assert out.read_bytes() == plain
+
+    def test_single_block_average_is_its_class(self, tmp_path):
+        """The average row averages the classes the trials place: a one-class
+        run's average is that class's row, whatever false positives of other
+        classes its detections hold."""
+        out = tmp_path / "rep.json"
+        assert main(["campaign", "run", "--seed", "7", "--block", "single-sw", "--out", str(out)]) == 0
+        payload = json.loads(out.read_bytes())
+        assert set(payload["per_class"]) > {"SW"}  # rows of false positives alone
+        for mode in ("detection", "tracklet"):
+            assert payload["average"][mode] == payload["per_class"]["SW"][mode]

@@ -10,7 +10,7 @@ from obbtrack.geometry import (
     ClassSpec,
     OrientedBox,
     PlanarPose,
-    _unchecked_box,
+    _derived_box,
     center_distance,
     footprint_intersection_area,
     iou_3d,
@@ -284,7 +284,7 @@ class TestOnePassConstructors:
         b = box()
         values = [
             b,
-            _unchecked_box(b.center, b.extent, b.yaw, b.class_id, b.confidence),
+            _derived_box(b.center, b.extent, b.yaw, b.class_id, b.confidence),
             PlanarPose(0.0, 0.0, 0.0),
             FrameRecord(0.0, PlanarPose(0.0, 0.0, 0.0), (b,), (1,)),
             SnapshotEntry(1, "MSU", Lifecycle.CONFIRMED, MotionState.STATIONARY, b, True),

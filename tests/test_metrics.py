@@ -717,7 +717,8 @@ def test_cli_workflow_never_loads_scipy(tmp_path):
 class TestCrowdAlphaSweep:
     """The α sweep on a long stream: 100 frames of 20 same-class objects
     under heavy occlusion, tracked with the default config. Every report
-    value is pinned by a golden file of its `sort_keys` JSON form."""
+    value is pinned by a golden file of its `sort_keys` JSON form, written
+    under Python 3.12's compensated `sum` on any interpreter."""
 
     @pytest.fixture(scope="class")
     def streams(self):
@@ -740,7 +741,7 @@ class TestCrowdAlphaSweep:
         [(False, "crowd_alpha.json"), (True, "crowd_sweep.json")],
         ids=["alpha", "sweep"],
     )
-    def test_report_digest_pinned(self, streams, sweep, golden):
+    def test_report_digest_pinned(self, streams, sweep, golden, compensated_sum):
         gt, trk = streams
         report = campaign.score(gt, trk, KIND_TRACKLETS, RunConfig(duration=10.0, alpha_sweep=sweep))
         assert golden_reports.mismatch(golden, json.dumps(report.to_dict(), sort_keys=True).encode()) is None

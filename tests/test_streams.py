@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tempfile
@@ -578,6 +579,16 @@ class TestConfig:
     def test_unknown_section(self):
         with pytest.raises(ConfigurationError):
             parse_config("trackr.move_pos_threshold = 0.2")
+
+    def test_readme_block_is_the_defaults(self):
+        """The README's configuration block sets every tracker and noise
+        field, and every value it sets is the default."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Configuration\n\n```\n(.*?)```", readme, re.S).group(1)
+        assert parse_config(block) == RunConfig()
+        keys = set(re.findall(r"^(\w+\.\w+) =", block, re.M))
+        for section, cls in (("tracker", TrackerConfig), ("noise", NoiseModel)):
+            assert {f"{section}.{f.name}" for f in dataclasses.fields(cls)} <= keys
 
     def test_bad_value_type(self):
         with pytest.raises(ConfigurationError):

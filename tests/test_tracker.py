@@ -12,6 +12,7 @@ from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose, yaw_difference
 from obbtrack.tracker import (
     DEG,
     Lifecycle,
+    MOTION_WARMUP,
     MotionState,
     TIME_TOLERANCE,
     SnapshotEntry,
@@ -215,7 +216,6 @@ class TestIngest:
 
 
 COUNT_FIELDS = (
-    "motion_min_history",
     "confirm_count",
     "history_capacity",
     "orientation_window",
@@ -255,7 +255,7 @@ class TestMotion:
         assert detect_motion(box(), box(cx=0.04, yaw=2.0 * DEG), cfg) is MotionState.STATIONARY
 
     def test_jump_triggers_moving_and_passthrough(self):
-        trk = make_tracker(motion_min_history=2)
+        trk = make_tracker(history_capacity=3)
         trk.ingest_frame(0.0, ORIGIN, [box()])
         trk.ingest_frame(0.1, ORIGIN, [box()])
         snap = trk.ingest_frame(0.2, ORIGIN, [box(cx=0.4)])
@@ -264,18 +264,34 @@ class TestMotion:
         assert e.output_pose.center[0] == pytest.approx(0.4)
 
     def test_reentry_hysteresis(self):
-        trk = make_tracker(stationary_reentry_frames=5, motion_min_history=2)
+        trk = make_tracker(stationary_reentry_frames=5, history_capacity=3)
         trk.ingest_frame(0.0, ORIGIN, [box()])
         trk.ingest_frame(0.1, ORIGIN, [box()])
         trk.ingest_frame(0.2, ORIGIN, [box(cx=0.4)])
         t = 0.2
         states = []
-        for _ in range(6):
+        for _ in range(7):
             t += 0.1
             snap = trk.ingest_frame(t, ORIGIN, [box(cx=0.4)])
             states.append(snap.entries[0].motion_state)
-        assert states[:4] == [MotionState.MOVING] * 4
-        assert states[5] is MotionState.STATIONARY
+        # the 3-match mean moves on the next two frames too, then five quiet
+        # frames return the tracklet to Stationary
+        assert states[:6] == [MotionState.MOVING] * 6
+        assert states[6] is MotionState.STATIONARY
+
+    @pytest.mark.parametrize("capacity", [3, 19, 20, 25])
+    def test_motion_warmup(self, capacity):
+        """The first motion verdict comes on the match that fills the
+        history window, or on the MOTION_WARMUPth match if the window is
+        longer (25 here), before it fills."""
+        cfg = TrackerConfig(history_capacity=capacity)
+        trk = Tracklet(1, box(), 0.0, PLAIN, cfg)
+        states = []
+        for k in range(1, 30):
+            trk.update(box(cx=0.5 * k), 0.1 * k)
+            states.append(trk.motion_state)
+        first = states.index(MotionState.MOVING) + 2  # matches held at the first verdict
+        assert first == min(MOTION_WARMUP, capacity)
 
 
 class TestStabilize:
@@ -418,7 +434,7 @@ class TestConfirmationOracle:
         # one entry per match, as many as the longest window reads
         assert [entry[0] for entry in trk.window] == [10.0 * k for k in range(30, 50)]
         assert trk.match_count == 50
-        assert trk.last_match_time == 490.0
+        assert trk.window[-1][0] == 490.0
 
 
 class TestDuplicateSuppression:
@@ -439,7 +455,7 @@ class TestDuplicateSuppression:
     def test_survivors_match_nested_loop_reference(self, specs, scale, rnd):
         # a 0.18 m grid against a 0.72 m gate: exact ties in x, pairs on and
         # near the gate, chains of overlapping tracklets
-        cfg = TrackerConfig(duplicate_merge_scale=scale)
+        cfg = TrackerConfig(gate_scale=scale)
         tracker = Tracker(cfg, class_specs=REGISTRY)
         ids = rnd.sample(range(1, 100), len(specs))
         for tid, (ix, iy, cls, matches) in sorted(zip(ids, specs)):
@@ -447,7 +463,7 @@ class TestDuplicateSuppression:
             trk.match_count = matches
             tracker.registry[tid] = trk
         expected = reference_surviving_ids(
-            [(t.id, t.predicted_pose(), t.match_count) for t in tracker.registry.values()], scale
+            [(t.id, t.predicted, t.match_count) for t in tracker.registry.values()], scale
         )
         tracker._suppress_duplicates()
         assert list(tracker.registry) == expected
@@ -474,8 +490,8 @@ def assert_yaw_windows_exact(trk, centers):
     assert [entry[6] for entry in trk.window] == [math.cos(entry[4]) for entry in trk.window]
     assert 1 <= trk.orientation_len <= min(len(trk.window), cfg.orientation_window)
     assert trk._orientation_mean == reference_yaw_estimate(newest_yaws(trk, trk.orientation_len))
-    assert trk.predicted_pose().center == reference_window_center(centers, cfg.history_capacity)
-    assert trk.predicted_pose().yaw == reference_yaw_estimate(newest_yaws(trk, cfg.history_capacity))
+    assert trk.predicted.center == reference_window_center(centers, cfg.history_capacity)
+    assert trk.predicted.yaw == reference_yaw_estimate(newest_yaws(trk, cfg.history_capacity))
 
 
 def at_origin(n):
@@ -547,7 +563,7 @@ class TestCachedYawWindows:
         with pytest.raises(UndefinedMeanError):
             circular_mean(newest_yaws(trk, trk.orientation_len))
         assert trk._orientation_mean == math.pi
-        assert trk.predicted_pose().yaw == math.pi
+        assert trk.predicted.yaw == math.pi
         assert_yaw_windows_exact(trk, at_origin(2))
 
     @given(
@@ -567,15 +583,14 @@ class TestCachedYawWindows:
             max_size=30,
         ),
         st.integers(1, 6),
-        st.integers(1, 5),
     )
     @settings(max_examples=150)
-    def test_center_window_mean(self, cls, observations, capacity, min_history):
+    def test_center_window_mean(self, cls, observations, capacity):
         """Centers far apart, mixed magnitudes (where the order of the sums
-        shows in the last bit) and a low motion warm-up, so tracklets switch
-        between Moving (the observation is published) and Stationary (the
-        window mean is published)."""
-        cfg = TrackerConfig(history_capacity=capacity, motion_min_history=min_history)
+        shows in the last bit) and a short window, hence a short motion
+        warm-up, so tracklets switch between Moving (the observation is
+        published) and Stationary (the window mean is published)."""
+        cfg = TrackerConfig(history_capacity=capacity)
         spec = REGISTRY[cls]
         boxes = [box(x, y, z, yaw, cls) for x, y, z, yaw in observations]
         trk = Tracklet(1, boxes[0], 0.0, spec, cfg)
@@ -583,7 +598,7 @@ class TestCachedYawWindows:
             trk.update(obs, 0.1 * k)
             centers = [b.center for b in boxes[: k + 1]]
             assert_yaw_windows_exact(trk, centers)
-            expected = obs if trk.motion_state is MotionState.MOVING else trk.predicted_pose()
+            expected = obs if trk.motion_state is MotionState.MOVING else trk.predicted
             assert trk.output_pose.center == expected.center
 
 
@@ -668,16 +683,16 @@ class TestTrackerProperties:
             recent = sum(n for tf, n in counts if t - tf <= TIME_TOLERANCE + cfg.prune_confirmed)
             assert len(snap.entries) == len(tracker.registry) <= recent
 
-    @given(OBJECTS, FRAMES, st.sampled_from([1, 2, 8]), st.sampled_from([1, 3]))
+    @given(OBJECTS, FRAMES, st.sampled_from([1, 2, 8]), st.sampled_from([2, 4]))
     @settings(max_examples=100, deadline=None)
-    def test_cached_entries_are_current_and_in_id_order(self, objects, frames, margin, min_history):
+    def test_cached_entries_are_current_and_in_id_order(self, objects, frames, margin, capacity):
         """After every frame each live tracklet's kept entry equals one built
         afresh from its fields, the registry iterates in ascending id order,
         and the snapshot is the live entries in that order. Doubled boxes
         make duplicates to suppress, flips re-commit symmetric tracklets, and
         a short motion warm-up lets the motion state change."""
         tracker = Tracker(
-            TrackerConfig(orientation_commit_margin=margin, motion_min_history=min_history, history_capacity=4),
+            TrackerConfig(orientation_commit_margin=margin, history_capacity=capacity),
             class_specs=REGISTRY,
         )
         t = 0.0
@@ -711,7 +726,7 @@ class TestTrackerProperties:
         box checks: each equals the checked box, and an overflowing window
         mean or transform still fails the center check."""
         tracker = Tracker(
-            TrackerConfig(motion_min_history=1, history_capacity=4, orientation_commit_margin=2),
+            TrackerConfig(history_capacity=2, orientation_commit_margin=2),
             class_specs=REGISTRY,
         )
         for k, (robot, fates, noise) in enumerate(frames):
@@ -728,7 +743,7 @@ class TestTrackerProperties:
             for e in snap.entries:
                 assert_public_box(e.output_pose)
             for trk in tracker.registry.values():
-                assert_public_box(trk.predicted_pose())
+                assert_public_box(trk.predicted)
 
 
 class TestDeterminism:
