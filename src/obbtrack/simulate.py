@@ -7,6 +7,10 @@ false positives, and an ego-pose latency distortion (map-frame boxes are
 emitted in the sensor frame; consumers reconstruct them with the robot pose
 recorded alongside, which `apply_latency` deliberately makes stale: each
 record gets the stream's own pose at `t - latency`).
+
+Every random draw comes from a numpy generator made by `_rng`, the one place
+the package imports numpy: a process that never simulates (`doe gen`,
+`track`, `evaluate`) never loads it.
 """
 from __future__ import annotations
 
@@ -14,8 +18,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .classes import DEFAULT_CLASS_SPECS
 from .doe import OCCLUSION_TOKENS, TrialSpec
@@ -99,6 +101,18 @@ class NoiseModel:
         )
 
 
+def _rng(*seed_words: int) -> "numpy.random.Generator":
+    """numpy's default generator seeded with the list of `seed_words`, each a
+    non-negative integer. numpy is imported here, so only a process that
+    makes a generator loads it."""
+    for word in seed_words:
+        if isinstance(word, bool) or not isinstance(word, int) or word < 0:
+            raise ConfigurationError(f"seed words must be non-negative integers, got {word!r}")
+    import numpy
+
+    return numpy.random.default_rng(list(seed_words))
+
+
 def robot_pose_at(v: float, omega: float, t: float) -> PlanarPose:
     """Closed-form unicycle pose from the origin at constant (v, omega)."""
     if omega == 0.0:
@@ -130,7 +144,7 @@ def generate_ground_truth(
     if not (rate > 0 and math.isfinite(frame_span) and round(frame_span) >= 1):
         raise ConfigurationError(f"duration {duration} s at rate {rate} Hz gives no frames")
     n_frames = int(round(frame_span))
-    rng = np.random.default_rng([seed, trial.trial_id])
+    rng = _rng(seed, trial.trial_id)
     n = trial.num_objects
     lateral = [(i - (n - 1) / 2.0) * 1.6 for i in range(n)]
     starts = []
@@ -178,7 +192,7 @@ def emulate_detector(
     noise: NoiseModel | None = None,
     occlusion: str = "none",
     sensor_offset: PlanarPose = IDENTITY_POSE,
-    rng: np.random.Generator | None = None,
+    rng: "numpy.random.Generator | None" = None,
 ) -> list[FrameRecord]:
     """Corrupt a ground-truth stream into sensor-frame detections, drawing from
     `rng` (default: a generator seeded with 0)."""
@@ -186,7 +200,7 @@ def emulate_detector(
     noise = noise if noise is not None else NoiseModel()
     dropout, mult = noise.at_occlusion(occlusion)
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = _rng(0)
     fp_classes = sorted(specs)
     (x_lo, x_hi), (y_lo, y_hi) = _scene_bounds(gt)
 
@@ -310,7 +324,7 @@ def simulate_trial(
     gt = generate_ground_truth(
         trial, class_specs, duration, rate, seed, object_speed, object_spin
     )
-    rng = np.random.default_rng([seed, trial.trial_id, 1])
+    rng = _rng(seed, trial.trial_id, 1)
     det = emulate_detector(
         gt, class_specs, noise, trial.occlusion_level, sensor_offset, rng=rng
     )

@@ -5,6 +5,10 @@ A name counts as used when it is read anywhere in its module (as a bare name
 or the root of an attribute chain), appears in a string annotation, or is
 listed in the module's `__all__` (a re-export). `from __future__` imports
 are directives, not names.
+
+A second walk finds where numpy and scipy are imported under src/: only the
+simulator's generator (`simulate._rng`) imports numpy, inside the function,
+so a process that never simulates never loads it; nothing imports scipy.
 """
 import ast
 from pathlib import Path
@@ -77,3 +81,58 @@ def test_checker_flags_only_unused_names():
         "    return os.path.join(str(pi), str(x))\n"
     )
     assert unused_imports(source) == [(2, "itertools"), (4, "full_turn"), (9, "json")]
+
+
+def import_sites(source: str, packages: tuple[str, ...]) -> list[tuple[str | None, str]]:
+    """(enclosing function, module) of each absolute import of one of
+    `packages`; the function is None for an import that runs when the module
+    is imported (at top level, under an `if` or `try`, or in a class body)."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                sites.extend((function, alias.name) for alias in child.names if alias.name.split(".")[0] in packages)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0 and child.module.split(".")[0] in packages:
+                sites.append((function, child.module))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_numpy_is_imported_only_inside_the_simulators_generator():
+    # a module-level import would show with function None
+    sites = [
+        (path.name, function, module)
+        for path in sorted((ROOT / "src" / "obbtrack").rglob("*.py"))
+        for function, module in import_sites(path.read_text(encoding="utf-8"), ("numpy", "scipy"))
+    ]
+    assert sites == [("simulate.py", "_rng", "numpy")]
+
+
+def test_import_site_checker():
+    source = (
+        "import numpy as np\n"
+        "import numpyro, os.path\n"
+        "from numpy.random import default_rng\n"
+        "try:\n"
+        "    import scipy.optimize\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    from numpy import pi\n"
+        "    def m(self):\n"
+        "        import numpy\n"
+        "def f():\n"
+        "    from . import numpy\n"
+        "    from scipy import optimize\n"
+    )
+    assert import_sites(source, ("numpy", "scipy")) == [
+        (None, "numpy"),
+        (None, "numpy.random"),
+        (None, "scipy.optimize"),
+        (None, "numpy"),
+        ("m", "numpy"),
+        ("f", "scipy"),
+    ]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import golden_reports
 import oracles
 from obbtrack import campaign, metrics
+from obbtrack.cli import main
 from obbtrack.config import RunConfig
 from obbtrack.doe import MOTION_PL_PA, TrialSpec
 from obbtrack.errors import AlignmentError, InvalidInputError, UndefinedMetricError
@@ -712,6 +713,43 @@ def test_cli_workflow_never_loads_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
+
+
+@pytest.mark.parametrize("numpy_blocked", [False, True], ids=["unloaded", "unimportable"])
+def test_cli_workflow_never_loads_numpy(tmp_path, numpy_blocked):
+    """`doe gen`, `track` and `evaluate`, on a tracklet and on a detection
+    stream, import no numpy module, and with numpy unimportable they write
+    the golden reports: only the simulator draws from numpy."""
+    d = str(tmp_path)
+    assert main(["doe", "gen", "--out", d + "/trials.json"]) == 0
+    assert main(["simulate", "--trials", d + "/trials.json", "--trial", "19", "--seed", "5",
+                 "--out-gt", d + "/gt.jsonl", "--out-det", d + "/det.jsonl"]) == 0
+    code = textwrap.dedent(
+        """
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        if sys.argv[3] == "True":
+            sys.modules["numpy"] = None  # every import of numpy now fails
+        from obbtrack.cli import main
+
+        d = sys.argv[2]
+        assert main(["doe", "gen", "--out", d + "/trials.json"]) == 0
+        assert main(["track", "--input", d + "/det.jsonl", "--output", d + "/trk.jsonl"]) == 0
+        for pred, report in (("trk", "rep_t"), ("det", "rep_d")):
+            assert main(["evaluate", "--gt", d + "/gt.jsonl", "--pred", f"{d}/{pred}.jsonl",
+                         "--json", f"{d}/{report}.json"]) == 0
+        loaded = sorted(m for m, v in sys.modules.items() if m.split(".")[0] == "numpy" and v is not None)
+        assert loaded == [], loaded
+        print("ok")
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(SRC), d, str(numpy_blocked)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
+    assert golden_reports.mismatch("evaluate_trial19_tracklets.json", (tmp_path / "rep_t.json").read_bytes()) is None
+    assert golden_reports.mismatch("evaluate_trial19_detections.json", (tmp_path / "rep_d.json").read_bytes()) is None
 
 
 class TestCrowdAlphaSweep:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ class TestDetectorEmulator:
         gt3, det3 = simulate_trial(trial, seed=22)
         assert gt1 == gt2 and det1 == det2
         assert det1 != det3
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_bad_seed_is_configuration_error(self, seed):
+        # numpy raises ValueError for -1 and TypeError for 1.5, and takes True as 1
+        message = f"seed words must be non-negative integers, got {seed!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            campaign_simulate(trial_by("two-msu", 8), seed, RunConfig())
+
+    def test_default_generator_is_seeded_with_zero(self):
+        gt = generate_ground_truth(trial_by("two-msu", 8), duration=2.0, seed=3)
+        assert emulate_detector(gt) == emulate_detector(gt, rng=np.random.default_rng(0))
 
     def test_occlusion_lookup(self):
         noise = NoiseModel(dropout_low=0.25, sigma_mult_low=1.75)
