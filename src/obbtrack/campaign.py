@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .config import RunConfig
-from .doe import Block, DEFAULT_BLOCKS, TrialSpec, campaign as design_campaign
+from .doe import TrialSpec, campaign as design_campaign
 from .metrics import MetricsReport, evaluate_streams, ordered_sum
 from .simulate import simulate_trial
 from .streams import KIND_DETECTIONS, KIND_TRACKLETS, FrameRecord, detections_to_map
@@ -94,12 +94,10 @@ def _aggregate(rows: Sequence[dict]) -> dict:
     return out
 
 
-def run_campaign(
-    seed: int, config: RunConfig | None = None, blocks: Sequence[Block] = DEFAULT_BLOCKS
-) -> dict:
-    """Simulate, track, and evaluate the full campaign; returns the report dict."""
+def run_campaign(seed: int, config: RunConfig | None = None, trials: Sequence[TrialSpec] | None = None) -> dict:
+    """Simulate, track, and evaluate `trials` (the full campaign by default); returns the report dict."""
     config = config or RunConfig()
-    trials = design_campaign(blocks, known_classes=config.classes)
+    trials = design_campaign(known_classes=config.classes) if trials is None else trials
     trial_entries = []
     class_rows: dict[str, dict[str, list[dict]]] = {}
     for trial in trials:

@@ -15,8 +15,8 @@ from contextlib import closing
 from pathlib import Path
 
 from . import campaign as campaign_mod
-from .config import ENV_CONFIG, load_config
-from .doe import DEFAULT_BLOCKS, TrialSpec, balance_check, campaign as design_campaign, oa_matrix
+from .config import ENV_CONFIG, RunConfig, load_config
+from .doe import TrialSpec, balance_check, campaign as design_campaign, oa_matrix
 from .errors import ConfigurationError, InternalStateError, InvalidInputError, ParseError, TrackingError, json_member
 from .metrics import MetricsReport
 from .simulate import NoiseModel
@@ -111,20 +111,20 @@ def _load_trials(path: str) -> list[TrialSpec]:
     return trials
 
 
-def _blocks_by_name(name: str | None):
-    if name is None:
-        return DEFAULT_BLOCKS
-    for block in DEFAULT_BLOCKS:
-        if block.name == name:
-            return (block,)
-    known = ", ".join(b.name for b in DEFAULT_BLOCKS)
-    raise UsageError(f"unknown block {name!r} (known: {known})")
+def _design(block: str | None, config: RunConfig) -> list[TrialSpec]:
+    """The default design's trials, or those of `block` under their ids in
+    the design: a trial id is a seed word of the trial's noise."""
+    trials = design_campaign(known_classes=config.classes)
+    chosen = [t for t in trials if block in (None, t.block)]
+    if not chosen:
+        known = ", ".join(dict.fromkeys(t.block for t in trials))
+        raise UsageError(f"unknown block {block!r} (known: {known})")
+    return chosen
 
 
 def cmd_doe_gen(args) -> int:
-    blocks = _blocks_by_name(args.block)
     config = load_config(args.config)
-    trials = design_campaign(blocks, known_classes=config.classes)
+    trials = _design(args.block, config)
     report = balance_check(oa_matrix())
     if not report.ok:
         raise InternalStateError("embedded design matrix failed its balance check")
@@ -185,8 +185,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_campaign_run(args) -> int:
     config = load_config(args.config)
-    blocks = _blocks_by_name(args.block)
-    report = campaign_mod.run_campaign(args.seed, config, blocks)
+    report = campaign_mod.run_campaign(args.seed, config, _design(args.block, config))
     rows = []
     for cls, modes in report["per_class"].items():
         rows.append((cls, "D", modes["detection"]))

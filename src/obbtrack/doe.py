@@ -165,11 +165,13 @@ class TrialSpec:
     @classmethod
     def from_dict(cls, obj) -> "TrialSpec":
         """A trial from one trial-sheet entry, as `to_dict` writes it. Raises
-        `ParseError` on a missing field, a wrong JSON type or a cell outside
-        its column's levels; the derived fields are not read."""
+        `ParseError` on a missing field, a wrong JSON type, a negative id or
+        a cell outside its column's levels; the derived fields are not read."""
         if not isinstance(obj, dict):
             raise ParseError(f"expected an object, got {type(obj).__name__}")
         trial_id = json_member(obj, "trial_id", int)
+        if trial_id < 0:
+            raise ParseError(f"field 'trial_id' must be non-negative, got {trial_id}")
         block = json_member(obj, "block", str)
         row = json_member(obj, "row", int)
         classes = json_member(obj, "classes", list)

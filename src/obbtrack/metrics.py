@@ -9,22 +9,23 @@ TP pairs plus the counts of its unmatched predictions (FP) and unmatched
 ground-truth boxes (FN); `det_a` is the one DetA, TP / (TP + FP + FN) summed
 over frames.
 
-HOTA follows Luiten et al. (2021) in TrackEval's count form. Each gt id's
-and each prediction id's box count is taken once, since no threshold changes
-it; at each threshold DetA is `det_a` over that threshold's pairings, only
-the TP `(gt id, pred id)` list is built, and each TP adds TPA / (gt id boxes
-+ pred id boxes - TPA) to AssA's sum, where TPA is its id pair's TP count. A
-report row builds its TP list at `alpha` once, for HOTA and the id-switch
-count. One deviation from TrackEval stays: each frame is matched by the rule
-above (maximum cardinality, then maximum total IoU), not with each pair's IoU
-weighted by its global association score.
+HOTA follows Luiten et al. (2021) in TrackEval's count form: at each
+threshold DetA is `det_a`'s ratio and each TP adds TPA / (gt id boxes + pred
+id boxes - TPA) to AssA's sum, where TPA is its id pair's TP count and an
+id's box count is taken once. One deviation from TrackEval stays: each frame
+is matched by the rule above (maximum cardinality, then maximum total IoU),
+not with each pair's IoU weighted by its global association score.
 
-`hota` and `evaluate_streams` check their streams through one function,
-`_frames`, which lists each frame's overlapping pairs once. Each frame is
-matched once per threshold (`_Frame.pairing`) and every report row reads that
-matching: a class row keeps the TP pairs of its class's gt boxes, in the
-frame's indices, and counts its class's other boxes as FP and FN. The cost
-follows the overlapping pairs, not the gt x pred product; no matrix is built:
+A report row is a running tally (`_Tally`) of counts, TP id lists, id box
+counts and float sums. `hota` and `evaluate_streams` fill their rows through
+one function, `_tally`: it lists each frame's overlapping pairs, then, for
+each distinct threshold in turn (`alpha`, 0.0, then HOTA's), matches every
+frame once and feeds the matching to the overall row and to the row of each
+class in the frame, which keeps the TP pairs of its class's gt boxes. Each
+sum reads one threshold's matchings in frame order, so this threshold-major
+order moves no byte, and only one frame's row feeds run between two
+`match_frame` calls. The cost follows the overlapping pairs, not the gt x
+pred product; no matrix is built:
 - `overlapping_pairs` computes each box's circumscribed circle once and
   calls `iou_3d` only on same-class pairs whose circles meet; every pair it
   leaves out has the IoU 0.0 that `iou_3d`'s own early-out would return.
@@ -306,6 +307,13 @@ def _linear_sum_assignment(score: list[list[float]]) -> list[tuple[int, int]]:
     return list(enumerate(col4row))
 
 
+def _det_a(tp: int, fp: int, fn: int) -> float:
+    denom = tp + fp + fn
+    if denom == 0:
+        raise UndefinedMetricError("no ground truth and no predictions anywhere")
+    return tp / denom
+
+
 def det_a(pairings: Iterable[FramePairing]) -> float:
     """Detection accuracy: TP / (TP + FP + FN) aggregated over all frames."""
     tp = fp = fn = 0
@@ -313,27 +321,35 @@ def det_a(pairings: Iterable[FramePairing]) -> float:
         tp += p.tp
         fp += p.fp
         fn += p.fn
-    denom = tp + fp + fn
-    if denom == 0:
-        raise UndefinedMetricError("no ground truth and no predictions anywhere")
-    return tp / denom
+    return _det_a(tp, fp, fn)
+
+
+def _squared_errors(pos: float, yaw: float, pairs: Iterable[tuple[OrientedBox, OrientedBox]]) -> tuple[float, float]:
+    """`pos` and `yaw` plus each pair's squared center error and squared
+    wrapped yaw error, added left to right."""
+    for g, p in pairs:
+        pos += center_distance(g, p) ** 2
+        yaw += yaw_difference(g.yaw, p.yaw) ** 2
+    return pos, yaw
+
+
+def _rmse(total: float, n: int, name: str) -> float:
+    if not n:
+        raise UndefinedMetricError(f"{name} RMSE needs at least one matched pair")
+    return math.sqrt(total / n)
 
 
 def pos_rmse(pairs: Iterable[tuple[OrientedBox, OrientedBox]]) -> float:
     """RMS of the 3D center error over matched pairs."""
-    sq = [center_distance(g, p) ** 2 for g, p in pairs]
-    if not sq:
-        raise UndefinedMetricError("position RMSE needs at least one matched pair")
-    return math.sqrt(ordered_sum(sq) / len(sq))
+    pairs = list(pairs)
+    return _rmse(_squared_errors(0.0, 0.0, pairs)[0], len(pairs), "position")
 
 
 def yaw_rmse(pairs: Iterable[tuple[OrientedBox, OrientedBox]]) -> float:
     """RMS of the wrapped yaw error over matched pairs. Symmetry-blind: a
     half-turn flip scores as a pi error."""
-    sq = [yaw_difference(g.yaw, p.yaw) ** 2 for g, p in pairs]
-    if not sq:
-        raise UndefinedMetricError("yaw RMSE needs at least one matched pair")
-    return math.sqrt(ordered_sum(sq) / len(sq))
+    pairs = list(pairs)
+    return _rmse(_squared_errors(0.0, 0.0, pairs)[1], len(pairs), "yaw")
 
 
 def _require_ids(frames: Sequence[FrameRecord], label: str) -> None:
@@ -344,71 +360,87 @@ def _require_ids(frames: Sequence[FrameRecord], label: str) -> None:
             raise InvalidInputError(f"duplicate {label} ids within frame t={f.t}")
 
 
-class _Frame:
-    """A frame of two aligned streams, read by every report row: its records,
-    overlapping pairs and classes, and its pairings by threshold and class."""
+class _Tally:
+    """A report row's running tally, for all boxes or one class's, fed each
+    frame's matching at each threshold in frame order."""
 
-    __slots__ = ("gt", "pred", "overlaps", "classes", "pairings")
+    __slots__ = ("alpha", "hota_at", "counts", "tp_ids", "gt_boxes", "pred_boxes", "sq_errors", "iou_total")
 
-    def __init__(self, gt: FrameRecord, pred: FrameRecord) -> None:
-        self.gt, self.pred = gt, pred
-        self.overlaps = overlapping_pairs(gt.boxes, pred.boxes)
-        self.classes = {b.class_id for b in gt.boxes + pred.boxes}
-        self.pairings: dict[tuple[float, str | None], FramePairing] = {}
+    def __init__(self, alpha: float, thresholds: Iterable[float], hota_at: Sequence[float]) -> None:
+        self.alpha, self.hota_at = alpha, hota_at
+        self.counts = {a: [0, 0, 0] for a in thresholds}  # TP, FP, FN
+        # TP ids for HOTA and, at `alpha`, the id-switch count
+        self.tp_ids: dict[float, list[tuple[int, int]]] = {a: [] for a in (alpha, *hota_at)} if hota_at else {}
+        # an id's box count is its TP + FN (gt) or TP + FP (pred) count at
+        # every threshold, since each box is in exactly one of the three
+        self.gt_boxes: dict[int, int] = {}
+        self.pred_boxes: dict[int, int] = {}
+        self.sq_errors = (0.0, 0.0)  # position and yaw, at `alpha`
+        self.iou_total = 0.0  # at 0.0, the threshold-free coverage matching
 
-    def pairing(self, alpha: float, class_id: str | None = None) -> FramePairing:
-        """The frame's one matching at `alpha`, or its restriction to the boxes
-        of `class_id`, which is that class's own matching in frame indices."""
-        if len(self.classes) < 2:
-            class_id = None
-        found = self.pairings.get((alpha, class_id))
-        if found is None:
-            gt, pred = self.gt.boxes, self.pred.boxes
-            if class_id is None:
-                found = match_frame(gt, pred, alpha, self.overlaps)
-            else:
-                tp = tuple(p for p in self.pairing(alpha).tp_pairs if gt[p[0]].class_id == class_id)
-                n_gt = sum(b.class_id == class_id for b in gt)
-                n_pred = sum(b.class_id == class_id for b in pred)
-                found = FramePairing(tp, n_pred - len(tp), n_gt - len(tp))
-            self.pairings[alpha, class_id] = found
-        return found
+    def add(self, a: float, gt: FrameRecord, pred: FrameRecord, pairs: Sequence, n_gt: int, n_pred: int) -> None:
+        """Add a frame's TP pairs at `a`, among the row's `n_gt` gt and `n_pred` predicted boxes in it."""
+        counts = self.counts[a]
+        counts[0] += len(pairs)
+        counts[1] += n_pred - len(pairs)
+        counts[2] += n_gt - len(pairs)
+        if not pairs:
+            return
+        if a in self.tp_ids:
+            self.tp_ids[a] += [(gt.ids[i], pred.ids[j]) for i, j, _ in pairs]
+        if a == self.alpha:
+            self.sq_errors = _squared_errors(*self.sq_errors, ((gt.boxes[i], pred.boxes[j]) for i, j, _ in pairs))
+        if a == 0.0:
+            self.iou_total += ordered_sum(v for _, _, v in pairs)
+
+    def hota(self) -> float:
+        """HOTA averaged over `hota_at`."""
+        scores = []
+        for a in self.hota_at:
+            deta = _det_a(*self.counts[a])
+            ids = self.tp_ids[a]
+            tpa = Counter(ids)
+            acc = 0.0
+            for gid, pid in ids:
+                n = tpa[gid, pid]
+                acc += n / (self.gt_boxes[gid] + self.pred_boxes[pid] - n)
+            assa = acc / len(ids) if ids else 0.0
+            scores.append(math.sqrt(deta * assa))
+        return ordered_sum(scores) / len(scores)
+
+    def report(self) -> ClassMetrics:
+        """The report row; its identity columns only when HOTA is scored."""
+        tp, fp, fn = self.counts[self.alpha]
+        pos, yaw = self.sq_errors
+        deta = _det_a(tp, fp, fn) if tp + fp + fn else None
+        hota_score = switches = None
+        if self.hota_at:
+            hota_score = None if deta is None else self.hota()
+            switches = 0
+            last_pred: dict[int, int] = {}
+            for gid, pid in self.tp_ids[self.alpha]:
+                switches += last_pred.get(gid, pid) != pid
+                last_pred[gid] = pid
+        return ClassMetrics(
+            avg_iou=(self.iou_total / (tp + fn)) if tp + fn else None,
+            pos_rmse=_rmse(pos, tp, "position") if tp else None,
+            yaw_rmse=_rmse(yaw, tp, "yaw") if tp else None,
+            det_a=deta,
+            hota=hota_score,
+            tp=tp,
+            fp=fp,
+            fn=fn,
+            id_switches=switches,
+        )
 
 
-def _pairings(frames: Sequence[_Frame], class_id: str | None, alpha: float) -> list[FramePairing]:
-    return [f.pairing(alpha, class_id) for f in frames]
-
-
-def _tp_ids(frames: Sequence[_Frame], pairings: Sequence[FramePairing]) -> list[tuple[int, int]]:
-    """`(gt id, pred id)` of each TP pair, in frame order."""
-    return [(f.gt.ids[gi], f.pred.ids[pi]) for f, p in zip(frames, pairings) for gi, pi, _ in p.tp_pairs]
-
-
-def _hota(frames: Sequence[_Frame], class_id: str | None, tp_ids: dict[float, list[tuple[int, int]]]) -> float:
-    """HOTA over a row of id-labeled frames (all boxes, or `class_id`'s),
-    averaged over the thresholds of `tp_ids`, each with its `_tp_ids` list."""
-    # an id's box count is its TP + FN (gt) or TP + FP (pred) count at every
-    # threshold, since each box is in exactly one of the three
-    gt_count = Counter(i for f in frames for i, b in zip(f.gt.ids, f.gt.boxes) if class_id in (None, b.class_id))
-    pred_count = Counter(i for f in frames for i, b in zip(f.pred.ids, f.pred.boxes) if class_id in (None, b.class_id))
-    scores = []
-    for a, ids in tp_ids.items():
-        deta = det_a(_pairings(frames, class_id, a))
-        tpa = Counter(ids)
-        acc = 0.0
-        for gid, pid in ids:
-            n = tpa[gid, pid]
-            acc += n / (gt_count[gid] + pred_count[pid] - n)
-        assa = acc / len(ids) if ids else 0.0
-        scores.append(math.sqrt(deta * assa))
-    return ordered_sum(scores) / len(scores)
-
-
-def _frames(
-    gt_frames: Sequence[FrameRecord], pred_frames: Sequence[FrameRecord], alpha: float, pred_ids: bool
-) -> list[_Frame]:
-    """The frames of two aligned streams, after checking `alpha`, the
-    alignment and the ids (the predictions' only when `pred_ids`)."""
+def _tally(
+    gt_frames: Sequence[FrameRecord], pred_frames: Sequence[FrameRecord], alpha: float, hota_at: Sequence[float],
+    report: bool,
+) -> tuple[_Tally, dict[str, _Tally]]:
+    """The overall row of two aligned streams and, for a `report`, each class's
+    row, scored at `alpha`, 0.0 and `hota_at` (only `hota_at` otherwise), after
+    checking `alpha`, the alignment and the ids (the predictions' for HOTA)."""
     _check_alpha(alpha)
     if len(gt_frames) != len(pred_frames):
         raise AlignmentError(
@@ -418,9 +450,38 @@ def _frames(
         if g.t != p.t:
             raise AlignmentError(f"timestamp mismatch: {g.t} vs {p.t}")
     _require_ids(gt_frames, "ground truth")
-    if pred_ids:
+    if hota_at:
         _require_ids(pred_frames, "prediction")
-    return [_Frame(g, p) for g, p in zip(gt_frames, pred_frames)]
+    thresholds = tuple(dict.fromkeys((alpha, 0.0, *hota_at) if report else hota_at))
+    overall = _Tally(alpha, thresholds, hota_at)
+    per_class: dict[str, _Tally] = {}
+    frames = []
+    for g, p in zip(gt_frames, pred_frames):
+        # (row, its boxes in the frame, the class its TP pairs keep or None)
+        rows = [(overall, len(g.boxes), len(p.boxes), None)]
+        if report:
+            # a class absent from both sides of a frame adds nothing to its row
+            classes = {b.class_id for b in g.boxes + p.boxes}
+            for c in classes:
+                row = per_class.get(c) or per_class.setdefault(c, _Tally(alpha, thresholds, hota_at))
+                if len(classes) == 1:
+                    rows.append((row, len(g.boxes), len(p.boxes), None))
+                else:
+                    rows.append((row, sum(b.class_id == c for b in g.boxes), sum(b.class_id == c for b in p.boxes), c))
+        if hota_at:
+            for row, _, _, c in rows:
+                for counts, rec in ((row.gt_boxes, g), (row.pred_boxes, p)):
+                    for i, b in zip(rec.ids, rec.boxes):
+                        if c in (None, b.class_id):
+                            counts[i] = counts.get(i, 0) + 1
+        frames.append((g, p, overlapping_pairs(g.boxes, p.boxes), rows))
+    for a in thresholds:
+        for g, p, overlaps, rows in frames:
+            tp_pairs = match_frame(g.boxes, p.boxes, a, overlaps).tp_pairs
+            for row, n_gt, n_pred, c in rows:
+                pairs = tp_pairs if c is None else [q for q in tp_pairs if g.boxes[q[0]].class_id == c]
+                row.add(a, g, p, pairs, n_gt, n_pred)
+    return overall, per_class
 
 
 def hota(
@@ -434,9 +495,8 @@ def hota(
     With `alpha_sweep` the score is averaged over IoU thresholds
     0.05, 0.10, ..., 0.95 instead of using the single `alpha`.
     """
-    frames = _frames(gt_frames, pred_frames, alpha, True)
     thresholds = ALPHA_SWEEP if alpha_sweep else (alpha,)
-    return _hota(frames, None, {a: _tp_ids(frames, _pairings(frames, None, a)) for a in thresholds})
+    return _tally(gt_frames, pred_frames, alpha, thresholds, False)[0].hota()
 
 
 @dataclass(frozen=True)
@@ -469,63 +529,6 @@ class MetricsReport:
         }
 
 
-def _id_switches(tp_ids: Iterable[tuple[int, int]]) -> int:
-    last_pred: dict[int, int] = {}
-    switches = 0
-    for gid, pid in tp_ids:
-        if last_pred.get(gid, pid) != pid:
-            switches += 1
-        last_pred[gid] = pid
-    return switches
-
-
-def _row_metrics(
-    frames: Sequence[_Frame], class_id: str | None, mode: str, alpha: float, alpha_sweep: bool
-) -> ClassMetrics:
-    """The report row of `frames`' boxes of `class_id`, or of all their boxes."""
-    pairings = _pairings(frames, class_id, alpha)
-    tp_boxes = [(f.gt.boxes[gi], f.pred.boxes[pi]) for f, p in zip(frames, pairings) for gi, pi, _ in p.tp_pairs]
-    # threshold-free coverage matching for the average IoU column
-    iou_total = 0.0
-    for loose in _pairings(frames, class_id, 0.0):
-        iou_total += ordered_sum(v for _, _, v in loose.tp_pairs)
-    gt_total = sum(p.tp + p.fn for p in pairings)
-
-    try:
-        deta = det_a(pairings)
-    except UndefinedMetricError:
-        deta = None
-    try:
-        prmse = pos_rmse(tp_boxes)
-        yrmse = yaw_rmse(tp_boxes)
-    except UndefinedMetricError:
-        prmse = yrmse = None
-
-    hota_score: float | None = None
-    switches: int | None = None
-    if mode == "tracklet":
-        # HOTA and the id-switch count share the TP-id list at `alpha`
-        thresholds = ALPHA_SWEEP if alpha_sweep else (alpha,)
-        tp_ids = {a: _tp_ids(frames, _pairings(frames, class_id, a)) for a in thresholds}
-        try:
-            hota_score = _hota(frames, class_id, tp_ids)
-        except UndefinedMetricError:
-            hota_score = None
-        switches = _id_switches(tp_ids[alpha] if alpha in tp_ids else _tp_ids(frames, pairings))
-
-    return ClassMetrics(
-        avg_iou=(iou_total / gt_total) if gt_total else None,
-        pos_rmse=prmse,
-        yaw_rmse=yrmse,
-        det_a=deta,
-        hota=hota_score,
-        tp=sum(p.tp for p in pairings),
-        fp=sum(p.fp for p in pairings),
-        fn=sum(p.fn for p in pairings),
-        id_switches=switches,
-    )
-
-
 def evaluate_streams(
     gt_frames: Sequence[FrameRecord],
     pred_frames: Sequence[FrameRecord],
@@ -540,14 +543,10 @@ def evaluate_streams(
     """
     if mode not in ("detection", "tracklet"):
         raise InvalidInputError(f"unknown evaluation mode {mode!r}")
-    frames = _frames(gt_frames, pred_frames, alpha, mode == "tracklet")
-    per_class: dict[str, list[_Frame]] = {}
-    for frame in frames:
-        # a class absent from both sides of a frame adds nothing to its row
-        for c in frame.classes:
-            per_class.setdefault(c, []).append(frame)
+    hota_at = (ALPHA_SWEEP if alpha_sweep else (alpha,)) if mode == "tracklet" else ()
+    overall, per_class = _tally(gt_frames, pred_frames, alpha, hota_at, True)
     return MetricsReport(
         mode=mode,
-        overall=_row_metrics(frames, None, mode, alpha, alpha_sweep),
-        per_class={c: _row_metrics(per_class[c], c, mode, alpha, alpha_sweep) for c in sorted(per_class)},
+        overall=overall.report(),
+        per_class={c: per_class[c].report() for c in sorted(per_class)},
     )

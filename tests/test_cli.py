@@ -70,7 +70,9 @@ class TestDoeGen:
     def test_block_filter(self, tmp_path):
         out = tmp_path / "t.json"
         assert main(["doe", "gen", "--out", str(out), "--block", "single-msu"]) == 0
-        assert len(json.loads(out.read_text())["trials"]) == 18
+        # the block's trials keep their ids in the full design, which seed
+        # their noise
+        assert [t["trial_id"] for t in json.loads(out.read_text())["trials"]] == list(range(19, 37))
 
     def test_invalid_block_is_usage_error(self, tmp_path):
         out = tmp_path / "t.json"
@@ -142,6 +144,7 @@ class TestTrialSheetChecks:
             (lambda e: list(e), "expected an object, got list"),
             (lambda e: {**e, "trial_id": "abc"}, "field 'trial_id' has wrong type str"),
             (lambda e: {**e, "trial_id": 1.7}, "field 'trial_id' has wrong type float"),  # was read as trial 1
+            (lambda e: {**e, "trial_id": -1}, "field 'trial_id' must be non-negative, got -1"),  # was exit 1
             (lambda e: {**e, "row": True}, "field 'row' has wrong type bool"),
             (lambda e: {**e, "classes": "MSU"}, "field 'classes' has wrong type str"),
             (lambda e: {**e, "classes": ["MSU", 7]}, "field 'classes' must be a list of strings"),
@@ -150,8 +153,9 @@ class TestTrialSheetChecks:
             (lambda e: {**e, "motion_collapsed": "false"}, "field 'motion_collapsed' has wrong type str"),
             (lambda e: {**e, "trial_id": 1}, "trial_id 1 repeats entry 1"),  # was simulated as entry 1
         ],
-        ids=["missing-key", "not-an-object", "string-id", "fractional-id", "bool-row", "string-classes",
-             "non-string-class", "unknown-occlusion", "unknown-distance", "string-flag", "repeated-id"],
+        ids=["missing-key", "not-an-object", "string-id", "fractional-id", "negative-id", "bool-row",
+             "string-classes", "non-string-class", "unknown-occlusion", "unknown-distance", "string-flag",
+             "repeated-id"],
     )
     def test_bad_entry_is_data_error(self, tmp_path, trial_sheet, capsys, edit, message):
         payload = json.loads(trial_sheet.read_text())
@@ -483,6 +487,16 @@ class TestCampaign:
         sw = payload["per_class"]["SW"]
         assert sw["tracklet"]["avg_iou"] > sw["detection"]["avg_iou"]
         assert sw["detection"]["hota"] is None
+
+    def test_single_block_reproduces_its_trials_in_the_full_campaign(self, tmp_path):
+        """A one-block run keeps the design's trial ids, so its trial rows are
+        those of the same trials in the full seed-7 campaign."""
+        out = tmp_path / "rep.json"
+        assert main(["campaign", "run", "--seed", "7", "--block", "single-sw", "--out", str(out)]) == 0
+        rows = json.loads(out.read_bytes())["trials"]
+        golden = json.loads((golden_reports.GOLDEN / "campaign_seed7.json").read_bytes())["trials"]
+        assert [row["trial_id"] for row in rows] == list(range(55, 73))
+        assert rows == [row for row in golden if row["block"] == "single-sw"]
 
     def test_single_block_report_does_not_depend_on_float_sum(self, tmp_path, request):
         """Python 3.12's compensated `sum` writes the same campaign report."""

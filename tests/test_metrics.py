@@ -646,21 +646,44 @@ class TestPerFrameHook:
         assert evaluate_streams(gt, pred, mode, 0.5, sweep) == expected
         frames = [(1, 1), (2, 2), (0, 0)]
         assert sorted(calls) == sorted((a, n_gt, n_pred) for n_gt, n_pred in frames for a in alphas)
+        # threshold-major: every frame, in frame order, at `alpha`, then at
+        # 0.0, then at each further HOTA threshold
+        order = dict.fromkeys((0.5, 0.0, *(ALPHA_SWEEP if sweep else ())))
+        assert calls == [(a, n_gt, n_pred) for a in order for n_gt, n_pred in frames]
 
-    @pytest.mark.parametrize("sweep, per_row", [(False, 1), (True, len(ALPHA_SWEEP))])
-    def test_tp_id_list_built_once_per_row_and_threshold(self, monkeypatch, sweep, per_row):
-        calls = []
-        real = metrics._tp_ids
+    @pytest.mark.parametrize("mode, sweep", [("detection", False), ("tracklet", False), ("tracklet", True)])
+    def test_each_row_reads_each_frame_once_per_threshold(self, monkeypatch, mode, sweep):
+        """A row is fed each of its frames once per distinct threshold, and
+        builds TP id lists only in tracklet mode, at `alpha` and HOTA's
+        thresholds."""
+        feeds = []
+        real = metrics._Tally.add
 
-        def counting(frames, pairings):
-            calls.append(len(frames))
-            return real(frames, pairings)
+        def counting(row, a, gt, pred, pairs, n_gt, n_pred):
+            feeds.append((id(row), a, gt.t))
+            return real(row, a, gt, pred, pairs, n_gt, n_pred)
 
-        # one class, so two rows: the overall row and the class row
-        gt, pred = frames_to_records(self.FRAMES[:1])
-        monkeypatch.setattr(metrics, "_tp_ids", counting)
-        evaluate_streams(gt, pred, "tracklet", 0.5, sweep)
-        assert len(calls) == 2 * per_row
+        gt, pred = frames_to_records(self.FRAMES)
+        expected = evaluate_streams(gt, pred, mode, 0.5, sweep)
+        rows = []
+        real_init = metrics._Tally.__init__
+
+        def keeping(row, *args):
+            real_init(row, *args)
+            rows.append(row)
+
+        monkeypatch.setattr(metrics._Tally, "add", counting)
+        monkeypatch.setattr(metrics._Tally, "__init__", keeping)
+        assert evaluate_streams(gt, pred, mode, 0.5, sweep) == expected
+        hota_at = (ALPHA_SWEEP if sweep else (0.5,)) if mode == "tracklet" else ()
+        alphas = {0.5, 0.0, *hota_at}
+        # the overall row reads 3 frames, MSU's frames 0 and 1, MW's frame 1
+        assert len(rows) == 3
+        assert len(feeds) == len(set(feeds)) == 6 * len(alphas)
+        per_row = [sum(f[0] == id(row) for f in feeds) for row in rows]
+        assert sorted(per_row) == [n * len(alphas) for n in (1, 2, 3)]
+        for row in rows:
+            assert set(row.tp_ids) == ({0.5, *hota_at} if mode == "tracklet" else set())
 
     def test_scoring_loads_neither_numpy_nor_scipy(self):
         assert not hasattr(metrics, "np")
