@@ -20,7 +20,9 @@ from .doe import TrialSpec, balance_check, campaign as design_campaign, oa_matri
 from .errors import ConfigurationError, InternalStateError, InvalidInputError, ParseError, TrackingError, json_member
 from .metrics import MetricsReport
 from .simulate import NoiseModel
-from .streams import KIND_DETECTIONS, KIND_GROUND_TRUTH, KIND_TRACKLETS, iter_stream, read_stream, write_stream
+from .streams import (
+    KIND_DETECTIONS, KIND_GROUND_TRUTH, KIND_TRACKLETS, iter_stream, read_stream, write_lines, write_stream
+)
 
 TRIALS_SCHEMA = "obbtrack/trials/v1"
 
@@ -129,7 +131,7 @@ def cmd_doe_gen(args) -> int:
     if not report.ok:
         raise InternalStateError("embedded design matrix failed its balance check")
     payload = {"schema": TRIALS_SCHEMA, "trials": [t.to_dict() for t in trials]}
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_lines(args.out, [json.dumps(payload, indent=2)])
     print(f"wrote {len(trials)} trials to {args.out}")
     return 0
 
@@ -141,14 +143,16 @@ def cmd_simulate(args) -> int:
     if not matching:
         raise UsageError(f"trial id {args.trial} not present in {args.trials}")
     trial = matching[0]
+    out_gt = args.out_gt or f"trial{trial.trial_id:02d}_gt.jsonl"
+    out_det = args.out_det or f"trial{trial.trial_id:02d}_det.jsonl"
+    if Path(out_gt).resolve() == Path(out_det).resolve():
+        raise UsageError(f"--out-gt and --out-det are the same file {out_gt}")
     config = dataclasses.replace(
         config,
         noise=NoiseModel.silent() if args.no_noise else config.noise,
         duration=config.duration if args.duration is None else args.duration,
     )
     gt, det = campaign_mod.simulate(trial, args.seed, config)
-    out_gt = args.out_gt or f"trial{trial.trial_id:02d}_gt.jsonl"
-    out_det = args.out_det or f"trial{trial.trial_id:02d}_det.jsonl"
     write_stream(out_gt, gt, KIND_GROUND_TRUTH)
     write_stream(out_det, det, KIND_DETECTIONS)
     print(f"wrote {out_gt} ({len(gt)} frames) and {out_det}")
@@ -176,9 +180,7 @@ def cmd_evaluate(args) -> int:
     report = campaign_mod.score(gt, pred, pred_kind, config)
     print(render_table(_report_rows(report)))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_lines(args.json, [json.dumps(report.to_dict(), indent=2)])
         print(f"wrote {args.json}")
     return 0
 
@@ -194,7 +196,7 @@ def cmd_campaign_run(args) -> int:
     rows.append(("Ave", "T", report["average"]["tracklet"]))
     print(render_table(rows))
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        write_lines(args.out, [json.dumps(report, indent=2)])
         print(f"wrote {args.out}")
     return 0
 

@@ -183,6 +183,8 @@ def _scene_bounds(gt: Sequence[FrameRecord], margin: float = 3.0):
         for b in rec.boxes:
             xs.append(b.center[0])
             ys.append(b.center[1])
+    if not xs:  # an empty stream has no frame to place a false positive in
+        return (0.0, 0.0), (0.0, 0.0)
     return (min(xs) - margin, max(xs) + margin), (min(ys) - margin, max(ys) + margin)
 
 
@@ -297,7 +299,7 @@ def apply_latency(detections: Sequence[FrameRecord], latency: float) -> list[Fra
     wrong transform. Zero latency is the identity; a latency longer than the
     stream's span (0 for an empty stream) is rejected.
     """
-    if latency < 0.0:
+    if not latency >= 0.0:  # NaN fails too
         raise ConfigurationError("latency must be non-negative")
     if latency == 0.0:
         return list(detections)

@@ -4,9 +4,11 @@ One header line announcing the schema and stream kind, then one frame per
 line. Ground-truth and tracklet streams carry persistent object ids and
 map-frame boxes; detection streams carry sensor-frame boxes with scores.
 The writer is canonical: parsing a file we wrote and re-serializing it
-reproduces the bytes. Both directions move one line at a time: `write_stream`
-serializes each record as its iterable yields it, and `iter_stream` parses
-each line as its iterator is consumed, so a stream never has to fit in memory.
+reproduces the bytes. As in JSON Lines, a line ends at a newline, with any
+carriage return before it, so a raw U+2028 in a string is line content. Both
+directions move one line at a time, so a stream never has to fit in memory:
+`write_stream` writes each record as its iterable yields it, through the
+atomic `write_lines`, and `iter_stream` parses each line as it is consumed.
 
 Both directions pay only for new data. The reader fetches a box's fields and
 checks their JSON types in one pass; the field-by-field checks run only to
@@ -20,10 +22,12 @@ from __future__ import annotations
 import json
 import operator
 import os
+import re
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import BinaryIO, Callable, Generator, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Generator, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import InvalidInputError, ParseError, StreamOrderError, json_member
 from .geometry import IDENTITY_POSE, OrientedBox, PlanarPose, _require_finite, compose, transform_box
@@ -141,33 +145,37 @@ def _header(kind: str) -> str:
     return json.dumps({"schema": SCHEMA, "kind": kind}, separators=(",", ":"))
 
 
+def _lines(records: Iterable[FrameRecord], kind: str) -> Iterator[str]:
+    """The header line, checked now, then one line per record as `records` yields it."""
+    return chain([_header(kind)], map(_record_serializer(kind), records))
+
+
 def dumps_stream(records: Iterable[FrameRecord], kind: str) -> str:
-    lines = [_header(kind)]
-    lines.extend(map(_record_serializer(kind), records))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in _lines(records, kind))
 
 
-def write_stream(path: str | Path, records: Iterable[FrameRecord], kind: str) -> int:
-    """Write the header, then one line per record as `records` yields it, and
-    return the number of records. The lines go to a sibling temporary file
-    that replaces `path` only once every record is written, so an error part
-    way through (a bad input line, a full disk) leaves `path` as it was."""
-    path = Path(path)
-    header = _header(kind)
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each of `lines` and a newline; return how many. They go to a
+    sibling temporary file that replaces `path`, or a symbolic link's target,
+    once all are written: an error part way (a full disk) leaves it as it was."""
+    path = Path(path).resolve()
     tmp = path.with_name(f".{path.name}.tmp")
-    serialize = _record_serializer(kind)
     count = 0
     try:
         with open(tmp, "w", encoding="utf-8") as f:
-            f.write(header + "\n")
-            for record in records:
-                f.write(serialize(record) + "\n")
+            for line in lines:
+                f.write(line + "\n")
                 count += 1
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return count
+
+
+def write_stream(path: str | Path, records: Iterable[FrameRecord], kind: str) -> int:
+    """Write the stream's lines through `write_lines`; return the number of records."""
+    return write_lines(path, _lines(records, kind)) - 1
 
 
 # JSON numbers: json.loads makes exactly these types, and true and false are bools
@@ -231,10 +239,10 @@ def _raise_box_error(b, labeled: bool, line: int) -> NoReturn:
 
 
 def _parse(lines: Iterable[str]) -> Iterator:
-    """Parse stream lines: yield the kind from the header line at once, then
-    each record as its line is reached. Blank lines are skipped; errors name
-    the offending line, counted from 1 at the header."""
-    lines = iter(lines)
+    """Parse lines, each with its terminator if it has one: yield the kind
+    from the header line at once, then each record as its line is reached.
+    Blank lines are skipped; errors name their line, the header's being 1."""
+    lines = (line[:-2] if line.endswith("\r\n") else line.removesuffix("\n") for line in lines)
     head = next(lines, None)
     if head is None:
         raise ParseError("empty stream: missing header", 1)
@@ -270,31 +278,23 @@ def _parse(lines: Iterable[str]) -> Iterator:
 
 
 def loads_stream(text: str) -> tuple[str, list[FrameRecord]]:
-    records = _parse(text.splitlines())
+    # each line with its newline if it has one, as a binary file yields them
+    records = _parse(m[0] for m in re.finditer("[^\n]*\n|[^\n]+", text))
     kind = next(records)
     return kind, list(records)
 
 
-def _file_lines(f: BinaryIO) -> Iterator[str]:
-    """The lines of `Path.read_text(encoding="utf-8").splitlines()`, read one
-    newline-terminated chunk at a time. A chunk can hold further breaks that
-    `str.splitlines` honours (carriage return, form feed, U+2028, ...)."""
-    n = 1
-    for chunk in f:
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # the line the bad byte sits on, within a chunk of several lines
-            before = chunk[: exc.start].decode("utf-8") + "."
-            raise ParseError(f"invalid UTF-8: {exc.reason}", n + len(before.splitlines()) - 1) from exc
-        lines = text.splitlines()
-        n += len(lines)
-        yield from lines
+def _decode(line: bytes, n: int) -> str:
+    """Line `n` of a file, decoded from UTF-8 on its own so that an error names it."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8: {exc.reason}", n) from exc
 
 
 def _read(path: str | Path) -> Generator:
     with open(path, "rb") as f:
-        yield from _parse(_file_lines(f))
+        yield from _parse(_decode(line, n) for n, line in enumerate(f, start=1))
 
 
 def iter_stream(path: str | Path) -> tuple[str, Generator[FrameRecord, None, None]]:

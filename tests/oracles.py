@@ -19,7 +19,7 @@ is the window yaw recomputed from the angles themselves with it,
 `reference_window_center` is the predicted center recomputed from every
 matched center, `reference_dumps_stream` / `reference_loads_stream` are
 the whole-text stream writer (a dict per box, `json.dumps` per record) and
-reader (`splitlines` over the whole text, and its own record parser that
+reader (the whole text split at each newline, and its own record parser that
 checks each number where it is picked) that the line-at-a-time ones must
 reproduce, `assert_public_box` / `reference_transform_box` rebuild a box
 through the public, checking `OrientedBox` constructor that boxes derived
@@ -630,8 +630,11 @@ def reference_parse_record(obj: dict, kind: str, line: int) -> FrameRecord:
 
 def reference_loads_stream(text: str):
     """Whole-text reader over `reference_parse_record`, any error the types
-    raise on a record reported as a `ParseError` with its line."""
-    lines = text.splitlines()
+    raise on a record reported as a `ParseError` with its line. Lines are
+    those of JSON Lines: each ends at a newline, and a carriage return before
+    it is part of the terminator."""
+    *ended, last = text.split("\n")
+    lines = [line.removesuffix("\r") for line in ended] + ([last] if last else [])
     if not lines:
         raise ParseError("empty stream: missing header", 1)
     try:

@@ -1,7 +1,11 @@
 import gc
 import hashlib
 import json
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,16 @@ class TestSimulate:
             assert errors == [f"error: argument --seed: must be a non-negative integer, got '{seed}'"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.json"]
 
+    def test_same_output_for_both_streams_is_usage_error(self, tmp_path, trial_sheet, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.campaign_mod, "simulate", lambda *args: pytest.fail("simulated"))
+        # one file named two ways
+        argv = ["simulate", "--trials", str(trial_sheet), "--trial", "19",
+                "--out-gt", "s.jsonl", "--out-det", str(tmp_path / "s.jsonl")]
+        assert main(argv) == 1
+        assert "error: --out-gt and --out-det are the same file s.jsonl" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.json"]
+
     def test_no_noise_round_trip(self, tmp_path, trial_sheet):
         gt_path = tmp_path / "gt.jsonl"
         det_path = tmp_path / "det.jsonl"
@@ -131,6 +145,47 @@ class TestSimulate:
                 mapped = transform_to_map(db, d.robot)
                 assert center_distance(mapped, gb) < 1e-9
                 assert yaw_difference(mapped.yaw, gb.yaw) < 1e-9
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestFailedJsonWrite:
+    """A JSON output whose write fails part way, here at a file-size limit,
+    exits 2 and leaves the previous file as it was, with no temporary file."""
+
+    LIMITED = textwrap.dedent(
+        """
+        import resource, signal, sys
+        sys.dont_write_bytecode = True
+        sys.path.insert(0, sys.argv[1])
+        from obbtrack.cli import main
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE, (256, 256))
+        sys.exit(main(sys.argv[2:]))
+        """
+    )
+
+    @pytest.mark.parametrize("command", ["doe gen", "evaluate", "campaign run"])
+    def test_previous_file_kept(self, tmp_path, trial_sheet, command):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"previous\n")
+        gt = tmp_path / "gt.jsonl"
+        argv = {
+            "doe gen": ["doe", "gen", "--out", str(out)],
+            "evaluate": ["evaluate", "--gt", str(gt), "--pred", str(gt), "--json", str(out)],
+            "campaign run": ["campaign", "run", "--seed", "7", "--block", "single-sw", "--out", str(out)],
+        }[command]
+        if command == "evaluate":
+            assert main(["simulate", "--trials", str(trial_sheet), "--trial", "19", "--no-noise", "--duration", "3",
+                         "--out-gt", str(gt), "--out-det", str(tmp_path / "det.jsonl")]) == 0
+        done = subprocess.run(
+            [sys.executable, "-c", self.LIMITED, str(SRC), *argv], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 2, done.stderr
+        assert "data error: [Errno 27] File too large" in done.stderr
+        assert out.read_bytes() == b"previous\n"
+        assert list(tmp_path.glob(".*.tmp")) == []
 
 
 class TestTrialSheetChecks:

@@ -150,6 +150,10 @@ class TestDetectorEmulator:
         gt = generate_ground_truth(trial_by("two-msu", 8), duration=2.0, seed=3)
         assert emulate_detector(gt) == emulate_detector(gt, rng=np.random.default_rng(0))
 
+    def test_empty_ground_truth_gives_empty_detections(self):
+        assert emulate_detector([]) == []
+        assert emulate_detector([], noise=NoiseModel(fp_rate=5.0), occlusion="high") == []
+
     def test_occlusion_lookup(self):
         noise = NoiseModel(dropout_low=0.25, sigma_mult_low=1.75)
         assert noise.at_occlusion("low") == (0.25, 1.75)
@@ -215,6 +219,12 @@ class TestLatency:
             if g.t < latency:  # clamped region
                 continue
             assert center_distance(g.boxes[0], d.boxes[0]) == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("latency", [-0.1, float("nan")])
+    def test_negative_or_nan_latency_rejected(self, latency):
+        gt, det = self.rotating_setup(0.5, 0.0, duration=2.0)
+        with pytest.raises(ConfigurationError, match="latency must be non-negative"):
+            apply_latency(det, latency)
 
     def test_latency_exceeding_span_rejected(self):
         gt, det = self.rotating_setup(0.5, 0.0, duration=2.0)

@@ -290,13 +290,17 @@ BAD_LINES = [
     '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":7,"class":"MW","score":1.5,"cx":0,"cy":0,"cz":0,"l":1,"w":1,"h":1,"yaw":0}]}',
     '{"t":0.5,"robot":{"x":0,"y":0,"heading":0},"boxes":[{"id":7,"class":"MW","score":2,"cx":0,"cy":0,"cz":0,"l":1,"w":1,"h":1,"yaw":0}]}',
 ]
-BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1e", "\x85", "\u2028", "\u2029", "\n\n", "\r\r\n"]
+BREAKS = ["\n", "\r\n"]
+# the other breaks of `str.splitlines`, which in a stream are line content
+NON_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @st.composite
 def stream_files(draw):
     """Stream bytes with mixed line breaks, blank lines, bad lines at random
-    places, times sometimes out of order, and sometimes no final break."""
+    places, times sometimes out of order, and sometimes no final break. Lines
+    end sometimes in a character at which `str.splitlines` would break them,
+    and extra lines can be made of one."""
     kind = draw(st.sampled_from(KINDS))
     records = draw(frame_records())
     if draw(st.booleans()):
@@ -304,11 +308,12 @@ def stream_files(draw):
     head = draw(st.sampled_from([header_line(kind)] * 8 + ["", "{}", '{"schema":"obbtrack/v1","kind":"x"}', "{"]))
     lines = [head] + [serialize_record(r, kind) for r in records]
     for _ in range(draw(st.integers(0, 3))):
-        extra = draw(st.sampled_from(["", " \t "] + BAD_LINES))
+        extra = draw(st.sampled_from(["", " \t "] + NON_BREAKS + BAD_LINES))
         lines.insert(draw(st.integers(1, len(lines))), extra)
-    text = "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+    content = st.one_of(st.just(""), st.sampled_from(NON_BREAKS))
+    text = "".join(line + draw(content) + draw(st.sampled_from(BREAKS)) for line in lines)
     if draw(st.booleans()):
-        text = text.rstrip("".join(BREAKS))
+        text = text.rstrip("\r\n")
     return text.encode("utf-8")
 
 
@@ -343,7 +348,7 @@ class TestLineReader:
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "s.jsonl"
             path.write_bytes(data)
-            expected = outcome(lambda: oracles.reference_loads_stream(path.read_text(encoding="utf-8")))
+            expected = outcome(lambda: oracles.reference_loads_stream(data.decode("utf-8")))
             assert_same_outcome(outcome(lambda: read_stream(path)), expected)
         assert_same_outcome(outcome(lambda: loads_stream(data.decode("utf-8"))), expected)
 
@@ -412,8 +417,8 @@ class TestLineReader:
             (b"\xff\xfe\n", 1),
             (b"%s\n\xff\xfe\n" % header_line().encode(), 2),
             (b"%s\n\n\n{}\xc3\n" % header_line().encode(), 4),
-            # a lone carriage return starts a new line inside one chunk
-            (b"%s\n\r\r{\xe2\x28}\r\n" % header_line().encode(), 4),
+            # a carriage return is line content unless a newline follows it
+            (b"%s\n\r\r{\xe2\x28}\r\n" % header_line().encode(), 2),
         ],
     )
     def test_invalid_utf8_names_its_line(self, tmp_path, data, line):
@@ -422,6 +427,25 @@ class TestLineReader:
         with pytest.raises(ParseError, match=f"^line {line}: invalid UTF-8") as info:
             read_stream(path)
         assert info.value.line_number == line
+
+    def test_raw_line_separators_in_a_string_are_content(self, tmp_path):
+        # JSON allows these raw in a string; `str.splitlines` would break at each
+        name = "MW\x85\u2028\u2029x"
+        box = OrientedBox((1.0, 2.0, 0.35), (1.2, 0.8, 0.7), 0.3, name)
+        rec = FrameRecord(0.0, PlanarPose(0.0, 0.0, 0.0), [box], [7])
+        text = dumps_stream([rec], KIND_GROUND_TRUTH)
+        raw = text.replace("\\u0085", "\x85").replace("\\u2028", "\u2028").replace("\\u2029", "\u2029")
+        assert name in raw
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(raw.encode("utf-8"))
+        assert read_stream(path) == loads_stream(raw) == (KIND_GROUND_TRUTH, [rec])
+
+    def test_crlf_copy_reads_as_the_original(self, tmp_path):
+        text = dumps_stream([record(0.1 * i) for i in range(3)], KIND_GROUND_TRUTH)
+        crlf = text.replace("\n", "\r\n")
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(crlf.encode("utf-8"))
+        assert read_stream(path) == loads_stream(crlf) == loads_stream(text)
 
     def test_huge_id_round_trips(self):
         rec = FrameRecord(0.0, PlanarPose(0.0, 0.0, 0.0), record().boxes[:1], (10**400,))
@@ -451,6 +475,15 @@ class TestAtomicWrite:
             write_stream(path, self.failing(3), KIND_GROUND_TRUTH)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_symlink_kept_and_its_target_written(self, tmp_path):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target.name)
+        write_stream(link, [record(0.0)], KIND_GROUND_TRUTH)
+        assert link.is_symlink()
+        assert target.read_text() == dumps_stream([record(0.0)], KIND_GROUND_TRUTH)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "target.jsonl"]
 
     def test_unknown_kind_writes_nothing(self, tmp_path):
         with pytest.raises(ParseError, match="unknown stream kind"):
