@@ -4,11 +4,14 @@ The per-trial entry points `simulate`, `track_stream` and `score` are the
 one place a `RunConfig` is unpacked for the simulator, the tracker and the
 evaluator; `run_trial`, the CLI and the scripts all go through them.
 
-Produces detection- and tracklet-side metric rows per trial, per class (the
-mean of each ratio over the trials' rows, the sum of each count) and on
-average (the same over the rows of the classes the trials place). Everything
-is seeded, trials run in a fixed order, and the report dict serializes
-byte-identically for a given seed and config.
+Produces detection- and tracklet-side metric rows per trial, per class and
+on average. A class row pools its trials, as TrackEval's `combine_sequences`
+does: it is the row of one long stream with each trial's ids kept apart,
+found by merging the trials' closed class tallies, so each of its ratios
+reads its own summed counts. The average row is the class average of the
+rows of the classes the trials place: the mean of each ratio, the sum of
+each count. Everything is seeded, trials run in a fixed order, and the
+report dict serializes byte-identically for a given seed and config.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import RunConfig
 from .doe import TrialSpec, campaign as design_campaign
-from .metrics import MetricsReport, evaluate_streams, ordered_sum
+from .metrics import ClassMetrics, MetricsReport, evaluate_streams, ordered_sum
 from .simulate import simulate_trial
 from .streams import KIND_DETECTIONS, KIND_TRACKLETS, FrameRecord, detections_to_map
 from .tracker import Tracker
@@ -25,6 +28,9 @@ REPORT_SCHEMA = "obbtrack/campaign-report/v1"
 
 _METRIC_KEYS = ("avg_iou", "pos_rmse", "yaw_rmse", "det_a", "hota")
 _COUNT_KEYS = ("tp", "fp", "fn")
+_MODES = ("detection", "tracklet")
+# the row of a class that no trial scores in a mode
+_EMPTY_ROW = ClassMetrics(None, None, None, None, None, 0, 0, 0, None).to_dict()
 
 
 def iter_tracklets(detections: Iterable[FrameRecord], config: RunConfig) -> Iterator[FrameRecord]:
@@ -99,7 +105,9 @@ def run_campaign(seed: int, config: RunConfig | None = None, trials: Sequence[Tr
     config = config or RunConfig()
     trials = design_campaign(known_classes=config.classes) if trials is None else trials
     trial_entries = []
-    class_rows: dict[str, dict[str, list[dict]]] = {}
+    # class -> mode -> its trials' closed tallies merged; the first trial's
+    # tally becomes the pool
+    pooled: dict[str, dict] = {}
     for trial in trials:
         results = run_trial(trial, seed, config)
         entry = {
@@ -111,17 +119,21 @@ def run_campaign(seed: int, config: RunConfig | None = None, trials: Sequence[Tr
             "tracklet": results["tracklet"].overall.to_dict(),
         }
         trial_entries.append(entry)
-        for mode in ("detection", "tracklet"):
-            for cls, metrics in results[mode].per_class.items():
-                class_rows.setdefault(cls, {"detection": [], "tracklet": []})[mode].append(metrics.to_dict())
+        for mode in _MODES:
+            for cls, tally in results[mode].class_tallies.items():
+                modes = pooled.setdefault(cls, {})
+                if mode in modes:
+                    modes[mode].merge(tally)
+                else:
+                    modes[mode] = tally
 
     per_class = {
-        cls: {mode: _aggregate(rows[mode]) for mode in ("detection", "tracklet")}
-        for cls, rows in sorted(class_rows.items())
+        cls: {mode: modes[mode].report().to_dict() if mode in modes else dict(_EMPTY_ROW) for mode in _MODES}
+        for cls, modes in sorted(pooled.items())
     }
     # macro average over the rows of the classes with ground truth
     placed = sorted({cls for trial in trials for cls in trial.classes})
-    average = {mode: _aggregate([per_class[cls][mode] for cls in placed]) for mode in ("detection", "tracklet")}
+    average = {mode: _aggregate([per_class[cls][mode] for cls in placed]) for mode in _MODES}
     return {
         "schema": REPORT_SCHEMA,
         "seed": seed,

@@ -1,6 +1,9 @@
 """Run configuration: tracker thresholds, noise model, class registry.
 
-Config files are flat `section.key = value` documents; `#` starts a comment.
+Config files are flat `section.key = value` documents; `#` starts a comment
+that runs to the end of its line. As in the streams, a line ends at a newline,
+with any carriage return before it, so a raw U+2028, U+0085 or lone carriage
+return is line content.
 Every tracker and noise field is addressable under its own name, classes
 live under `classes.<ID>.*`, and unknown keys are hard errors so that a
 misspelled threshold cannot silently fall back to a default.
@@ -89,7 +92,8 @@ def parse_config(text: str) -> RunConfig:
         for cid, spec in cfg.classes.items()
     }
 
-    for n, raw_line in enumerate(text.splitlines(), start=1):
+    for n, raw_line in enumerate(text.split("\n"), start=1):
+        raw_line = raw_line.removesuffix("\r")
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -146,7 +150,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # bytes, not text mode, whose newline translation would end a line at a lone "\r"
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config file {path}: invalid UTF-8: {exc.reason}") from None
     except OSError as exc:

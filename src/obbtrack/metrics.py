@@ -17,8 +17,14 @@ is matched by the rule above (maximum cardinality, then maximum total IoU),
 not with each pair's IoU weighted by its global association score.
 
 A report row is a running tally (`_Tally`) of counts, TP id lists, id box
-counts and float sums. `hota` and `evaluate_streams` fill their rows through
-one function, `_tally`: it lists each frame's overlapping pairs, then, for
+counts and float sums. At the end of the stream it is closed: each HOTA
+threshold's TP ids fold into AssA's sum and the ids at `alpha` into the
+id-switch count, and the ids are dropped. A closed row is sums only, and
+`merge` adds two of them into the row of both streams with their ids kept
+apart, as TrackEval's `combine_sequences` pools sequences; a campaign's class
+row pools its trials this way, and its average row is the class average of
+those rows. `hota` and `evaluate_streams` read the rows of one function,
+`_tally`: it lists each frame's overlapping pairs, then, for
 each distinct threshold in turn (`alpha`, 0.0, then HOTA's), matches every
 frame once and feeds the matching to the overall row and to the row of each
 class in the frame, which keeps the TP pairs of its class's gt boxes. Each
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import AlignmentError, InvalidInputError, UndefinedMetricError
@@ -362,19 +368,24 @@ def _require_ids(frames: Sequence[FrameRecord], label: str) -> None:
 
 class _Tally:
     """A report row's running tally, for all boxes or one class's, fed each
-    frame's matching at each threshold in frame order."""
+    frame's matching at each threshold in frame order. `close` folds its TP
+    id lists into sums; `hota`, `report` and `merge` read only sums."""
 
-    __slots__ = ("alpha", "hota_at", "counts", "tp_ids", "gt_boxes", "pred_boxes", "sq_errors", "iou_total")
+    __slots__ = (
+        "alpha", "hota_at", "counts", "tp_ids", "gt_boxes", "pred_boxes", "assa", "switches", "sq_errors", "iou_total",
+    )
 
     def __init__(self, alpha: float, thresholds: Iterable[float], hota_at: Sequence[float]) -> None:
         self.alpha, self.hota_at = alpha, hota_at
         self.counts = {a: [0, 0, 0] for a in thresholds}  # TP, FP, FN
-        # TP ids for HOTA and, at `alpha`, the id-switch count
+        # TP ids for HOTA and, at `alpha`, the id-switch count, until `close`
         self.tp_ids: dict[float, list[tuple[int, int]]] = {a: [] for a in (alpha, *hota_at)} if hota_at else {}
         # an id's box count is its TP + FN (gt) or TP + FP (pred) count at
         # every threshold, since each box is in exactly one of the three
         self.gt_boxes: dict[int, int] = {}
         self.pred_boxes: dict[int, int] = {}
+        self.assa: dict[float, float] = {}  # AssA's sum over the TPs, per HOTA threshold
+        self.switches = 0 if hota_at else None  # at `alpha`
         self.sq_errors = (0.0, 0.0)  # position and yaw, at `alpha`
         self.iou_total = 0.0  # at 0.0, the threshold-free coverage matching
 
@@ -393,19 +404,43 @@ class _Tally:
         if a == 0.0:
             self.iou_total += ordered_sum(v for _, _, v in pairs)
 
-    def hota(self) -> float:
-        """HOTA averaged over `hota_at`."""
-        scores = []
+    def close(self) -> None:
+        """At the end of the stream: add each TP's TPA / (gt id boxes + pred
+        id boxes - TPA) to its threshold's AssA sum, left to right, count the
+        id switches at `alpha`, and drop the ids."""
         for a in self.hota_at:
-            deta = _det_a(*self.counts[a])
             ids = self.tp_ids[a]
             tpa = Counter(ids)
             acc = 0.0
             for gid, pid in ids:
                 n = tpa[gid, pid]
                 acc += n / (self.gt_boxes[gid] + self.pred_boxes[pid] - n)
-            assa = acc / len(ids) if ids else 0.0
-            scores.append(math.sqrt(deta * assa))
+            self.assa[a] = acc
+        last_pred: dict[int, int] = {}
+        for gid, pid in self.tp_ids.get(self.alpha, ()):
+            self.switches += last_pred.get(gid, pid) != pid
+            last_pred[gid] = pid
+        self.tp_ids = self.gt_boxes = self.pred_boxes = None
+
+    def merge(self, other: _Tally) -> None:
+        """Add the closed row `other`, of the same thresholds, to this closed
+        row: the row of both streams, with their ids kept apart."""
+        for a, counts in self.counts.items():
+            counts[:] = [n + m for n, m in zip(counts, other.counts[a])]
+        for a in self.assa:
+            self.assa[a] += other.assa[a]
+        if self.hota_at:
+            self.switches += other.switches
+        self.sq_errors = (self.sq_errors[0] + other.sq_errors[0], self.sq_errors[1] + other.sq_errors[1])
+        self.iou_total += other.iou_total
+
+    def hota(self) -> float:
+        """HOTA averaged over `hota_at`."""
+        scores = []
+        for a in self.hota_at:
+            tp = self.counts[a][0]
+            assa = self.assa[a] / tp if tp else 0.0
+            scores.append(math.sqrt(_det_a(*self.counts[a]) * assa))
         return ordered_sum(scores) / len(scores)
 
     def report(self) -> ClassMetrics:
@@ -413,34 +448,25 @@ class _Tally:
         tp, fp, fn = self.counts[self.alpha]
         pos, yaw = self.sq_errors
         deta = _det_a(tp, fp, fn) if tp + fp + fn else None
-        hota_score = switches = None
-        if self.hota_at:
-            hota_score = None if deta is None else self.hota()
-            switches = 0
-            last_pred: dict[int, int] = {}
-            for gid, pid in self.tp_ids[self.alpha]:
-                switches += last_pred.get(gid, pid) != pid
-                last_pred[gid] = pid
         return ClassMetrics(
             avg_iou=(self.iou_total / (tp + fn)) if tp + fn else None,
             pos_rmse=_rmse(pos, tp, "position") if tp else None,
             yaw_rmse=_rmse(yaw, tp, "yaw") if tp else None,
             det_a=deta,
-            hota=hota_score,
+            hota=self.hota() if self.hota_at and deta is not None else None,
             tp=tp,
             fp=fp,
             fn=fn,
-            id_switches=switches,
+            id_switches=self.switches,
         )
 
 
 def _tally(
     gt_frames: Sequence[FrameRecord], pred_frames: Sequence[FrameRecord], alpha: float, hota_at: Sequence[float],
-    report: bool,
 ) -> tuple[_Tally, dict[str, _Tally]]:
-    """The overall row of two aligned streams and, for a `report`, each class's
-    row, scored at `alpha`, 0.0 and `hota_at` (only `hota_at` otherwise), after
-    checking `alpha`, the alignment and the ids (the predictions' for HOTA)."""
+    """The closed overall row of two aligned streams and each class's closed
+    row, scored at `alpha`, 0.0 and `hota_at`, after checking `alpha`, the
+    alignment and the ids (the predictions' for HOTA)."""
     _check_alpha(alpha)
     if len(gt_frames) != len(pred_frames):
         raise AlignmentError(
@@ -452,22 +478,21 @@ def _tally(
     _require_ids(gt_frames, "ground truth")
     if hota_at:
         _require_ids(pred_frames, "prediction")
-    thresholds = tuple(dict.fromkeys((alpha, 0.0, *hota_at) if report else hota_at))
+    thresholds = tuple(dict.fromkeys((alpha, 0.0, *hota_at)))
     overall = _Tally(alpha, thresholds, hota_at)
     per_class: dict[str, _Tally] = {}
     frames = []
     for g, p in zip(gt_frames, pred_frames):
         # (row, its boxes in the frame, the class its TP pairs keep or None)
         rows = [(overall, len(g.boxes), len(p.boxes), None)]
-        if report:
-            # a class absent from both sides of a frame adds nothing to its row
-            classes = {b.class_id for b in g.boxes + p.boxes}
-            for c in classes:
-                row = per_class.get(c) or per_class.setdefault(c, _Tally(alpha, thresholds, hota_at))
-                if len(classes) == 1:
-                    rows.append((row, len(g.boxes), len(p.boxes), None))
-                else:
-                    rows.append((row, sum(b.class_id == c for b in g.boxes), sum(b.class_id == c for b in p.boxes), c))
+        # a class absent from both sides of a frame adds nothing to its row
+        classes = {b.class_id for b in g.boxes + p.boxes}
+        for c in classes:
+            row = per_class.get(c) or per_class.setdefault(c, _Tally(alpha, thresholds, hota_at))
+            if len(classes) == 1:
+                rows.append((row, len(g.boxes), len(p.boxes), None))
+            else:
+                rows.append((row, sum(b.class_id == c for b in g.boxes), sum(b.class_id == c for b in p.boxes), c))
         if hota_at:
             for row, _, _, c in rows:
                 for counts, rec in ((row.gt_boxes, g), (row.pred_boxes, p)):
@@ -481,6 +506,8 @@ def _tally(
             for row, n_gt, n_pred, c in rows:
                 pairs = tp_pairs if c is None else [q for q in tp_pairs if g.boxes[q[0]].class_id == c]
                 row.add(a, g, p, pairs, n_gt, n_pred)
+    for row in (overall, *per_class.values()):
+        row.close()
     return overall, per_class
 
 
@@ -495,8 +522,7 @@ def hota(
     With `alpha_sweep` the score is averaged over IoU thresholds
     0.05, 0.10, ..., 0.95 instead of using the single `alpha`.
     """
-    thresholds = ALPHA_SWEEP if alpha_sweep else (alpha,)
-    return _tally(gt_frames, pred_frames, alpha, thresholds, False)[0].hota()
+    return _tally(gt_frames, pred_frames, alpha, ALPHA_SWEEP if alpha_sweep else (alpha,))[0].hota()
 
 
 @dataclass(frozen=True)
@@ -520,6 +546,9 @@ class MetricsReport:
     mode: str
     overall: ClassMetrics
     per_class: dict[str, ClassMetrics]
+    # each class's closed row, which `merge` pools over streams; not a
+    # report field
+    class_tallies: dict[str, _Tally] = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -544,9 +573,10 @@ def evaluate_streams(
     if mode not in ("detection", "tracklet"):
         raise InvalidInputError(f"unknown evaluation mode {mode!r}")
     hota_at = (ALPHA_SWEEP if alpha_sweep else (alpha,)) if mode == "tracklet" else ()
-    overall, per_class = _tally(gt_frames, pred_frames, alpha, hota_at, True)
+    overall, per_class = _tally(gt_frames, pred_frames, alpha, hota_at)
     return MetricsReport(
         mode=mode,
         overall=overall.report(),
         per_class={c: per_class[c].report() for c in sorted(per_class)},
+        class_tallies=per_class,
     )

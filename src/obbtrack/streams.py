@@ -23,6 +23,7 @@ import json
 import operator
 import os
 import re
+import stat
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -157,7 +158,9 @@ def dumps_stream(records: Iterable[FrameRecord], kind: str) -> str:
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:
     """Write each of `lines` and a newline; return how many. They go to a
     sibling temporary file that replaces `path`, or a symbolic link's target,
-    once all are written: an error part way (a full disk) leaves it as it was."""
+    once all are written: an error part way (a full disk) leaves it as it was.
+    The output keeps an existing file's permission bits; a new one gets the
+    umask's."""
     path = Path(path).resolve()
     tmp = path.with_name(f".{path.name}.tmp")
     count = 0
@@ -166,6 +169,12 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> int:
             for line in lines:
                 f.write(line + "\n")
                 count += 1
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            pass
+        else:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

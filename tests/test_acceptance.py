@@ -3,6 +3,7 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from obbtrack.campaign import track_stream
 from obbtrack.cli import main
 from obbtrack.config import RunConfig
 from obbtrack.doe import TrialSpec, balance_check, oa_matrix
-from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, iou_3d
+from obbtrack.geometry import OrientedBox, PlanarPose, center_distance, iou_3d, yaw_difference
 from obbtrack.metrics import FramePairing, det_a, hota, match_frame, pos_rmse, yaw_rmse
 from obbtrack.simulate import NoiseModel, apply_latency, rotating_robot_stream, simulate_trial
 from obbtrack.streams import FrameRecord, detections_to_map
@@ -233,6 +234,37 @@ def test_criterion_5_flip_correction():
         f"{det_deg:.1f} deg >= 45; tracklet {trk_deg:.2f} deg <= 3",
         det_deg >= 45.0 and trk_deg <= 3.0,
     )
+
+
+def wrong_way_first_publishes(config: RunConfig, seeds: range) -> tuple[int, int]:
+    """Over criterion 5's scene, 5 s per seed: how many tracklets publish
+    first with a yaw more than 90 deg off the ground truth, and how many
+    publish at all."""
+    noise = NoiseModel(
+        pos_sigma=0.02, yaw_sigma=math.radians(3.0), flip_prob=0.3,
+        dropout_none=0.0, dropout_low=0.0, dropout_high=0.0, fp_rate=0.0,
+    )
+    wrong, seen = 0, set()
+    for seed in seeds:
+        gt, det = simulate_trial(stationary_trial(), config.classes, noise, duration=5.0, rate=10.0, seed=seed)
+        for g, tr in zip(gt, track_stream(det, config)):
+            for tid, b in zip(tr.ids, tr.boxes):
+                if (seed, tid) not in seen:
+                    seen.add((seed, tid))
+                    wrong += abs(yaw_difference(g.boxes[0].yaw, b.yaw)) > math.pi / 2
+    return wrong, len(seen)
+
+
+def test_orientation_commit_is_safe():
+    """Criterion 5 scores 10 tracklets, too few to tell the default commit
+    margin from one that publishes some tracklets the wrong way round. Over
+    300 seeds no tracklet does at the default margin, while a margin of 4
+    votes visibly does."""
+    cfg = RunConfig()
+    wrong, published = wrong_way_first_publishes(cfg, range(300))
+    assert published > 250 and wrong == 0
+    unsafe = replace(cfg, tracker=replace(cfg.tracker, orientation_commit_margin=4))
+    assert wrong_way_first_publishes(unsafe, range(300))[0] > 0
 
 
 def test_criterion_6_smoothing(campaign_runs):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import golden_reports
 import oracles
-from obbtrack import campaign, metrics
+from obbtrack import campaign, doe, metrics
 from obbtrack.cli import main
 from obbtrack.config import RunConfig
 from obbtrack.doe import MOTION_PL_PA, TrialSpec
@@ -32,7 +32,7 @@ from obbtrack.metrics import (
     pos_rmse,
     yaw_rmse,
 )
-from obbtrack.streams import KIND_TRACKLETS, FrameRecord
+from obbtrack.streams import KIND_TRACKLETS, FrameRecord, detections_to_map
 
 ORIGIN = PlanarPose(0.0, 0.0, 0.0)
 
@@ -653,9 +653,9 @@ class TestPerFrameHook:
 
     @pytest.mark.parametrize("mode, sweep", [("detection", False), ("tracklet", False), ("tracklet", True)])
     def test_each_row_reads_each_frame_once_per_threshold(self, monkeypatch, mode, sweep):
-        """A row is fed each of its frames once per distinct threshold, and
-        builds TP id lists only in tracklet mode, at `alpha` and HOTA's
-        thresholds."""
+        """A row is fed each of its frames once per distinct threshold and,
+        once closed, holds an AssA sum only in tracklet mode, at each of
+        HOTA's thresholds, and no TP id list."""
         feeds = []
         real = metrics._Tally.add
 
@@ -683,7 +683,8 @@ class TestPerFrameHook:
         per_row = [sum(f[0] == id(row) for f in feeds) for row in rows]
         assert sorted(per_row) == [n * len(alphas) for n in (1, 2, 3)]
         for row in rows:
-            assert set(row.tp_ids) == ({0.5, *hota_at} if mode == "tracklet" else set())
+            assert set(row.assa) == set(hota_at)
+            assert row.tp_ids is row.gt_boxes is row.pred_boxes is None
 
     def test_scoring_loads_neither_numpy_nor_scipy(self):
         assert not hasattr(metrics, "np")
@@ -806,3 +807,98 @@ class TestCrowdAlphaSweep:
         gt, trk = streams
         report = campaign.score(gt, trk, KIND_TRACKLETS, RunConfig(duration=10.0, alpha_sweep=sweep))
         assert golden_reports.mismatch(golden, json.dumps(report.to_dict(), sort_keys=True).encode()) is None
+
+
+def concatenated(parts):
+    """The (gt, pred) stream pairs of `parts` as one pair of streams: each
+    part's frames follow the last part's, and its ids are shifted past every
+    earlier part's ids, on each side."""
+    gt_out, pred_out = [], []
+    t0, id0 = 0.0, 0
+    for gt, pred in parts:
+        for g, p in zip(gt, pred):
+            gt_out.append(FrameRecord(t0 + g.t, g.robot, g.boxes, [id0 + i for i in g.ids]))
+            pred_out.append(FrameRecord(t0 + p.t, p.robot, p.boxes, p.ids and [id0 + i for i in p.ids]))
+        if gt:
+            t0 = gt_out[-1].t + 1.0
+        id0 += 1 + max((i for f in (*gt, *pred) for i in f.ids or ()), default=0)
+    return gt_out, pred_out
+
+
+def assert_rows_equal(pooled: dict, long: dict):
+    """Counts exactly, floats within 1e-12."""
+    assert pooled.keys() == long.keys()
+    for key, value in long.items():
+        if isinstance(value, float):
+            assert pooled[key] == pytest.approx(value, rel=0, abs=1e-12), key
+        else:
+            assert pooled[key] == value, key
+
+
+class TestPooling:
+    """A merged closed row is the row of one long stream in which each
+    merged stream's ids are kept apart, as TrackEval's `combine_sequences`."""
+
+    SWEEPS = [(), (0.5,), ALPHA_SWEEP]
+
+    @staticmethod
+    def sums(row):
+        return row.counts, row.assa, row.switches, row.sq_errors, row.iou_total
+
+    @pytest.mark.parametrize("hota_at", SWEEPS, ids=["detection", "alpha", "sweep"])
+    def test_merging_an_empty_row_is_the_identity(self, hota_at):
+        gt, pred = frames_to_records(random_micro_sequence(3))
+        empty = metrics._tally([], [], 0.5, hota_at)[0]
+        row = metrics._tally(gt, pred, 0.5, hota_at)[0]
+        expected = self.sums(row), row.report()
+        row.merge(empty)
+        assert (self.sums(row), row.report()) == expected
+        empty.merge(row)
+        assert (self.sums(empty), empty.report()) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=4), st.sampled_from(SWEEPS))
+    def test_merged_rows_are_the_concatenated_stream(self, seeds, hota_at):
+        parts = [frames_to_records(random_micro_sequence(s)) for s in seeds]
+        overall, per_class = metrics._tally([], [], 0.5, hota_at)
+        for gt, pred in parts:
+            part_overall, part_classes = metrics._tally(gt, pred, 0.5, hota_at)
+            overall.merge(part_overall)
+            for c, row in part_classes.items():
+                if c in per_class:
+                    per_class[c].merge(row)
+                else:
+                    per_class[c] = row
+        long_overall, long_classes = metrics._tally(*concatenated(parts), 0.5, hota_at)
+        assert per_class.keys() == long_classes.keys()
+        for pooled, long in ((overall, long_overall), *((per_class[c], long_classes[c]) for c in long_classes)):
+            assert_rows_equal(pooled.report().to_dict(), long.report().to_dict())
+            assert pooled.assa == pytest.approx(long.assa, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "block, sweep", [(None, False), ("two-msu", True)], ids=["seed7", "two-msu-sweep"]
+    )
+    def test_campaign_class_rows_pool_their_trials(self, block, sweep):
+        """Each class row of a campaign is `evaluate_streams` on its trials
+        one after another, ids kept apart; each of its ratios and each trial
+        row's DetA reads the row's own counts."""
+        config = RunConfig(alpha_sweep=sweep)
+        trials = [t for t in doe.campaign(known_classes=config.classes) if block in (None, t.block)]
+        report = campaign.run_campaign(7, config, trials)
+        streams = {"detection": [], "tracklet": []}
+        for trial in trials:
+            gt, det = campaign.simulate(trial, 7, config)
+            streams["detection"].append((gt, detections_to_map(det, config.sensor_offset)))
+            streams["tracklet"].append((gt, campaign.track_stream(det, config)))
+        empty = metrics.ClassMetrics(None, None, None, None, None, 0, 0, 0, None).to_dict()
+        for mode, parts in streams.items():
+            long = evaluate_streams(*concatenated(parts), mode, config.alpha, sweep).per_class
+            for cls, rows in report["per_class"].items():
+                if cls in long:
+                    assert_rows_equal(rows[mode], long[cls].to_dict())
+                else:
+                    assert rows[mode] == empty
+        for row in [*(r for t in report["trials"] for r in (t["detection"], t["tracklet"])),
+                    *(r for rows in report["per_class"].values() for r in rows.values())]:
+            n = row["tp"] + row["fp"] + row["fn"]
+            assert row["det_a"] == (row["tp"] / n if n else None)

@@ -14,13 +14,6 @@ def run(name, *args):
     return done.stdout.splitlines()
 
 
-def test_latency_sweep():
-    lines = run("latency_sweep.py")
-    # range line, header, one row per angular velocity with five latency cells
-    assert len(lines) == 7
-    assert [len(line.split("/")) for line in lines[2:]] == [6] * 5
-
-
 def test_flip_study_on_a_short_run():
     """50 frames may commit no orientation at the highest flip rate: that
     cell reads "-" instead of ending the run."""

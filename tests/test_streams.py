@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import re
+import stat
 import tempfile
 from pathlib import Path
 
@@ -485,6 +487,22 @@ class TestAtomicWrite:
         assert target.read_text() == dumps_stream([record(0.0)], KIND_GROUND_TRUTH)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "target.jsonl"]
 
+    def test_existing_output_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(b"old\n")
+        path.chmod(0o600)
+        write_stream(path, [record(0.0)], KIND_GROUND_TRUTH)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert path.read_text() == dumps_stream([record(0.0)], KIND_GROUND_TRUTH)
+
+    def test_new_output_gets_the_umask_mode(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_stream(tmp_path / "s.jsonl", [record(0.0)], KIND_GROUND_TRUTH)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "s.jsonl").stat().st_mode) == 0o640
+
     def test_unknown_kind_writes_nothing(self, tmp_path):
         with pytest.raises(ParseError, match="unknown stream kind"):
             write_stream(tmp_path / "s.jsonl", [record(0.0)], "gt")
@@ -630,6 +648,23 @@ class TestConfig:
     def test_malformed_line_has_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_config("tracker.confirm_count = 3\nwhat is this\n")
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\r"])
+    def test_comment_runs_to_the_newline(self, tmp_path, separator):
+        """A raw line separator inside a comment, in a string or in a file,
+        neither ends the comment, which would let its rest set a key, nor
+        shifts the line numbers."""
+        text = f"# note{separator}tracker.gate_scale = 3.0\n"
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_config(text) == load_config(path) == RunConfig()
+        with pytest.raises(ParseError, match="line 2"):
+            parse_config(text + "what is this\n")
+
+    def test_crlf_lines(self):
+        assert parse_config("tracker.gate_scale = 3.0\r\n# note\r\n").tracker.gate_scale == 3.0
+        with pytest.raises(ParseError, match="line 2: expected 'key = value', got 'what'$"):
+            parse_config("# note\r\nwhat\r\n")
 
     def test_validation_propagates(self):
         with pytest.raises(ConfigurationError):
