@@ -84,6 +84,18 @@ def _report_rows(report: MetricsReport) -> list[tuple[str, str, dict]]:
     return rows
 
 
+def _refuse_same_file(output: tuple[str, str], *inputs: tuple[str, str]) -> None:
+    """A usage error when the file of `output`, a (flag, path) pair, is the
+    file of one of `inputs`: writing it would replace that file. Paths are
+    compared resolved, so a relative path or a symbolic link to the file is
+    the file."""
+    flag, path = output
+    target = Path(path).resolve()
+    for other_flag, other in inputs:
+        if Path(other).resolve() == target:
+            raise UsageError(f"{other_flag} and {flag} are the same file {other}")
+
+
 def _load_trials(path: str) -> list[TrialSpec]:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -145,8 +157,8 @@ def cmd_simulate(args) -> int:
     trial = matching[0]
     out_gt = args.out_gt or f"trial{trial.trial_id:02d}_gt.jsonl"
     out_det = args.out_det or f"trial{trial.trial_id:02d}_det.jsonl"
-    if Path(out_gt).resolve() == Path(out_det).resolve():
-        raise UsageError(f"--out-gt and --out-det are the same file {out_gt}")
+    _refuse_same_file(("--out-gt", out_gt), ("--trials", args.trials))
+    _refuse_same_file(("--out-det", out_det), ("--trials", args.trials), ("--out-gt", out_gt))
     config = dataclasses.replace(
         config,
         noise=NoiseModel.silent() if args.no_noise else config.noise,
@@ -160,6 +172,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
+    _refuse_same_file(("--output", args.output), ("--input", args.input))
     config = load_config(args.config)
     kind, detections = iter_stream(args.input)
     with closing(detections):
@@ -172,6 +185,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.json is not None:
+        _refuse_same_file(("--json", args.json), ("--gt", args.gt), ("--pred", args.pred))
     config = load_config(args.config)
     gt_kind, gt = read_stream(args.gt)
     if gt_kind == KIND_DETECTIONS:

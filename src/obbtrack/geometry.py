@@ -371,9 +371,16 @@ def resolve_symmetric_yaw(yaw: float, reference: float, spec: ClassSpec) -> tupl
     Returns (resolved yaw, hypothesis index); index 0 means the raw yaw
     already was the closest hypothesis.
     """
-    hyps = symmetry_hypotheses(yaw, spec)
-    best = min(range(len(hyps)), key=lambda j: yaw_difference(hyps[j], reference))
-    return hyps[best], best
+    # the hypotheses in `symmetry_hypotheses`' order; of equal differences,
+    # the first wins
+    k = spec.hypothesis_count
+    step = TWO_PI / k
+    for j in range(k):
+        h = wrap_angle(yaw + j * step)
+        d = yaw_difference(h, reference)
+        if j == 0 or d < best_d:
+            best_yaw, best, best_d = h, j, d
+    return best_yaw, best
 
 
 def resultant_direction(s: float, c: float, total: float) -> float:

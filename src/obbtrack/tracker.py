@@ -35,14 +35,20 @@ by the live tracklets.
 
 Per-frame cost follows what changed and the number of nearby pairs, not
 the number of live tracklets or the square of the scene:
-- association and duplicate suppression share the sort-and-sweep gate of
-  `association.gated_pairs`, which computes each box's gate radius once;
+- association and duplicate suppression share the gate of
+  `association.gated_pairs`, which computes each box's gate once, tests a
+  small input (at most 64 candidate pairs, as every frame of the DoE's
+  1-2 object scenes is) pair by pair and sweeps a larger one by center x;
 - the sensor pose is composed once per frame;
 - each tracklet keeps its frozen `SnapshotEntry` and rebuilds it only when
   one of its fields changes (on a match), so a snapshot
   is a tuple of the live tracklets' entries, in the registry's id order;
-- an update resolves the symmetric yaw once, and again only when its
-  orientation vote re-committed the hypothesis and rotated the tracklet;
+  an entry, the snapshot and the association result set their slots
+  through the slots' descriptors rather than a frozen dataclass's
+  `object.__setattr__`;
+- an update resolves the symmetric yaw once, in one loop over the
+  hypotheses, and again only when its orientation vote re-committed the
+  hypothesis and rotated the tracklet;
 - each window entry carries the sine and cosine of its yaw, computed when
   the match arrives (and again only when a re-commit rotates the window);
   one left-to-right pass over the history suffix sums the center and the
@@ -147,14 +153,44 @@ def _with_yaw(box: OrientedBox, yaw: float) -> OrientedBox:
     return _derived_box(box.center, box.extent, yaw, box.class_id, box.confidence)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SnapshotEntry:
+    """One live tracklet as a snapshot shows it. Its `__init__` sets each
+    slot once, through the slot's descriptor, as `OrientedBox`'s does; the
+    dataclass keeps eq, hash and repr."""
+
     id: int
     class_id: str
     lifecycle: Lifecycle
     motion_state: MotionState
     output_pose: OrientedBox
     oriented: bool
+
+    def __init__(
+        self,
+        id: int,
+        class_id: str,
+        lifecycle: Lifecycle,
+        motion_state: MotionState,
+        output_pose: OrientedBox,
+        oriented: bool,
+    ):
+        _set_id(self, id)
+        _set_class(self, class_id)
+        _set_lifecycle(self, lifecycle)
+        _set_motion(self, motion_state)
+        _set_output(self, output_pose)
+        _set_oriented(self, oriented)
+
+
+_set_id, _set_class, _set_lifecycle, _set_motion, _set_output, _set_oriented = (
+    SnapshotEntry.id.__set__,
+    SnapshotEntry.class_id.__set__,
+    SnapshotEntry.lifecycle.__set__,
+    SnapshotEntry.motion_state.__set__,
+    SnapshotEntry.output_pose.__set__,
+    SnapshotEntry.oriented.__set__,
+)
 
 
 class Tracklet:
@@ -320,17 +356,23 @@ class Tracklet:
             self.lifecycle = Lifecycle.CONFIRMED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TrackerSnapshot:
     """Every live tracklet's entry after a frame, in id order."""
 
     entries: tuple[SnapshotEntry, ...]
+
+    def __init__(self, entries: tuple[SnapshotEntry, ...]):
+        _set_entries(self, entries)
 
     def published(self) -> tuple[SnapshotEntry, ...]:
         """Entries ready for downstream consumers: confirmed and oriented."""
         return tuple(
             e for e in self.entries if e.lifecycle is Lifecycle.CONFIRMED and e.oriented
         )
+
+
+_set_entries = TrackerSnapshot.entries.__set__
 
 
 class Tracker:
@@ -360,7 +402,12 @@ class Tracker:
         """Process one detection frame (boxes in the sensor frame) and return
         the post-update snapshot: every live tracklet in id order, of which
         `TrackerSnapshot.published()` filters the ones ready for consumers."""
-        _require_finite("Tracker.ingest_frame", t=t)
+        try:
+            finite = math.isfinite(t)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            _require_finite("Tracker.ingest_frame", t=t)
         if self._last_t is not None and t <= self._last_t:
             raise StreamOrderError(f"frame at t={t} after t={self._last_t}")
 

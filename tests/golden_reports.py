@@ -11,7 +11,22 @@ import json
 from itertools import zip_longest
 from pathlib import Path
 
+from obbtrack.doe import MOTION_PL_PA, TrialSpec
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The scene of the pinned crowd outputs: 20 same-class objects under heavy
+# occlusion, seen from a turning robot
+CROWD_TRIAL = TrialSpec(
+    trial_id=1,
+    block="crowd",
+    row=1,
+    classes=("MSU",) * 20,
+    motion=MOTION_PL_PA,
+    robot_angular="0.25 rad/s",
+    occlusion="> 40%",
+    initial_distance="3.5 m",
+)
 
 
 def _label(index: int, item) -> str:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obbtrack.association import associate, gate_threshold, gated_pairs
+from obbtrack import association
+from obbtrack.association import NESTED_MAX_PAIRS, associate, gate_threshold, gated_pairs
 from obbtrack.errors import InvalidInputError
 from obbtrack.geometry import OrientedBox, center_distance
 
@@ -122,9 +123,10 @@ SCALES = [1.0, 0.5, 1.3, 2.0, 3.0]
 
 
 @st.composite
-def scenes(draw, max_boxes=10):
+def scenes(draw, sizes=st.integers(0, 10), right_sizes=None):
     """Boxes of two classes, on the grid (far from or at the origin) or
-    anywhere, plus a gate scale."""
+    anywhere, plus a gate scale; the box counts are drawn from `sizes`, the
+    right side's from `right_sizes` if given."""
     offset = draw(st.sampled_from([0.0, 1e6, -3.7e5]))
     grid = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
         lambda ij: (offset + 0.25 * ij[0], 0.25 * ij[1])
@@ -136,8 +138,8 @@ def scenes(draw, max_boxes=10):
         st.sampled_from(EXACT_EXTENTS),
         st.sampled_from(["MSU", "MW"]),
     )
-    n_left = draw(st.integers(0, max_boxes))
-    n_right = draw(st.integers(0, max_boxes))
+    n_left = draw(sizes)
+    n_right = draw(sizes if right_sizes is None else right_sizes)
     make = [
         OrientedBox((xy[0], xy[1], z), ext, 0.0, cls)
         for xy, z, ext, cls in draw(st.lists(spec, min_size=n_left + n_right, max_size=n_left + n_right))
@@ -156,6 +158,29 @@ def brute_force_pairs(left, right, scale, upper=False):
     ]
 
 
+# Box counts above the cutoff's square root: two such sides pair above the
+# cutoff, and so do both sides' boxes paired among themselves
+SWEPT_SIZES = st.integers(math.isqrt(NESTED_MAX_PAIRS) + 1, 30)
+
+
+def bipartite_shapes_at_cutoff():
+    """(left, right) box counts of NESTED_MAX_PAIRS - 1, NESTED_MAX_PAIRS and
+    NESTED_MAX_PAIRS + 1 pairs: a row, a column, and the squarest factoring."""
+    shapes = []
+    for pairs in (NESTED_MAX_PAIRS - 1, NESTED_MAX_PAIRS, NESTED_MAX_PAIRS + 1):
+        a = max(k for k in range(1, math.isqrt(pairs) + 1) if pairs % k == 0)
+        shapes += [(1, pairs), (pairs, 1), (a, pairs // a)]
+    return shapes
+
+
+def self_sizes_at_cutoff():
+    """Box counts paired among themselves around the cutoff: n(n - 1) / 2
+    pairs is at most NESTED_MAX_PAIRS for the first two, above it for the
+    last two."""
+    n = max(k for k in range(2, NESTED_MAX_PAIRS + 2) if k * (k - 1) // 2 <= NESTED_MAX_PAIRS)
+    return [n - 1, n, n + 1, n + 2]
+
+
 class TestGatedPairs:
     @given(scenes())
     @settings(max_examples=100)
@@ -170,6 +195,48 @@ class TestGatedPairs:
         scale = scene[2]
         assert gated_pairs(boxes, scale=scale) == brute_force_pairs(boxes, boxes, scale, upper=True)
 
+    @given(scenes(sizes=SWEPT_SIZES))
+    @settings(max_examples=40)
+    def test_swept_matches_brute_force(self, scene):
+        left, right, scale = scene
+        boxes = left + right
+        assert len(left) * len(right) > NESTED_MAX_PAIRS
+        assert len(boxes) * (len(boxes) - 1) // 2 > NESTED_MAX_PAIRS
+        assert gated_pairs(left, right, scale) == brute_force_pairs(left, right, scale)
+        assert gated_pairs(boxes, scale=scale) == brute_force_pairs(boxes, boxes, scale, upper=True)
+
+    @pytest.mark.parametrize("shape", bipartite_shapes_at_cutoff(), ids=lambda s: f"{s[0]}x{s[1]}")
+    @given(data=st.data())
+    @settings(max_examples=10)
+    def test_bipartite_at_cutoff_matches_brute_force(self, shape, data):
+        left, right, scale = data.draw(scenes(st.just(shape[0]), st.just(shape[1])))
+        assert gated_pairs(left, right, scale) == brute_force_pairs(left, right, scale)
+
+    @pytest.mark.parametrize("n", self_sizes_at_cutoff())
+    @given(data=st.data())
+    @settings(max_examples=10)
+    def test_self_pairs_at_cutoff_match_brute_force(self, n, data):
+        boxes, _, scale = data.draw(scenes(st.just(n), st.just(0)))
+        assert gated_pairs(boxes, scale=scale) == brute_force_pairs(boxes, boxes, scale, upper=True)
+
+    def test_sweep_taken_above_the_cutoff_only(self, monkeypatch):
+        swept = []
+        sweep = association._swept_pairs
+
+        def counting_sweep(*args):
+            swept.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(association, "_swept_pairs", counting_sweep)
+        for n_left, n_right in bipartite_shapes_at_cutoff():
+            swept.clear()
+            gated_pairs([box()] * n_left, [box()] * n_right)
+            assert len(swept) == (n_left * n_right > NESTED_MAX_PAIRS)
+        for n in self_sizes_at_cutoff():
+            swept.clear()
+            gated_pairs([box()] * n)
+            assert len(swept) == (n * (n - 1) // 2 > NESTED_MAX_PAIRS)
+
     def test_pair_exactly_on_gate_kept(self):
         a = box(l=0.6, w=0.8)
         for b in (box(cx=0.5, l=0.6, w=0.8), box(cx=-0.5, l=0.6, w=0.8), box(cy=0.5, l=0.6, w=0.8)):
@@ -181,13 +248,15 @@ class TestGatedPairs:
     def test_far_pairs_never_tested(self, monkeypatch):
         tested = []
 
-        def counting_distance(a, b):
-            tested.append((a, b))
-            return center_distance(a, b)
+        def counting_distance(p, q):
+            tested.append((p, q))
+            return math.dist(p, q)
 
         # every exact gate test measures its pair's center distance first
-        monkeypatch.setattr("obbtrack.association.center_distance", counting_distance)
-        row = [box(cx=2.0 * k, cy=0.3 * (k % 3)) for k in range(30)]
+        monkeypatch.setattr(association, "dist", counting_distance)
+        # a row 2 m apart, one box more than the cutoff: swept on its own and
+        # against one box
+        row = [box(cx=2.0 * k, cy=0.3 * (k % 3)) for k in range(NESTED_MAX_PAIRS + 1)]
         assert gated_pairs(row) == []
         assert gated_pairs(row, [box(cx=10.2, cy=0.6)]) == [(pytest.approx(0.2), 5, 0)]
         assert len(tested) == 1
@@ -198,11 +267,29 @@ class TestGatedPairs:
         assert {(i % 2, j % 2) for _, i, j in gated_pairs(boxes)} == {(0, 0), (1, 1)}
 
 
+def with_random_ids(scene, rnd):
+    dets, trk_boxes, scale = scene
+    return dets, list(zip(rnd.sample(range(1000), len(trk_boxes)), trk_boxes)), scale
+
+
 class TestAssociateReference:
     @given(scenes(), st.randoms(use_true_random=False))
     @settings(max_examples=100)
     def test_equals_nested_loop_reference(self, scene, rnd):
-        dets, trk_boxes, scale = scene
-        tids = rnd.sample(range(1000), len(trk_boxes))
-        trks = list(zip(tids, trk_boxes))
+        dets, trks, scale = with_random_ids(scene, rnd)
+        assert associate(dets, trks, scale) == reference_associate(dets, trks, scale)
+
+    @given(scenes(sizes=SWEPT_SIZES), st.randoms(use_true_random=False))
+    @settings(max_examples=40)
+    def test_swept_equals_nested_loop_reference(self, scene, rnd):
+        dets, trks, scale = with_random_ids(scene, rnd)
+        assert len(dets) * len(trks) > NESTED_MAX_PAIRS
+        assert associate(dets, trks, scale) == reference_associate(dets, trks, scale)
+
+    @pytest.mark.parametrize("shape", bipartite_shapes_at_cutoff(), ids=lambda s: f"{s[0]}x{s[1]}")
+    @given(data=st.data())
+    @settings(max_examples=10)
+    def test_at_cutoff_equals_nested_loop_reference(self, shape, data):
+        scene = data.draw(scenes(st.just(shape[0]), st.just(shape[1])))
+        dets, trks, scale = with_random_ids(scene, data.draw(st.randoms(use_true_random=False)))
         assert associate(dets, trks, scale) == reference_associate(dets, trks, scale)

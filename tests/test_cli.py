@@ -132,6 +132,16 @@ class TestSimulate:
         assert "error: --out-gt and --out-det are the same file s.jsonl" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.json"]
 
+    @pytest.mark.parametrize("flag", ["--out-gt", "--out-det"])
+    def test_output_over_the_trial_sheet_is_usage_error(self, tmp_path, trial_sheet, capsys, monkeypatch, flag):
+        monkeypatch.setattr(cli.campaign_mod, "simulate", lambda *args: pytest.fail("simulated"))
+        before = trial_sheet.read_bytes()
+        argv = ["simulate", "--trials", str(trial_sheet), "--trial", "19", flag, str(trial_sheet)]
+        assert main(argv) == 1
+        assert f"error: --trials and {flag} are the same file {trial_sheet}" in capsys.readouterr().err
+        assert trial_sheet.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.json"]
+
     def test_no_noise_round_trip(self, tmp_path, trial_sheet):
         gt_path = tmp_path / "gt.jsonl"
         det_path = tmp_path / "det.jsonl"
@@ -325,6 +335,40 @@ class TestTrackAndEvaluate:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["track", "--input", str(tmp_path / "nope.jsonl"),
                      "--output", str(tmp_path / "o.jsonl")]) == 2
+
+    @pytest.fixture
+    def streams(self, tmp_path, trial_sheet, monkeypatch):
+        """Trial 19's ground truth and detections; from then on no stream or
+        config may be read, and each file keeps its bytes."""
+        gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
+        assert main(["simulate", "--trials", str(trial_sheet), "--trial", "19", "--seed", "5",
+                     "--out-gt", str(gt), "--out-det", str(det)]) == 0
+        before = {p: p.read_bytes() for p in (gt, det)}
+        for name in ("iter_stream", "read_stream", "load_config"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        monkeypatch.chdir(tmp_path)
+        yield gt, det
+        assert {p: p.read_bytes() for p in (gt, det)} == before
+
+    @pytest.mark.parametrize("named", ["same", "relative", "symlink"])
+    def test_track_output_over_its_input_is_usage_error(self, streams, capsys, named):
+        _, det = streams
+        output = {"same": str(det), "relative": f"./{det.name}", "symlink": "link.jsonl"}[named]
+        if named == "symlink":
+            Path(output).symlink_to(det)
+        assert main(["track", "--input", str(det), "--output", output]) == 1
+        assert f"error: --input and --output are the same file {det}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("over", ["--gt", "--pred"])
+    @pytest.mark.parametrize("named", ["same", "relative", "symlink"])
+    def test_evaluate_report_over_a_stream_is_usage_error(self, streams, capsys, over, named):
+        gt, det = streams
+        stream = gt if over == "--gt" else det
+        report = {"same": str(stream), "relative": f"./{stream.name}", "symlink": "link.json"}[named]
+        if named == "symlink":
+            Path(report).symlink_to(stream)
+        assert main(["evaluate", "--gt", str(gt), "--pred", str(det), "--json", report]) == 1
+        assert f"error: {over} and --json are the same file {stream}" in capsys.readouterr().err
 
     def test_evaluate_gt_against_itself(self, tmp_path, trial_sheet, capsys):
         gt, _, _ = self.pipeline(tmp_path, trial_sheet)

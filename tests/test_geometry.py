@@ -498,6 +498,15 @@ class TestSymmetryHypotheses:
         assert idx == 0
         assert twice == once
 
+    @given(angles, angles, st.sampled_from([0, 1, 2]))
+    @example(math.pi / 2, 0.0, 1)  # both hypotheses a quarter turn away
+    @example(math.pi / 4, 0.0, 2)
+    def test_resolve_is_the_first_nearest_hypothesis(self, yaw, ref, planes):
+        spec = ClassSpec("X", (1, 1, 1), planes)
+        hyps = symmetry_hypotheses(yaw, spec)
+        best = min(range(len(hyps)), key=lambda j: yaw_difference(hyps[j], ref))
+        assert resolve_symmetric_yaw(yaw, ref, spec) == (hyps[best], best)
+
 
 class TestCircularMean:
     def test_constant(self):

@@ -9,24 +9,14 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from golden_reports import CROWD_TRIAL as CROWD
 from obbtrack import campaign
 from obbtrack.config import RunConfig
-from obbtrack.doe import MOTION_PL_PA, TrialSpec
+from obbtrack.doe import TrialSpec
 from obbtrack.doe import campaign as design
 from obbtrack.geometry import PlanarPose, compose, transform_box
 from obbtrack.streams import KIND_TRACKLETS, FrameRecord
 
-# 20 same-class objects under heavy occlusion, seen from a turning robot
-CROWD = TrialSpec(
-    trial_id=1,
-    block="crowd",
-    row=1,
-    classes=("MSU",) * 20,
-    motion=MOTION_PL_PA,
-    robot_angular="0.25 rad/s",
-    occlusion="> 40%",
-    initial_distance="3.5 m",
-)
 # a DoE trial: two objects moving at 0.25 m/s, seen from a robot turning at 0.5 rad/s
 PAIR = next(t for t in design() if t.trial_id == 51)
 CONFIG = RunConfig(duration=10.0)

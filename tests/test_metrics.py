@@ -19,7 +19,6 @@ import oracles
 from obbtrack import campaign, doe, metrics
 from obbtrack.cli import main
 from obbtrack.config import RunConfig
-from obbtrack.doe import MOTION_PL_PA, TrialSpec
 from obbtrack.errors import AlignmentError, InvalidInputError, UndefinedMetricError
 from obbtrack.geometry import OrientedBox, PlanarPose
 from obbtrack.metrics import (
@@ -784,18 +783,8 @@ class TestCrowdAlphaSweep:
 
     @pytest.fixture(scope="class")
     def streams(self):
-        trial = TrialSpec(
-            trial_id=1,
-            block="crowd",
-            row=1,
-            classes=("MSU",) * 20,
-            motion=MOTION_PL_PA,
-            robot_angular="0.25 rad/s",
-            occlusion="> 40%",
-            initial_distance="3.5 m",
-        )
         config = RunConfig(duration=10.0)
-        gt, det = campaign.simulate(trial, 1, config)
+        gt, det = campaign.simulate(golden_reports.CROWD_TRIAL, 1, config)
         return gt, campaign.track_stream(det, config)
 
     @pytest.mark.parametrize(
