@@ -15,7 +15,7 @@ from contextlib import closing
 from pathlib import Path
 
 from . import campaign as campaign_mod
-from .config import ENV_CONFIG, RunConfig, load_config
+from .config import ENV_CONFIG, RunConfig, config_path, load_config
 from .doe import TrialSpec, balance_check, campaign as design_campaign, oa_matrix
 from .errors import ConfigurationError, InternalStateError, InvalidInputError, ParseError, TrackingError, json_member
 from .metrics import MetricsReport
@@ -84,11 +84,14 @@ def _report_rows(report: MetricsReport) -> list[tuple[str, str, dict]]:
     return rows
 
 
-def _refuse_same_file(output: tuple[str, str], *inputs: tuple[str, str]) -> None:
+def _refuse_same_file(args, output: tuple[str, str], *inputs: tuple[str, str]) -> None:
     """A usage error when the file of `output`, a (flag, path) pair, is the
-    file of one of `inputs`: writing it would replace that file. Paths are
-    compared resolved, so a relative path or a symbolic link to the file is
-    the file."""
+    config file in use or the file of one of `inputs`: writing it would
+    replace that file. Paths are compared resolved, so a relative path or a
+    symbolic link to the file is the file."""
+    config = config_path(args.config)
+    if config is not None:
+        inputs = (*inputs, ("--config" if args.config is not None else f"${ENV_CONFIG}", config))
     flag, path = output
     target = Path(path).resolve()
     for other_flag, other in inputs:
@@ -137,6 +140,7 @@ def _design(block: str | None, config: RunConfig) -> list[TrialSpec]:
 
 
 def cmd_doe_gen(args) -> int:
+    _refuse_same_file(args, ("--out", args.out))
     config = load_config(args.config)
     trials = _design(args.block, config)
     report = balance_check(oa_matrix())
@@ -149,16 +153,16 @@ def cmd_doe_gen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out_gt = args.out_gt or f"trial{args.trial:02d}_gt.jsonl"
+    out_det = args.out_det or f"trial{args.trial:02d}_det.jsonl"
+    _refuse_same_file(args, ("--out-gt", out_gt), ("--trials", args.trials))
+    _refuse_same_file(args, ("--out-det", out_det), ("--trials", args.trials), ("--out-gt", out_gt))
     config = load_config(args.config)
     trials = _load_trials(args.trials)
     matching = [t for t in trials if t.trial_id == args.trial]
     if not matching:
         raise UsageError(f"trial id {args.trial} not present in {args.trials}")
     trial = matching[0]
-    out_gt = args.out_gt or f"trial{trial.trial_id:02d}_gt.jsonl"
-    out_det = args.out_det or f"trial{trial.trial_id:02d}_det.jsonl"
-    _refuse_same_file(("--out-gt", out_gt), ("--trials", args.trials))
-    _refuse_same_file(("--out-det", out_det), ("--trials", args.trials), ("--out-gt", out_gt))
     config = dataclasses.replace(
         config,
         noise=NoiseModel.silent() if args.no_noise else config.noise,
@@ -172,7 +176,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
-    _refuse_same_file(("--output", args.output), ("--input", args.input))
+    _refuse_same_file(args, ("--output", args.output), ("--input", args.input))
     config = load_config(args.config)
     kind, detections = iter_stream(args.input)
     with closing(detections):
@@ -186,7 +190,7 @@ def cmd_track(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if args.json is not None:
-        _refuse_same_file(("--json", args.json), ("--gt", args.gt), ("--pred", args.pred))
+        _refuse_same_file(args, ("--json", args.json), ("--gt", args.gt), ("--pred", args.pred))
     config = load_config(args.config)
     gt_kind, gt = read_stream(args.gt)
     if gt_kind == KIND_DETECTIONS:
@@ -201,6 +205,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_campaign_run(args) -> int:
+    if args.out is not None:
+        _refuse_same_file(args, ("--out", args.out))
     config = load_config(args.config)
     report = campaign_mod.run_campaign(args.seed, config, _design(args.block, config))
     rows = []

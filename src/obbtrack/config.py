@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .classes import DEFAULT_CLASS_SPECS
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, in_file
 from .geometry import ClassSpec, IDENTITY_POSE, PlanarPose
 from .simulate import NoiseModel, OBJECT_SPEED, OBJECT_SPIN
 from .tracker import TrackerConfig
@@ -143,10 +143,15 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+def config_path(path: str | Path | None = None) -> str | Path | None:
+    """The config file in use: an explicit path (`--config`), else a
+    non-empty $OBBTRACK_CONFIG, else None, for the defaults."""
+    return path if path is not None else os.environ.get(ENV_CONFIG) or None
+
+
 def load_config(path: str | Path | None = None) -> RunConfig:
-    """Config from an explicit path, else $OBBTRACK_CONFIG, else defaults."""
-    if path is None:
-        path = os.environ.get(ENV_CONFIG) or None
+    """Config from the file `config_path` picks, else defaults."""
+    path = config_path(path)
     if path is None:
         return RunConfig()
     try:
@@ -156,4 +161,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         raise ConfigurationError(f"config file {path}: invalid UTF-8: {exc.reason}") from None
     except OSError as exc:
         raise ConfigurationError(f"config file {path}: {exc.strerror}") from None
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ParseError as exc:
+        raise in_file(exc, f"config file {path}")

@@ -43,6 +43,13 @@ class ParseError(TrackingError):
         super().__init__(message)
 
 
+def in_file(exc: TrackingError, name: str) -> TrackingError:
+    """`exc`, its message led by `name`, the file it was raised on, as in
+    `stream <path>: line 60: missing field 'cx'`; any line number is kept."""
+    exc.args = (f"{name}: {exc}",)
+    return exc
+
+
 def json_member(obj: dict, key: str, kinds: type | tuple[type, ...] = (int, float), line: int | None = None):
     """`obj[key]`, checked for presence and JSON type (by default a number), else a
     `ParseError` naming `line`. A JSON `true`/`false` is a bool and never an int,

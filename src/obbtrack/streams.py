@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator, NoReturn, Sequence
 
-from .errors import InvalidInputError, ParseError, StreamOrderError, json_member
+from .errors import InvalidInputError, ParseError, StreamOrderError, in_file, json_member
 from .geometry import IDENTITY_POSE, OrientedBox, PlanarPose, _require_finite, compose, transform_box
 
 SCHEMA = "obbtrack/v1"
@@ -303,7 +303,10 @@ def _decode(line: bytes, n: int) -> str:
 
 def _read(path: str | Path) -> Generator:
     with open(path, "rb") as f:
-        yield from _parse(_decode(line, n) for n, line in enumerate(f, start=1))
+        try:
+            yield from _parse(_decode(line, n) for n, line in enumerate(f, start=1))
+        except (ParseError, StreamOrderError) as exc:
+            raise in_file(exc, f"stream {path}")
 
 
 def iter_stream(path: str | Path) -> tuple[str, Generator[FrameRecord, None, None]]:

@@ -44,15 +44,6 @@ def stationary_trial(classes=("MW",), distance="3.5 m"):
     )
 
 
-def paired_rmse(gt, pred_frames, metric):
-    """Direct per-frame single-object pairing, free of any IoU threshold."""
-    pairs = []
-    for g, p in zip(gt, pred_frames):
-        if p.boxes:
-            pairs.append((g.boxes[0], p.boxes[0]))
-    return metric(pairs), len(pairs)
-
-
 @pytest.fixture(scope="module")
 def campaign_runs(tmp_path_factory):
     """Two full default campaign runs at seed 7 via the CLI, first one timed."""

@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import subprocess
 import sys
@@ -33,38 +32,6 @@ def trial_sheet(tmp_path):
     return path
 
 
-def sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-class TestWorkflowBytes:
-    """The README's workflow writes the same bytes as before its steps were
-    routed through `campaign.simulate` and `campaign.score`: the streams and
-    the trial sheet by digest, the two `evaluate` reports as golden files,
-    written under Python 3.12's compensated `sum` on any interpreter."""
-
-    def test_pinned_digests(self, tmp_path, trial_sheet, compensated_sum):
-        p = {name: tmp_path / name for name in ("gt", "det", "trk", "gt3", "det3")}
-        rep_t, rep_d = tmp_path / "rep_t.json", tmp_path / "rep_d.json"
-        sim = ["simulate", "--trials", str(trial_sheet), "--trial", "19", "--seed", "5"]
-        assert main([*sim, "--out-gt", str(p["gt"]), "--out-det", str(p["det"])]) == 0
-        assert main(["track", "--input", str(p["det"]), "--output", str(p["trk"])]) == 0
-        assert main(["evaluate", "--gt", str(p["gt"]), "--pred", str(p["trk"]), "--json", str(rep_t)]) == 0
-        assert main(["evaluate", "--gt", str(p["gt"]), "--pred", str(p["det"]), "--json", str(rep_d)]) == 0
-        assert main([*sim, "--no-noise", "--duration", "3",
-                     "--out-gt", str(p["gt3"]), "--out-det", str(p["det3"])]) == 0
-        assert sha256(trial_sheet) == "789bcc1d8371fcc4f2a5783c618b924666c383495b0cfff955b6d9cda5431df9"
-        assert {name: sha256(path) for name, path in p.items()} == {
-            "gt": "556037fac088db7726665d88ec7de84a1e1a0f21bd821e096b436f56b819365f",
-            "det": "5992f678f9bb4687d7eaa7cded146569834fc1d962a284b93082ee20e4cd65d4",
-            "trk": "50d8834b9eb1a40d54c888971685fb56ec4e957b22b3625e312954f5fcae3e48",
-            "gt3": "b609bac3909f3a9519aec47c25cb1657189e52a3599c4ead0c9fadc91d7b93f8",
-            "det3": "0337f9ed96d19972de8b46bb43ef77aee1b9544e68513f15f3a7bc85dc4c0ce2",
-        }
-        assert golden_reports.mismatch("evaluate_trial19_tracklets.json", rep_t.read_bytes()) is None
-        assert golden_reports.mismatch("evaluate_trial19_detections.json", rep_d.read_bytes()) is None
-
-
 class TestDoeGen:
     def test_default_campaign_size(self, trial_sheet):
         payload = json.loads(trial_sheet.read_text())
@@ -84,19 +51,6 @@ class TestDoeGen:
 
 
 class TestSimulate:
-    def test_deterministic_per_seed(self, tmp_path, trial_sheet):
-        outs = []
-        for run in ("a", "b"):
-            gt = tmp_path / f"gt_{run}.jsonl"
-            det = tmp_path / f"det_{run}.jsonl"
-            code = main(
-                ["simulate", "--trials", str(trial_sheet), "--trial", "19", "--seed", "5",
-                 "--out-gt", str(gt), "--out-det", str(det)]
-            )
-            assert code == 0
-            outs.append((gt.read_bytes(), det.read_bytes()))
-        assert outs[0] == outs[1]
-
     def test_different_seeds_differ(self, tmp_path, trial_sheet):
         dets = []
         for seed in ("5", "6"):
@@ -120,26 +74,6 @@ class TestSimulate:
             assert main(argv) == 1
             errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
             assert errors == [f"error: argument --seed: must be a non-negative integer, got '{seed}'"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.json"]
-
-    def test_same_output_for_both_streams_is_usage_error(self, tmp_path, trial_sheet, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli.campaign_mod, "simulate", lambda *args: pytest.fail("simulated"))
-        # one file named two ways
-        argv = ["simulate", "--trials", str(trial_sheet), "--trial", "19",
-                "--out-gt", "s.jsonl", "--out-det", str(tmp_path / "s.jsonl")]
-        assert main(argv) == 1
-        assert "error: --out-gt and --out-det are the same file s.jsonl" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.json"]
-
-    @pytest.mark.parametrize("flag", ["--out-gt", "--out-det"])
-    def test_output_over_the_trial_sheet_is_usage_error(self, tmp_path, trial_sheet, capsys, monkeypatch, flag):
-        monkeypatch.setattr(cli.campaign_mod, "simulate", lambda *args: pytest.fail("simulated"))
-        before = trial_sheet.read_bytes()
-        argv = ["simulate", "--trials", str(trial_sheet), "--trial", "19", flag, str(trial_sheet)]
-        assert main(argv) == 1
-        assert f"error: --trials and {flag} are the same file {trial_sheet}" in capsys.readouterr().err
-        assert trial_sheet.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.json"]
 
     def test_no_noise_round_trip(self, tmp_path, trial_sheet):
@@ -336,40 +270,6 @@ class TestTrackAndEvaluate:
         assert main(["track", "--input", str(tmp_path / "nope.jsonl"),
                      "--output", str(tmp_path / "o.jsonl")]) == 2
 
-    @pytest.fixture
-    def streams(self, tmp_path, trial_sheet, monkeypatch):
-        """Trial 19's ground truth and detections; from then on no stream or
-        config may be read, and each file keeps its bytes."""
-        gt, det = tmp_path / "gt.jsonl", tmp_path / "det.jsonl"
-        assert main(["simulate", "--trials", str(trial_sheet), "--trial", "19", "--seed", "5",
-                     "--out-gt", str(gt), "--out-det", str(det)]) == 0
-        before = {p: p.read_bytes() for p in (gt, det)}
-        for name in ("iter_stream", "read_stream", "load_config"):
-            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} called"))
-        monkeypatch.chdir(tmp_path)
-        yield gt, det
-        assert {p: p.read_bytes() for p in (gt, det)} == before
-
-    @pytest.mark.parametrize("named", ["same", "relative", "symlink"])
-    def test_track_output_over_its_input_is_usage_error(self, streams, capsys, named):
-        _, det = streams
-        output = {"same": str(det), "relative": f"./{det.name}", "symlink": "link.jsonl"}[named]
-        if named == "symlink":
-            Path(output).symlink_to(det)
-        assert main(["track", "--input", str(det), "--output", output]) == 1
-        assert f"error: --input and --output are the same file {det}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("over", ["--gt", "--pred"])
-    @pytest.mark.parametrize("named", ["same", "relative", "symlink"])
-    def test_evaluate_report_over_a_stream_is_usage_error(self, streams, capsys, over, named):
-        gt, det = streams
-        stream = gt if over == "--gt" else det
-        report = {"same": str(stream), "relative": f"./{stream.name}", "symlink": "link.json"}[named]
-        if named == "symlink":
-            Path(report).symlink_to(stream)
-        assert main(["evaluate", "--gt", str(gt), "--pred", str(det), "--json", report]) == 1
-        assert f"error: {over} and --json are the same file {stream}" in capsys.readouterr().err
-
     def test_evaluate_gt_against_itself(self, tmp_path, trial_sheet, capsys):
         gt, _, _ = self.pipeline(tmp_path, trial_sheet)
         report_path = tmp_path / "report.json"
@@ -445,6 +345,66 @@ class TestTrackAndEvaluate:
         gt = tmp_path / "gt.jsonl"
         gt.write_text(dumps_stream([], KIND_GROUND_TRUTH))
         assert main(["--config", str(cfg), "evaluate", "--gt", str(gt), "--pred", str(gt)]) == 1
+
+
+class TestOutputOverAnInput:
+    """An output naming an input, the config in use included, is a usage error before any read."""
+
+    INPUTS = {"--config": "run.cfg", "--trials": "trials.json", "--out-gt": "gt.jsonl",
+              "--input": "det.jsonl", "--gt": "gt.jsonl", "--pred": "det.jsonl"}
+    # each command, its output last, and its inputs but the config
+    COMMANDS = {
+        "doe-gen": ("doe gen --out", ()),
+        "sim-gt": ("simulate --trials trials.json --trial 19 --out-gt", ("--trials",)),
+        "sim-det": ("simulate --trials trials.json --trial 19 --out-gt gt.jsonl --out-det", ("--trials", "--out-gt")),
+        "track": ("track --input det.jsonl --output", ("--input",)),
+        "evaluate": ("evaluate --gt gt.jsonl --pred det.jsonl --json", ("--gt", "--pred")),
+        "campaign": ("campaign run --out", ()),
+    }
+    CASES = {f"{c}-over{over}": (command, over) for c, (command, inputs) in COMMANDS.items()
+             for over in ("--config", *inputs)}
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, tmp_path, monkeypatch):
+        """Each input in the working directory: none is read, each keeps its bytes."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(ENV_CONFIG, raising=False)
+        for name in set(self.INPUTS.values()):
+            Path(name).write_text(name)
+        for name in ("load_config", "_load_trials", "iter_stream", "read_stream"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        yield
+        files = {p.name: p.read_text() for p in tmp_path.iterdir() if not p.is_symlink()}
+        assert files == {name: name for name in self.INPUTS.values()}
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    @pytest.mark.parametrize("named", ["same", "relative", "symlink"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_output_over_an_input_is_usage_error(self, tmp_path, monkeypatch, capsys, case, named, via_env):
+        command, over = self.CASES[case]
+        file = self.INPUTS[over]
+        output = {"same": str(tmp_path / file), "relative": f"./{file}", "symlink": "link"}[named]
+        if named == "symlink":
+            Path(output).symlink_to(tmp_path / file)
+        if via_env:
+            monkeypatch.setenv(ENV_CONFIG, "run.cfg")
+        argv = [*(() if via_env else ("--config", "run.cfg")), *command.split(), output]
+        assert main(argv) == 1
+        named_by = f"${ENV_CONFIG}" if via_env and over == "--config" else over
+        assert f"error: {named_by} and {argv[-2]} are the same file {file}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["--gt", "--pred"])
+def test_stream_error_names_its_file(tmp_path, capsys, bad):
+    """A stream's parse error names its file, then the line, as a data error."""
+    text = dumps_stream([FrameRecord(r.t, r.robot, r.boxes, [1]) for r in one_object_detections(70)], KIND_GROUND_TRUTH)
+    lines = text.splitlines(keepends=True)
+    lines[59] = lines[59].replace('"cx"', '"x"')
+    paths = {"--gt": tmp_path / "gt.jsonl", "--pred": tmp_path / "trk.jsonl"}
+    for flag, path in paths.items():
+        path.write_text("".join(lines) if flag == bad else text)
+    assert main(["evaluate", "--gt", str(paths["--gt"]), "--pred", str(paths["--pred"])]) == 2
+    assert capsys.readouterr().err == f"data error: stream {paths[bad]}: line 60: missing field 'cx'\n"
 
 
 class TestExitCodes:
@@ -596,16 +556,6 @@ class TestCampaign:
         golden = json.loads((golden_reports.GOLDEN / "campaign_seed7.json").read_bytes())["trials"]
         assert [row["trial_id"] for row in rows] == list(range(55, 73))
         assert rows == [row for row in golden if row["block"] == "single-sw"]
-
-    def test_single_block_report_does_not_depend_on_float_sum(self, tmp_path, request):
-        """Python 3.12's compensated `sum` writes the same campaign report."""
-        out = tmp_path / "rep.json"
-        argv = ["campaign", "run", "--seed", "7", "--block", "single-sw", "--out", str(out)]
-        assert main(argv) == 0
-        plain = out.read_bytes()
-        request.getfixturevalue("compensated_sum")
-        assert main(argv) == 0
-        assert out.read_bytes() == plain
 
     def test_single_block_average_is_its_class(self, tmp_path):
         """The average row averages the classes the trials place: a one-class

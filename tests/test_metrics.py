@@ -1,4 +1,3 @@
-import json
 import math
 import subprocess
 import sys
@@ -31,7 +30,7 @@ from obbtrack.metrics import (
     pos_rmse,
     yaw_rmse,
 )
-from obbtrack.streams import KIND_TRACKLETS, FrameRecord, detections_to_map
+from obbtrack.streams import FrameRecord, detections_to_map
 
 ORIGIN = PlanarPose(0.0, 0.0, 0.0)
 
@@ -773,29 +772,6 @@ def test_cli_workflow_never_loads_numpy(tmp_path, numpy_blocked):
     assert done.stdout.splitlines()[-1] == "ok"
     assert golden_reports.mismatch("evaluate_trial19_tracklets.json", (tmp_path / "rep_t.json").read_bytes()) is None
     assert golden_reports.mismatch("evaluate_trial19_detections.json", (tmp_path / "rep_d.json").read_bytes()) is None
-
-
-class TestCrowdAlphaSweep:
-    """The α sweep on a long stream: 100 frames of 20 same-class objects
-    under heavy occlusion, tracked with the default config. Every report
-    value is pinned by a golden file of its `sort_keys` JSON form, written
-    under Python 3.12's compensated `sum` on any interpreter."""
-
-    @pytest.fixture(scope="class")
-    def streams(self):
-        config = RunConfig(duration=10.0)
-        gt, det = campaign.simulate(golden_reports.CROWD_TRIAL, 1, config)
-        return gt, campaign.track_stream(det, config)
-
-    @pytest.mark.parametrize(
-        "sweep, golden",
-        [(False, "crowd_alpha.json"), (True, "crowd_sweep.json")],
-        ids=["alpha", "sweep"],
-    )
-    def test_report_digest_pinned(self, streams, sweep, golden, compensated_sum):
-        gt, trk = streams
-        report = campaign.score(gt, trk, KIND_TRACKLETS, RunConfig(duration=10.0, alpha_sweep=sweep))
-        assert golden_reports.mismatch(golden, json.dumps(report.to_dict(), sort_keys=True).encode()) is None
 
 
 def concatenated(parts):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from obbtrack import streams
-from obbtrack.config import RunConfig, load_config, parse_config
+from obbtrack.config import RunConfig, config_path, load_config, parse_config
 from obbtrack.errors import ConfigurationError, InvalidInputError, ParseError, StreamOrderError
 from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose
 from obbtrack.simulate import NoiseModel
@@ -319,12 +319,14 @@ def stream_files(draw):
     return text.encode("utf-8")
 
 
-def outcome(read):
-    """What a read gives: its records, or the error's class, message and line."""
+def outcome(read, file=""):
+    """What a read gives: its records, or the error's class, message and line;
+    the message must begin with `file`, which is cut from it."""
     try:
         return repr(read())
     except (ParseError, StreamOrderError) as exc:
-        return type(exc), str(exc), getattr(exc, "line_number", None)
+        assert str(exc).startswith(file), exc
+        return type(exc), str(exc).removeprefix(file), getattr(exc, "line_number", None)
 
 
 # Where the reference parser rejects a number as it picks it, the reader leaves
@@ -351,7 +353,7 @@ class TestLineReader:
             path = Path(d) / "s.jsonl"
             path.write_bytes(data)
             expected = outcome(lambda: oracles.reference_loads_stream(data.decode("utf-8")))
-            assert_same_outcome(outcome(lambda: read_stream(path)), expected)
+            assert_same_outcome(outcome(lambda: read_stream(path), f"stream {path}: "), expected)
         assert_same_outcome(outcome(lambda: loads_stream(data.decode("utf-8"))), expected)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -426,7 +428,7 @@ class TestLineReader:
     def test_invalid_utf8_names_its_line(self, tmp_path, data, line):
         path = tmp_path / "s.jsonl"
         path.write_bytes(data)
-        with pytest.raises(ParseError, match=f"^line {line}: invalid UTF-8") as info:
+        with pytest.raises(ParseError, match=f"^stream {re.escape(str(path))}: line {line}: invalid UTF-8") as info:
             read_stream(path)
         assert info.value.line_number == line
 
@@ -645,9 +647,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config("tracker.confirm_count = soon")
 
-    def test_malformed_line_has_number(self):
-        with pytest.raises(ParseError, match="line 2"):
-            parse_config("tracker.confirm_count = 3\nwhat is this\n")
+    def test_malformed_line_names_its_file_and_number(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("tracker.confirm_count = 3\nwhat is this\n")
+        with pytest.raises(ParseError, match=f"^config file {re.escape(str(path))}: line 2: expected") as info:
+            load_config(path)
+        assert info.value.line_number == 2
 
     @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\r"])
     def test_comment_runs_to_the_newline(self, tmp_path, separator):
@@ -713,10 +718,12 @@ class TestConfig:
             make()
 
     def test_env_var_lookup(self, tmp_path, monkeypatch):
+        """The config file in use: a path given, else a non-empty $OBBTRACK_CONFIG."""
         path = tmp_path / "run.cfg"
         path.write_text("tracker.gate_scale = 2.0\n")
         monkeypatch.setenv("OBBTRACK_CONFIG", str(path))
-        cfg = load_config(None)
-        assert cfg.tracker.gate_scale == 2.0
-        monkeypatch.delenv("OBBTRACK_CONFIG")
-        assert load_config(None).tracker.gate_scale == 1.0
+        assert (config_path("flag.cfg"), config_path(None)) == ("flag.cfg", str(path))
+        assert load_config(None).tracker.gate_scale == 2.0
+        for unset in (monkeypatch.delenv, lambda name: monkeypatch.setenv(name, "")):
+            unset("OBBTRACK_CONFIG")
+            assert config_path(None) is None and load_config(None).tracker.gate_scale == 1.0

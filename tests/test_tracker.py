@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -8,11 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obbtrack import campaign
-from obbtrack.config import RunConfig
 from obbtrack.errors import ConfigurationError, InvalidInputError, StreamOrderError, UndefinedMeanError
 from obbtrack.geometry import ClassSpec, OrientedBox, PlanarPose, yaw_difference
-from obbtrack.streams import KIND_TRACKLETS, write_stream
 from obbtrack.tracker import (
     DEG,
     Lifecycle,
@@ -26,7 +22,6 @@ from obbtrack.tracker import (
     detect_motion,
 )
 
-import golden_reports
 from oracles import (
     assert_public_box,
     circular_mean,
@@ -764,16 +759,3 @@ class TestDeterminism:
 
         a, b = run(), run()
         assert a == b
-
-    def test_crowd_tracklet_stream_pinned(self, tmp_path):
-        """600 frames of 20 same-class objects under heavy occlusion, seen
-        from a turning robot: up to 52 live tracklets, and in all frames but
-        the first both gate calls (association and duplicate suppression)
-        are swept. The written tracklet stream is pinned by its digest."""
-        config = RunConfig(duration=60.0)
-        _, det = campaign.simulate(golden_reports.CROWD_TRIAL, 1, config)
-        out = tmp_path / "crowd_trk.jsonl"
-        assert write_stream(out, campaign.iter_tracklets(det, config), KIND_TRACKLETS) == 600
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "85297023e9b4839d1ed86917011d964d87dc7e8c40a6345a78fa49dcd6f1e44f"
-        )
